@@ -25,6 +25,7 @@ from ._zstats import (
     z_value,
 )
 from .core import Dataset, RandomStream
+from .ptree import node_q
 from .weak_learner import (
     OracleEstimate,
     ProbClassifier,
@@ -32,7 +33,6 @@ from .weak_learner import (
     SystemStopwatch,
     WeakLearner,
     classifier_from_record,
-    estimate_q_strategy_A,
     estimate_q_strategy_B,
     map_z_estimate,
 )
@@ -142,29 +142,6 @@ class AdaboostModel:
         )
 
 
-def _stage_q(
-    classifier: ProbClassifier,
-    dataset: Dataset,
-    weights: np.ndarray,
-    config: TrainConfig,
-    stream: RandomStream,
-    round_index: int,
-) -> np.ndarray:
-    if config.exact_q:
-        return np.array([classifier.q_plus(x) for x in dataset.features])
-    q, _ = estimate_q_strategy_A(
-        classifier,
-        dataset,
-        weights,
-        stream,
-        purpose=f"q-est-{round_index}",
-        estimator=config.estimator,
-        r_min=config.r_min,
-        r_max=config.r_max,
-    )
-    return q
-
-
 def _make_stage(
     classifier: ProbClassifier,
     q: np.ndarray,
@@ -199,7 +176,7 @@ def train_adaboost(
             classifier = learner.train(dataset, weights, stream.generator("train", 0, t))
         except Exception as exc:
             raise RuntimeError(f"weak learner failed at round {t}") from exc
-        q = _stage_q(classifier, dataset, weights, config, stream, t)
+        q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
         stage, weights = _make_stage(classifier, q, weights, dataset.labels)
         stages.append(stage)
     return AdaboostModel(stages, metadata=_metadata(config, T))

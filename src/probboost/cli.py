@@ -164,10 +164,8 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
         recorded = model.recorded_bound()
         if log_path:
             rows = []
-            paths = sorted(model.nodes, key=lambda p: (len(p), p))
-            for i, p in enumerate(paths, start=1):
-                node = model.nodes[p]
-                rows.append([i, p or "root", node.z_plus, node.z_minus, model.trajectory[min(i, len(model.trajectory) - 1)]])
+            for i, (p, node) in enumerate(model.nodes.items(), start=1):  # growth order
+                rows.append([i, p or "root", node.z_plus, node.z_minus, model.trajectory[i]])
             _write_csv(log_path, ["step", "leaf", "Z_plus", "Z_minus", "C"], rows)
         loss, se = _tree_mc_loss(model, dataset, trials, seed + 1)
     else:  # matryoshka

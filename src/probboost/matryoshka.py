@@ -18,7 +18,7 @@ decrease rate beats the observed one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -35,20 +35,13 @@ from .ptree import (
     select_growth_leaf,
     walk_table,
 )
-from .weak_learner import (
-    ProbClassifier,
-    Stopwatch,
-    SystemStopwatch,
-    WeakLearner,
-    register_classifier_kind,
-)
+from .weak_learner import ProbClassifier, WeakLearner, register_classifier_kind
 
 __all__ = [
     "CompositeNode",
     "MatryoshkaPolicy",
     "CountingLearner",
     "collect_leaves",
-    "exact_composite_q",
     "build_fixed_2_matryoshka",
     "build_greedy_matryoshka",
 ]
@@ -112,21 +105,13 @@ def collect_leaves(subtree: TreeModel) -> CompositeNode:
     return CompositeNode(subtree)
 
 
-def exact_composite_q(composite: CompositeNode, x: np.ndarray) -> float:
-    """Leaf-enumeration probability that the composite outputs +1."""
-    return composite.q_plus(x)
-
-
 @dataclass
 class MatryoshkaPolicy:
     mode: str = "fixed-2"  # "fixed-2" | "greedy"
-    rate_basis: str = "per-node"  # "per-node" | "per-second"
 
     def __post_init__(self) -> None:
         if self.mode not in ("fixed-2", "greedy"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.rate_basis not in ("per-node", "per-second"):
-            raise ValueError(f"unknown rate basis {self.rate_basis!r}")
 
 
 class CountingLearner(WeakLearner):
@@ -211,16 +196,16 @@ def build_greedy_matryoshka(
     learner: WeakLearner,
     max_raw_nodes: int,
     policy: MatryoshkaPolicy | None = None,
-    stopwatch: Stopwatch | None = None,
     config=None,
 ) -> tuple[TreeModel, list[_BuildLogEntry]]:
     """Grow greedily; after each added node, scan enclosing subtrees from
     the top and collect the first whose analytic nesting rate beats the
-    observed decrease rate.  At most one collection per step."""
+    observed decrease rate.  At most one collection per step.
+
+    ``policy`` is accepted for callers that pass one; nothing in it
+    changes how the greedy builder runs."""
     from .adaboost import TrainConfig
 
-    policy = policy or MatryoshkaPolicy(mode="greedy")
-    stopwatch = stopwatch or SystemStopwatch()
     config = config or TrainConfig()
     stream = RandomStream(config.seed)
     tree = TreeModel(trajectory=[1.0])
@@ -236,12 +221,10 @@ def build_greedy_matryoshka(
             leaf = select_growth_leaf(tree)
         except ValueError:
             break
-        t0 = stopwatch.now()
         grow_at_leaf(tree, leaf, dataset, learner, config, stream, step)
-        elapsed = max(stopwatch.now() - t0, 1e-9)
         for prefix_len in range(len(leaf) + 1):
             p = leaf[:prefix_len]
-            history.setdefault(p, []).append(_subtree_leaf_sum(tree, p))
+            history.setdefault(p, []).append(tree.leaf_sum(p))
         log.append(
             _BuildLogEntry(step, leaf, "grow", tree.recorded_bound(), tree.n_nodes,
                            math.nan, math.nan)
@@ -262,15 +245,12 @@ def build_greedy_matryoshka(
                 # first opportunity: forward difference from C(0) = 1
                 simple = c_values[-1] - c_values[-2]
             matry = rate_matryoshka(c_now, t_sub)
-            if policy.rate_basis == "per-second":
-                simple /= elapsed
-                matry /= elapsed
             if matry < simple:
                 _collect_subtree(tree, p, dataset, config, stream, step)
                 for key in list(history):
                     if key.startswith(p) and key != p:
                         del history[key]
-                history[p] = [_subtree_leaf_sum(tree, p)]
+                history[p] = [tree.leaf_sum(p)]
                 log.append(
                     _BuildLogEntry(step, p, "collect", tree.recorded_bound(),
                                    tree.n_nodes, simple, matry)
@@ -281,20 +261,6 @@ def build_greedy_matryoshka(
 
 def _subtree_size(tree: TreeModel, p: str) -> int:
     return sum(1 for path in tree.nodes if path.startswith(p))
-
-
-def _subtree_leaf_sum(tree: TreeModel, p: str) -> float:
-    """C of the subtree rooted at p, computed on the subtree only."""
-    total = 0.0
-    for leaf in tree.leaves():
-        if not leaf.startswith(p):
-            continue
-        product = 1.0
-        for depth in range(len(p) + 1, len(leaf) + 1):
-            prefix = leaf[:depth]
-            product *= tree.nodes[prefix[:-1]].z(path_last(prefix))
-        total += product
-    return total
 
 
 def _extract_subtree(tree: TreeModel, p: str) -> TreeModel:
@@ -320,7 +286,7 @@ def _collect_subtree(
     )
     for path in [path for path in tree.nodes if path.startswith(p)]:
         del tree.nodes[path]
-    q = node_q(composite, dataset, weights, config, stream, step)
+    q = node_q(composite, dataset, weights, config, stream, f"tree-q-est-{step}")
     attach_node(tree, p, composite, q, weights, dataset.labels)
     # attach_node's incremental update assumed plain growth; restate C exactly
     tree.trajectory[-1] = tree.leaf_sum()

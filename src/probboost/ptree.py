@@ -156,13 +156,13 @@ class TreeNode:
 
     classifier: ProbClassifier
     q_plus: np.ndarray  # per-example branch probabilities used in training
-    weights: np.ndarray  # D_s at this node
     alpha_plus: float
     alpha_minus: float
     z_plus: float
     z_minus: float
-    weights_plus: np.ndarray
-    weights_minus: np.ndarray
+    # children's weights D_{s+}, D_{s-}: training state, not part of the record
+    weights_plus: np.ndarray | None = None
+    weights_minus: np.ndarray | None = None
 
     def alpha(self, sign: int) -> float:
         return self.alpha_plus if sign == 1 else self.alpha_minus
@@ -177,13 +177,10 @@ class TreeNode:
         return {
             "classifier": self.classifier.to_record(),
             "q_plus": self.q_plus.tolist(),
-            "weights": self.weights.tolist(),
             "alpha_plus": self.alpha_plus,
             "alpha_minus": self.alpha_minus,
             "z_plus": self.z_plus,
             "z_minus": self.z_minus,
-            "weights_plus": self.weights_plus.tolist(),
-            "weights_minus": self.weights_minus.tolist(),
         }
 
     @classmethod
@@ -191,13 +188,10 @@ class TreeNode:
         return cls(
             classifier=classifier_from_record(record["classifier"]),
             q_plus=np.array(record["q_plus"], dtype=float),
-            weights=np.array(record["weights"], dtype=float),
             alpha_plus=record["alpha_plus"],
             alpha_minus=record["alpha_minus"],
             z_plus=record["z_plus"],
             z_minus=record["z_minus"],
-            weights_plus=np.array(record["weights_plus"], dtype=float),
-            weights_minus=np.array(record["weights_minus"], dtype=float),
         )
 
 
@@ -225,17 +219,22 @@ class TreeModel:
                     out.append(child)
         return sorted(out, key=_path_order)
 
-    def leaf_product(self, leaf: str) -> float:
-        """Product of Z_s over the non-root prefixes of the leaf."""
+    def leaf_product(self, leaf: str, root: str = "") -> float:
+        """Product of Z_s over the prefixes of the leaf below ``root``."""
         product = 1.0
-        for depth in range(1, len(leaf) + 1):
+        for depth in range(len(root) + 1, len(leaf) + 1):
             prefix = leaf[:depth]
             parent = self.nodes[prefix[:-1]]
             product *= parent.z(path_last(prefix))
         return product
 
-    def leaf_sum(self) -> float:
-        return sum(self.leaf_product(leaf) for leaf in self.leaves())
+    def leaf_sum(self, root: str = "") -> float:
+        """C of the subtree rooted at ``root``: its leaves' Z products."""
+        total = 0.0
+        for leaf in self.leaves():
+            if leaf.startswith(root):
+                total += self.leaf_product(leaf, root)
+        return total
 
     def is_dead(self, leaf: str) -> bool:
         if leaf == "":
@@ -406,7 +405,7 @@ def grow_at_leaf(
         classifier = learner.train(dataset, weights, stream.generator("tree-train", 0, step))
     except Exception as exc:
         raise RuntimeError(f"weak learner failed at node {leaf!r} (step {step})") from exc
-    q = node_q(classifier, dataset, weights, config, stream, step)
+    q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
     attach_node(tree, leaf, classifier, q, weights, dataset.labels)
     return tree.nodes[leaf]
 
@@ -432,7 +431,6 @@ def attach_node(
     tree.nodes[leaf] = TreeNode(
         classifier=classifier,
         q_plus=np.asarray(q, dtype=float),
-        weights=np.asarray(weights, dtype=float),
         alpha_plus=a_plus,
         alpha_minus=a_minus,
         z_plus=z_plus,
@@ -445,9 +443,10 @@ def attach_node(
     tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
 
 
-def node_q(classifier, dataset, weights, config, stream, step) -> np.ndarray:
-    """Per-example q(+) of a new node: exact, estimated by sampling, or, for
-    a composite, summed from its inner walks' reach on the + side."""
+def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray:
+    """Per-example q(+) of a new node or boosting stage: exact, estimated by
+    sampling the stream tagged ``purpose``, or, for a composite, summed from
+    its inner walks' reach on the + side."""
     if classifier.leaf_table is not None:
         reach, scores = classifier.leaf_table
         return reach[:, _side(scores, 1)].sum(axis=1)
@@ -458,7 +457,7 @@ def node_q(classifier, dataset, weights, config, stream, step) -> np.ndarray:
         dataset,
         weights,
         stream,
-        purpose=f"tree-q-est-{step}",
+        purpose=purpose,
         estimator=config.estimator,
         r_min=config.r_min,
         r_max=config.r_max,

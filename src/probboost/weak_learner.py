@@ -215,13 +215,17 @@ class OptionMeasurement:
     z_factor: float  # Z_{T+1} for option A, Z'_T / Z_T for option B
     elapsed: float
 
-    @property
-    def rate(self) -> float:
-        return decrease_rate(self.z_factor, self.elapsed)
+
+def _log_rate(option: OptionMeasurement) -> float:
+    """ln of ``decrease_rate``, ln z / S; it orders options as z^(1/S) does
+    but does not underflow to 0 for short S.  z = 0 gives -inf."""
+    if option.z_factor == 0.0:
+        return -math.inf
+    return math.log(option.z_factor) / max(option.elapsed, _MIN_ELAPSED)
 
 
 def _choose(option_a: OptionMeasurement, option_b: OptionMeasurement) -> str:
-    return "A" if option_a.rate <= option_b.rate else "B"
+    return "A" if _log_rate(option_a) <= _log_rate(option_b) else "B"
 
 
 @dataclass
@@ -237,11 +241,6 @@ class SamplingState:
     estimate: OracleEstimate
     z: float  # current MAP-based Z_t estimate
     estimator: str = "map"
-    last_decision: str = ""
-    candidate: ProbClassifier | None = None
-    candidate_weights: np.ndarray | None = None
-    candidate_estimate: OracleEstimate | None = None
-    candidate_z: float = math.nan
 
     def q_plus(self) -> np.ndarray:
         return self.estimate.q_plus(self.estimator)
@@ -298,16 +297,9 @@ def estimate_q_strategy_B(state: SamplingState, stopwatch: Stopwatch) -> str:
         state.classifier = candidate
         state.estimate = cand_estimate
         state.z = z_next
-        state.candidate = None
     else:
         state.estimate = refreshed
         state.z = z_prime
-        # cache the trial-trained candidate for possible reuse
-        state.candidate = candidate
-        state.candidate_weights = next_weights
-        state.candidate_estimate = cand_estimate
-        state.candidate_z = z_next
-    state.last_decision = decision
     return decision
 
 

@@ -15,7 +15,6 @@ from probboost.matryoshka import (
     build_fixed_2_matryoshka,
     build_greedy_matryoshka,
     collect_leaves,
-    exact_composite_q,
 )
 from probboost.persist import load_model, save_model
 from probboost.ptree import (
@@ -30,7 +29,6 @@ from probboost.ptree import (
 )
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
-    FakeStopwatch,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
@@ -76,8 +74,8 @@ class TestCompositeNode:
         node = tree.nodes[""]
         assert node.alpha_plus > 0.0 and node.alpha_minus > 0.0
         composite = collect_leaves(tree)
-        assert exact_composite_q(composite, ds.features[0]) == pytest.approx(0.7)
-        assert exact_composite_q(composite, ds.features[1]) == pytest.approx(0.3)
+        assert composite.q_plus(ds.features[0]) == pytest.approx(0.7)
+        assert composite.q_plus(ds.features[1]) == pytest.approx(0.3)
 
     def test_complement(self, small_dataset):
         inner = grow_tree(
@@ -155,7 +153,7 @@ class TestCompositeNode:
             inner = build_fixed_2_matryoshka(ds, builtin_constant_edge_oracle(0.2), 3, config)
         composite = collect_leaves(inner)
         outer = TreeModel(trajectory=[1.0])
-        q = node_q(composite, ds, ds.weights, config, RandomStream(0), 1)
+        q = node_q(composite, ds, ds.weights, config, RandomStream(0), "tree-q-est-1")
         attach_node(outer, "", composite, q, ds.weights, ds.labels)
         node = outer.nodes[""]
         assert node.z_plus + node.z_minus <= inner.recorded_bound() + 1e-12
@@ -269,7 +267,6 @@ class TestGreedyMatryoshka:
             small_dataset,
             builtin_constant_edge_oracle(0.3),
             1,
-            stopwatch=FakeStopwatch([float(i) for i in range(10)]),
             config=TrainConfig(exact_q=True),
         )
         assert [e.action for e in log] == ["grow"]
@@ -303,16 +300,13 @@ class TestGreedyMatryoshka:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             MatryoshkaPolicy(mode="other")
-        with pytest.raises(ValueError):
-            MatryoshkaPolicy(rate_basis="per-minute")
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(exact_q=True, seed=1)
-        clock = lambda: FakeStopwatch([float(i) for i in range(1000)])
         a, _ = build_greedy_matryoshka(
-            small_dataset, builtin_constant_edge_oracle(0.2), 6, stopwatch=clock(), config=cfg
+            small_dataset, builtin_constant_edge_oracle(0.2), 6, config=cfg
         )
         b, _ = build_greedy_matryoshka(
-            small_dataset, builtin_constant_edge_oracle(0.2), 6, stopwatch=clock(), config=cfg
+            small_dataset, builtin_constant_edge_oracle(0.2), 6, config=cfg
         )
         assert a.to_record() == b.to_record()

@@ -32,7 +32,6 @@ def _manual_node(alpha_plus, alpha_minus, z_plus=0.5, z_minus=0.5, n=2, q=0.5):
     return TreeNode(
         classifier=StumpClassifier(0, 0.0, 1, 0.5),
         q_plus=np.full(n, q),
-        weights=np.full(n, 1.0 / n),
         alpha_plus=alpha_plus,
         alpha_minus=alpha_minus,
         z_plus=z_plus,
@@ -369,10 +368,25 @@ class TestTreeSerialization:
             max_nodes=4,
             config=TrainConfig(seed=2),
         )
-        clone = TreeModel.from_record(tree.to_record())
-        assert clone.to_record() == tree.to_record()
+        record = tree.to_record()
+        clone = TreeModel.from_record(record)
+        assert clone.to_record() == record
         assert clone.leaves() == tree.leaves()
         assert clone.recorded_bound() == tree.recorded_bound()
+        # a node record holds no training weights
+        for node in record["nodes"].values():
+            assert set(node) == {
+                "classifier", "q_plus", "alpha_plus", "alpha_minus", "z_plus", "z_minus"
+            }
+        # records that still carry training weights load and give the same bounds
+        n = small_dataset.n_examples
+        old = tree.to_record()
+        for node in old["nodes"].values():
+            for key in ("weights", "weights_plus", "weights_minus"):
+                node[key] = [1.0 / n] * n
+        old_clone = TreeModel.from_record(old)
+        assert old_clone.recorded_bound() == clone.recorded_bound()
+        assert exact_tree_bound(old_clone, small_dataset) == exact_tree_bound(clone, small_dataset)
 
     def test_prefix_closure_enforced(self, small_dataset):
         tree = grow_tree(

@@ -9,6 +9,7 @@ from probboost.core import Dataset, RandomStream
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     FakeStopwatch,
+    OptionMeasurement,
     OracleEstimate,
     SamplingState,
     StumpClassifier,
@@ -145,6 +146,12 @@ class TestDecreaseRate:
     def test_zero_elapsed_clamped(self):
         assert decrease_rate(0.5, 0.0) == 0.5 ** (1.0 / 1e-9)
 
+    def test_short_options_compared_without_underflow(self):
+        # 0.8**1e4 and 0.5**1e4 both round to 0.0; B still decreases faster
+        from probboost.weak_learner import _choose
+
+        assert _choose(OptionMeasurement(0.8, 1e-4), OptionMeasurement(0.5, 1e-4)) == "B"
+
 
 def _make_state(dataset, epsilon=0.3, seed=0):
     learner = builtin_constant_edge_oracle(epsilon)
@@ -176,7 +183,6 @@ class TestStrategyB:
         decision = estimate_q_strategy_B(state, clock)
         assert decision == "A"
         assert state.t == 2
-        assert state.candidate is None
 
     def test_side_effects_match_decision(self, small_dataset):
         for seed in range(6):
@@ -187,12 +193,9 @@ class TestStrategyB:
             if decision == "A":
                 assert state.t == t_before + 1
                 assert state.estimate.rounds == 1  # fresh candidate estimate
-                assert state.candidate is None
             else:
                 assert state.t == t_before
                 assert state.estimate.rounds == rounds_before + 1
-                assert state.candidate is not None
-                assert math.isfinite(state.candidate_z)
 
     def test_slow_candidate_loses_to_improving_resample(self, small_dataset):
         # make option A cost 10^4 seconds; as long as the resample improves
