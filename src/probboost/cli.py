@@ -163,16 +163,15 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
         model = grow_tree(dataset, learner, max_nodes=t_stop, config=config)
         recorded = model.recorded_bound()
         if log_path:
-            rows = []
-            for i, (p, node) in enumerate(model.nodes.items(), start=1):  # growth order
-                rows.append([i, p or "root", node.z_plus, node.z_minus, model.trajectory[i]])
-            _write_csv(log_path, ["step", "leaf", "Z_plus", "Z_minus", "C"], rows)
+            _write_tree_log(log_path, model)
         loss, se = _tree_mc_loss(model, dataset, trials, seed + 1)
     else:  # matryoshka
         if mode == "fixed2":
             if levels is None:
                 raise click.ClickException("--L is required for fixed-2 matryoshka")
             model = build_fixed_2_matryoshka(dataset, learner, levels, config)
+            if log_path:
+                _write_tree_log(log_path, model)
         else:
             if t_stop is None:
                 raise click.ClickException("--T is required for greedy matryoshka")
@@ -194,6 +193,15 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
         click.echo(f"model written to {out}")
     click.echo(f"recorded bound: {recorded!r}")
     click.echo(f"mc training error: {loss:.6f} +/- {se:.6f} ({trials} trials)")
+
+
+def _write_tree_log(path: str, tree: TreeModel) -> None:
+    """One row per node of the (top) tree, in growth order."""
+    rows = [
+        [i, p or "root", node.z_plus, node.z_minus, tree.trajectory[i]]
+        for i, (p, node) in enumerate(tree.nodes.items(), start=1)
+    ]
+    _write_csv(path, ["step", "leaf", "Z_plus", "Z_minus", "C"], rows)
 
 
 def _tree_mc_loss(tree: TreeModel, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:
@@ -224,7 +232,7 @@ def cmd_eval(model_path, data, trials, seed) -> None:
         if model.stages and len(model.stages[0].q_plus) != dataset.n_examples:
             raise click.ClickException("dataset size does not match the stored model")
         loss, se = mc_misclassification(model, dataset, trials, seed=seed)
-        exact = exact_expected_bound(model, dataset) if model.n_stages <= 20 else None
+        exact = exact_expected_bound(model, dataset)
         recorded = model.recorded_bound()
     else:
         expected_dim = model.metadata.get("dimension")
@@ -236,8 +244,7 @@ def cmd_eval(model_path, data, trials, seed) -> None:
         exact = exact_tree_bound(model, dataset)
         recorded = model.recorded_bound()
     click.echo(f"mc loss: {loss:.6f} +/- {se:.6f} ({trials} trials)")
-    if exact is not None:
-        click.echo(f"exact exponential bound: {exact!r}")
+    click.echo(f"exact exponential bound: {exact!r}")
     click.echo(f"recorded training bound: {recorded!r}")
 
 

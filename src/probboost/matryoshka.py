@@ -24,15 +24,15 @@ from typing import Any
 import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
-from .core import Dataset, RandomStream, path_last, path_parent
+from .core import Dataset, RandomStream
 from .ptree import (
     PLAIN_SCORES,
     TreeModel,
+    _leaf_weights,
     attach_node,
-    grow_at_leaf,
+    grow_tree,
     node_q,
     predict_tree,
-    select_growth_leaf,
     walk_table,
 )
 from .weak_learner import ProbClassifier, WeakLearner, register_classifier_kind
@@ -137,8 +137,6 @@ class _UnitLearner(WeakLearner):
     def train(self, dataset: Dataset, weights, rng) -> ProbClassifier:
         if self.level == 0:
             return self.base.train(dataset, weights, rng)
-        from .ptree import grow_tree
-
         positioned = Dataset(dataset.features, dataset.labels, np.asarray(weights, float))
         inner_stream = RandomStream(int(rng.integers(0, 2**63)))
         subtree = grow_tree(
@@ -162,7 +160,6 @@ def build_fixed_2_matryoshka(
     Total raw weak-classifier budget is 2^L.
     """
     from .adaboost import TrainConfig
-    from .ptree import grow_tree
 
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -204,24 +201,13 @@ def build_greedy_matryoshka(
 
     ``policy`` is accepted for callers that pass one; nothing in it
     changes how the greedy builder runs."""
-    from .adaboost import TrainConfig
-
-    config = config or TrainConfig()
-    stream = RandomStream(config.seed)
-    tree = TreeModel(trajectory=[1.0])
-    tree.metadata.update(
-        {"kind": "matryoshka", "mode": "greedy", "seed": config.seed,
-         "dimension": dataset.dimension, "exact_q": config.exact_q,
-         "estimator": config.estimator}
-    )
     history: dict[str, list[float]] = {}
     log: list[_BuildLogEntry] = []
-    for step in range(1, max_raw_nodes + 1):
-        try:
-            leaf = select_growth_leaf(tree)
-        except ValueError:
-            break
-        grow_at_leaf(tree, leaf, dataset, learner, config, stream, step)
+    step = 0
+
+    def collect_if_faster(tree: TreeModel, leaf: str) -> None:
+        nonlocal step
+        step += 1
         for prefix_len in range(len(leaf) + 1):
             p = leaf[:prefix_len]
             history.setdefault(p, []).append(tree.leaf_sum(p))
@@ -246,7 +232,7 @@ def build_greedy_matryoshka(
                 simple = c_values[-1] - c_values[-2]
             matry = rate_matryoshka(c_now, t_sub)
             if matry < simple:
-                _collect_subtree(tree, p, dataset, config, stream, step)
+                _collect_subtree(tree, p, dataset)
                 for key in list(history):
                     if key.startswith(p) and key != p:
                         del history[key]
@@ -256,6 +242,11 @@ def build_greedy_matryoshka(
                                    tree.n_nodes, simple, matry)
                 )
                 break
+
+    tree = grow_tree(dataset, learner, max_nodes=max_raw_nodes, config=config,
+                     on_grow=collect_if_faster)
+    tree.metadata["kind"] = "matryoshka"
+    tree.metadata["mode"] = "greedy"
     return tree, log
 
 
@@ -263,30 +254,13 @@ def _subtree_size(tree: TreeModel, p: str) -> int:
     return sum(1 for path in tree.nodes if path.startswith(p))
 
 
-def _extract_subtree(tree: TreeModel, p: str) -> TreeModel:
-    nodes = {
-        path[len(p):]: node for path, node in tree.nodes.items() if path.startswith(p)
-    }
-    return TreeModel(nodes=nodes, metadata={"kind": "ptree", "collected_from": p})
-
-
-def _collect_subtree(
-    tree: TreeModel,
-    p: str,
-    dataset: Dataset,
-    config,
-    stream: RandomStream,
-    step: int,
-) -> None:
-    composite = collect_leaves(_extract_subtree(tree, p))
-    weights = (
-        dataset.weights.copy()
-        if p == ""
-        else tree.nodes[path_parent(p)].child_weights(path_last(p))
-    )
-    for path in [path for path in tree.nodes if path.startswith(p)]:
-        del tree.nodes[path]
-    q = node_q(composite, dataset, weights, config, stream, f"tree-q-est-{step}")
+def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
+    """Replace the subtree rooted at ``p`` by one composite node."""
+    inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
+    composite = collect_leaves(TreeModel(nodes=inner, metadata={"kind": "ptree", "collected_from": p}))
+    weights = _leaf_weights(tree, p, dataset)
+    # a composite's q is summed from its walk table; nothing is sampled
+    q = node_q(composite, dataset, weights, config=None, stream=None, purpose="")
     attach_node(tree, p, composite, q, weights, dataset.labels)
     # attach_node's incremental update assumed plain growth; restate C exactly
     tree.trajectory[-1] = tree.leaf_sum()

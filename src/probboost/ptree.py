@@ -24,6 +24,7 @@ composites expanded into their inner walks.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -208,21 +209,29 @@ class TreeModel:
     def recorded_bound(self) -> float:
         return self.trajectory[-1] if self.trajectory else 1.0
 
-    def leaves(self) -> list[str]:
-        if not self.nodes:
-            return [""]
-        out = []
-        for path in self.nodes:
-            for sign in ("+", "-"):
-                child = path + sign
-                if child not in self.nodes:
-                    out.append(child)
-        return sorted(out, key=_path_order)
+    def leaf_products(self, root: str = "") -> dict[str, float]:
+        """Leaves under ``root`` with the product of Z_s along their path
+        below it, from one breadth-first pass: shorter paths first, '+'
+        before '-' at equal depth."""
+        products = {}
+        queue = deque([(root, 1.0)])
+        while queue:
+            path, product = queue.popleft()
+            node = self.nodes.get(path)
+            if node is None:
+                products[path] = product
+            else:
+                queue.append((path + "+", product * node.z_plus))
+                queue.append((path + "-", product * node.z_minus))
+        return products
 
-    def leaf_product(self, leaf: str, root: str = "") -> float:
-        """Product of Z_s over the prefixes of the leaf below ``root``."""
+    def leaves(self) -> list[str]:
+        return list(self.leaf_products())
+
+    def leaf_product(self, leaf: str) -> float:
+        """Product of Z_s over the prefixes of the leaf."""
         product = 1.0
-        for depth in range(len(root) + 1, len(leaf) + 1):
+        for depth in range(1, len(leaf) + 1):
             prefix = leaf[:depth]
             parent = self.nodes[prefix[:-1]]
             product *= parent.z(path_last(prefix))
@@ -231,16 +240,9 @@ class TreeModel:
     def leaf_sum(self, root: str = "") -> float:
         """C of the subtree rooted at ``root``: its leaves' Z products."""
         total = 0.0
-        for leaf in self.leaves():
-            if leaf.startswith(root):
-                total += self.leaf_product(leaf, root)
+        for product in self.leaf_products(root).values():
+            total += product
         return total
-
-    def is_dead(self, leaf: str) -> bool:
-        if leaf == "":
-            return False
-        parent = self.nodes[path_parent(leaf)]
-        return parent.z(path_last(leaf)) < DEAD_BRANCH_THRESHOLD
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -303,11 +305,6 @@ def walk_table(tree: TreeModel, outcomes=_node_outcomes) -> tuple[np.ndarray, np
     return np.hstack(walks_reach), np.concatenate(walks_score)
 
 
-def _path_order(path: str) -> tuple[int, str]:
-    # shorter paths first; '+' before '-' at equal depth
-    return len(path), path.replace("+", "0").replace("-", "1")
-
-
 def leaf_value(tree: TreeModel, leaf: str) -> float:
     """Signed alpha sum H_l along the path from the root to the leaf.
 
@@ -333,16 +330,19 @@ def leaf_value(tree: TreeModel, leaf: str) -> float:
 
 
 def select_growth_leaf(tree: TreeModel) -> str:
-    """Live leaf with the largest Z product; lexicographic tie-break."""
-    candidates = [leaf for leaf in tree.leaves() if not tree.is_dead(leaf)]
-    if not candidates:
-        raise ValueError("all leaves are dead; growth cannot continue")
-    best = candidates[0]
-    best_product = tree.leaf_product(best)
-    for leaf in candidates[1:]:
-        product = tree.leaf_product(leaf)
-        if product > best_product:
+    """Live leaf with the largest Z product; ties go to the first leaf in
+    breadth-first order.  A leaf is dead when its last edge's Z is below
+    ``DEAD_BRANCH_THRESHOLD``."""
+    best, best_product = None, 0.0
+    for leaf, product in tree.leaf_products().items():
+        if leaf:
+            parent = tree.nodes[leaf[:-1]]
+            if (parent.z_plus if leaf[-1] == "+" else parent.z_minus) < DEAD_BRANCH_THRESHOLD:
+                continue
+        if best is None or product > best_product:
             best, best_product = leaf, product
+    if best is None:
+        raise ValueError("all leaves are dead; growth cannot continue")
     return best
 
 
@@ -357,9 +357,10 @@ def grow_tree(
 ) -> TreeModel:
     """Greedy bound-reducing growth, one weak classifier per step.
 
-    Stops at ``max_nodes`` inner nodes or once C(T) <= ``target_bound``.
-    ``on_grow(tree, leaf)`` is invoked after every added node (used by the
-    matryoshka builder).
+    Stops after ``max_nodes`` growth steps (weak-learner calls) or once
+    C(T) <= ``target_bound``.  ``on_grow(tree, leaf)`` is invoked after
+    every step and may rewrite the tree (the greedy matryoshka builder
+    collects subtrees there).
     """
     from .adaboost import TrainConfig
 
@@ -370,9 +371,7 @@ def grow_tree(
     tree = TreeModel(trajectory=[1.0], metadata=_metadata(config, max_nodes, target_bound))
     tree.metadata["dimension"] = dataset.dimension
     step = 0
-    while True:
-        if max_nodes is not None and tree.n_nodes >= max_nodes:
-            break
+    while max_nodes is None or step < max_nodes:
         if target_bound is not None and tree.recorded_bound() <= target_bound:
             break
         try:
@@ -386,6 +385,14 @@ def grow_tree(
     return tree
 
 
+def _leaf_weights(tree: TreeModel, leaf: str, dataset: Dataset) -> np.ndarray:
+    """Training weights at a leaf: the dataset's at the root, otherwise the
+    parent's weights for that edge."""
+    if leaf == "":
+        return dataset.weights.copy()
+    return tree.nodes[path_parent(leaf)].child_weights(path_last(leaf))
+
+
 def grow_at_leaf(
     tree: TreeModel,
     leaf: str,
@@ -396,11 +403,7 @@ def grow_at_leaf(
     step: int,
 ) -> TreeNode:
     """Train a classifier at ``leaf`` and turn it into an inner node."""
-    weights = (
-        dataset.weights.copy()
-        if leaf == ""
-        else tree.nodes[path_parent(leaf)].child_weights(path_last(leaf))
-    )
+    weights = _leaf_weights(tree, leaf, dataset)
     try:
         classifier = learner.train(dataset, weights, stream.generator("tree-train", 0, step))
     except Exception as exc:

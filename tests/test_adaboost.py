@@ -1,12 +1,14 @@
 """Sequential probabilistic boosting: W statistics, alphas, weight updates,
-training, and the exact-enumeration loss identity."""
+training, and the exact loss identity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from probboost.adaboost import (
+    AdaboostModel,
     TrainConfig,
     WStats,
     exact_expected_bound,
@@ -173,14 +175,31 @@ class TestTrainAdaboost:
         model = train_adaboost(
             small_dataset, builtin_constant_edge_oracle(0.2), 4, TrainConfig(exact_q=True)
         )
+        weights = small_dataset.weights
         for stage in model.stages:
-            assert stage.w.total() == pytest.approx(1.0, abs=1e-10)
+            w = w_statistics(weights, stage.q_plus, small_dataset.labels)
+            assert w.total() == pytest.approx(1.0, abs=1e-10)
+            weights, _ = update_weights(
+                weights, stage.q_plus, small_dataset.labels, stage.alpha_plus, stage.alpha_minus
+            )
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(seed=21)
         a = train_adaboost(small_dataset, builtin_noisy_stump(0.1), 4, cfg)
         b = train_adaboost(small_dataset, builtin_noisy_stump(0.1), 4, cfg)
         assert a.to_record() == b.to_record()
+
+    def test_record_with_w_statistics_loads(self, small_dataset):
+        model = train_adaboost(
+            small_dataset, builtin_constant_edge_oracle(0.3), 3, TrainConfig(exact_q=True)
+        )
+        record = model.to_record()
+        assert all("w" not in stage for stage in record["stages"])
+        for stage in record["stages"]:
+            stage["w"] = [0.4, 0.3, 0.2, 0.1]  # older files store each stage's W statistics
+        loaded = AdaboostModel.from_record(record)
+        assert loaded.to_record() == model.to_record()
+        assert exact_expected_bound(loaded, small_dataset) == exact_expected_bound(model, small_dataset)
 
     def test_learner_failure_reports_round(self, small_dataset):
         class Boom:
@@ -201,10 +220,22 @@ class TestTrainAdaboost:
         assert 0.0 < model.recorded_bound() <= 1.0
 
 
+def _enumerated_bound(model, dataset):
+    """Expected exponential loss by summing over all 2^T joint stage outputs."""
+    y = dataset.labels.astype(float)
+    total = np.zeros(dataset.n_examples)
+    for signs in itertools.product((1, -1), repeat=model.n_stages):
+        term = np.ones(dataset.n_examples)
+        for stage, s in zip(model.stages, signs):
+            q_s = stage.q_plus if s == 1 else 1.0 - stage.q_plus
+            alpha = stage.alpha_plus if s == 1 else stage.alpha_minus
+            term = term * q_s * np.exp(-alpha * s * y)
+        total += term
+    return float(np.sum(dataset.weights * total))
+
+
 class TestExactExpectedBound:
     def test_empty_model(self, tiny_dataset):
-        from probboost.adaboost import AdaboostModel
-
         assert exact_expected_bound(AdaboostModel(stages=[]), tiny_dataset) == 1.0
 
     def test_single_stage_equals_z(self):
@@ -223,6 +254,9 @@ class TestExactExpectedBound:
         assert exact_expected_bound(model, small_dataset) == pytest.approx(
             model.recorded_bound(), abs=1e-10
         )
+        assert exact_expected_bound(model, small_dataset) == pytest.approx(
+            _enumerated_bound(model, small_dataset), rel=1e-12
+        )
 
     def test_telescoping_with_stumps(self, small_dataset):
         model = train_adaboost(
@@ -236,9 +270,14 @@ class TestExactExpectedBound:
         model = train_adaboost(
             small_dataset, builtin_constant_edge_oracle(0.3), 2, TrainConfig(exact_q=True)
         )
-        model.stages = model.stages * 11  # 22 stages
-        with pytest.raises(ValueError, match="enumeration"):
-            exact_expected_bound(model, small_dataset)
+        y = small_dataset.labels.astype(float)
+        factors = [
+            s.q_plus * np.exp(-s.alpha_plus * y) + (1.0 - s.q_plus) * np.exp(s.alpha_minus * y)
+            for s in model.stages
+        ]
+        expected = float(np.sum(small_dataset.weights * (factors[0] * factors[1]) ** 11))
+        model.stages = model.stages * 11  # 22 stages, past what enumeration can reach
+        assert exact_expected_bound(model, small_dataset) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMcMisclassification:
@@ -251,7 +290,7 @@ class TestMcMisclassification:
 
     def test_coin_flip_stage(self):
         # a single 50/50 stage with symmetric alphas on balanced data
-        from probboost.adaboost import AdaboostModel, StageRecord
+        from probboost.adaboost import StageRecord
         from probboost.weak_learner import StumpClassifier
 
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
@@ -262,7 +301,6 @@ class TestMcMisclassification:
             alpha_plus=0.3,
             alpha_minus=0.3,
             z=1.0,
-            w=WStats(0.25, 0.25, 0.25, 0.25),
         )
         model = AdaboostModel(stages=[stage])
         loss, se = mc_misclassification(model, ds, 4000, seed=2)

@@ -10,8 +10,9 @@ from probboost import bounds
 from probboost.adaboost import TrainConfig
 from probboost.cli import main
 from probboost.core import make_synthetic_dataset
+from probboost.matryoshka import build_fixed_2_matryoshka
 from probboost.ptree import grow_tree
-from probboost.weak_learner import builtin_noisy_stump
+from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
 
 @pytest.fixture
@@ -154,26 +155,31 @@ class TestTrain:
             assert float(row[4]) == pytest.approx(running, rel=1e-12)
 
     def test_ptree_log_in_growth_order(self, runner, tmp_path):
-        log = tmp_path / "log.csv"
-        result = runner.invoke(
-            main,
-            [
-                "train", "--algo", "ptree", "--T", "6", "--seed", "0", "--exact-q",
-                "--log", str(log), "--trials", "10",
-            ],
-        )
-        assert result.exit_code == 0, result.output
-        header, rows = _read_csv(log)
-        assert header == ["step", "leaf", "Z_plus", "Z_minus", "C"]
-        tree = grow_tree(
-            make_synthetic_dataset(seed=0),
-            builtin_noisy_stump(0.1),
-            max_nodes=6,
-            config=TrainConfig(seed=0, exact_q=True),
-        )
-        assert [row[1] for row in rows] == [p or "root" for p in tree.nodes]
-        for row, node, c in zip(rows, tree.nodes.values(), tree.trajectory[1:]):
-            assert [float(v) for v in row[2:]] == [node.z_plus, node.z_minus, c]
+        # the ptree and the top tree of a fixed-2 matryoshka share one log format
+        cases = [
+            (
+                ["--algo", "ptree", "--T", "6"],
+                lambda ds, cfg: grow_tree(ds, builtin_noisy_stump(0.1), max_nodes=6, config=cfg),
+            ),
+            (
+                ["--algo", "matryoshka", "--mode", "fixed2", "--L", "2", "--oracle", "constant-edge"],
+                lambda ds, cfg: build_fixed_2_matryoshka(ds, builtin_constant_edge_oracle(0.2), 2, cfg),
+            ),
+        ]
+        for args, build in cases:
+            log = tmp_path / "log.csv"
+            result = runner.invoke(
+                main,
+                ["train", *args, "--seed", "0", "--exact-q", "--log", str(log), "--trials", "10"],
+            )
+            assert result.exit_code == 0, result.output
+            header, rows = _read_csv(log)
+            assert header == ["step", "leaf", "Z_plus", "Z_minus", "C"]
+            tree = build(make_synthetic_dataset(seed=0), TrainConfig(seed=0, exact_q=True))
+            assert [row[1] for row in rows] == [p or "root" for p in tree.nodes]
+            for row, node, c in zip(rows, tree.nodes.values(), tree.trajectory[1:]):
+                assert [float(v) for v in row[2:]] == [node.z_plus, node.z_minus, c]
+            log.unlink()
 
     def test_missing_T_rejected(self, runner):
         result = runner.invoke(main, ["train", "--algo", "adaboost"])

@@ -157,6 +157,30 @@ class TestSelectGrowthLeaf:
     def test_tie_prefers_plus(self):
         tree = TreeModel(nodes={"": _manual_node(0.1, 0.1, z_plus=0.4, z_minus=0.4)})
         assert select_growth_leaf(tree) == "+"
+        # equal products at depths 1 and 2: the shorter path wins
+        tree = TreeModel(
+            nodes={
+                "": _manual_node(0.1, 0.1, z_plus=0.5, z_minus=0.25),
+                "+": _manual_node(0.1, 0.1, z_plus=0.5, z_minus=0.5),
+            }
+        )
+        assert tree.leaf_products() == {"-": 0.25, "++": 0.25, "+-": 0.25}
+        assert select_growth_leaf(tree) == "-"
+
+    def test_dead_leaf_never_selected(self):
+        # '+' is dead (its Z is below the threshold) yet has the largest product
+        tree = TreeModel(
+            nodes={
+                "": _manual_node(0.1, 0.1, z_plus=1e-301, z_minus=1e-160),
+                "-": _manual_node(0.1, 0.1, z_plus=1e-160, z_minus=1e-161),
+            }
+        )
+        products = tree.leaf_products()
+        assert max(products, key=products.get) == "+"
+        assert select_growth_leaf(tree) == "-+"
+        tree.nodes["-"].z_plus = tree.nodes["-"].z_minus = 0.0
+        with pytest.raises(ValueError, match="dead"):
+            select_growth_leaf(tree)
 
     def test_pigeonhole(self, small_dataset):
         tree = grow_tree(
@@ -171,6 +195,23 @@ class TestSelectGrowthLeaf:
 
 
 class TestGrowTree:
+    def test_one_leaf_product_per_step(self, small_dataset, monkeypatch):
+        calls = []
+        leaf_product = TreeModel.leaf_product
+
+        def counted(tree, leaf):
+            calls.append(leaf)
+            return leaf_product(tree, leaf)
+
+        monkeypatch.setattr(TreeModel, "leaf_product", counted)
+        grow_tree(
+            small_dataset,
+            builtin_constant_edge_oracle(0.3),
+            max_nodes=64,
+            config=TrainConfig(exact_q=True),
+        )
+        assert len(calls) == 64
+
     def test_single_node_bound(self, small_dataset):
         eps = 0.3
         tree = grow_tree(
@@ -209,6 +250,9 @@ class TestGrowTree:
             on_grow=lambda t, leaf: events.append(leaf),
         )
         assert len(events) == 8
+        # the one-pass products are the per-leaf products, bit for bit
+        products = tree.leaf_products()
+        assert products == {leaf: tree.leaf_product(leaf) for leaf in products}
         # C recomputed from scratch must match the incremental trajectory
         assert tree.leaf_sum() == pytest.approx(tree.trajectory[-1], abs=1e-12)
         for T in range(1, len(tree.trajectory)):
