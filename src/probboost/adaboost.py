@@ -16,7 +16,6 @@ from typing import Any
 import numpy as np
 
 from ._zstats import (
-    ALPHA_SMOOTHING,
     WStats,
     optimal_alphas,
     w_statistics,
@@ -28,11 +27,10 @@ from .ptree import node_q
 from .weak_learner import (
     OracleEstimate,
     ProbClassifier,
-    SamplingState,
-    SystemStopwatch,
     WeakLearner,
+    _log_rate,
+    _sample_round,
     classifier_from_record,
-    estimate_q_strategy_B,
     map_z_estimate,
 )
 
@@ -76,6 +74,14 @@ class TrainConfig:
     strategy: str = "A"  # "A" | "B"
     r_min: int = 2
     r_max: int = 10_000
+
+    def __post_init__(self) -> None:
+        if self.estimator not in ("map", "ml"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.strategy not in ("A", "B"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "B" and self.exact_q:
+            raise ValueError("strategy B samples q; it cannot run with exact q")
 
 
 @dataclass
@@ -148,6 +154,13 @@ def _make_stage(
     return stage, next_weights
 
 
+def _train_round(learner: WeakLearner, dataset: Dataset, weights, rng, t: int) -> ProbClassifier:
+    try:
+        return learner.train(dataset, weights, rng)
+    except Exception as exc:
+        raise RuntimeError(f"weak learner failed at round {t}") from exc
+
+
 def train_adaboost(
     dataset: Dataset,
     learner: WeakLearner,
@@ -159,20 +172,23 @@ def train_adaboost(
         raise ValueError("T must be >= 1")
     config = config or TrainConfig()
     stream = RandomStream(config.seed)
-    if config.strategy == "B" and not config.exact_q:
+    if config.strategy == "B":
         return _train_strategy_B(dataset, learner, T, config, stream)
 
     weights = dataset.weights.copy()
     stages: list[StageRecord] = []
     for t in range(1, T + 1):
-        try:
-            classifier = learner.train(dataset, weights, stream.generator("train", 0, t))
-        except Exception as exc:
-            raise RuntimeError(f"weak learner failed at round {t}") from exc
+        classifier = _train_round(learner, dataset, weights, stream.generator("train", 0, t), t)
         q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
         stage, weights = _make_stage(classifier, q, weights, dataset.labels)
         stages.append(stage)
     return AdaboostModel(stages, metadata=_metadata(config, T))
+
+
+# Strategy B's option costs in passes over the training set (see the
+# strategy-B notes in ``weak_learner``).
+_ADVANCE_PASSES = 2  # train the candidate, then sample it once
+_RESAMPLE_PASSES = 1  # sample the current classifier once more
 
 
 def _train_strategy_B(
@@ -182,39 +198,37 @@ def _train_strategy_B(
     config: TrainConfig,
     stream: RandomStream,
 ) -> AdaboostModel:
-    stopwatch = SystemStopwatch()
+    """Look ahead each iteration: advance to a candidate h_{t+1} or resample
+    h_t, whichever decreases the bound faster per pass."""
+    labels = dataset.labels
     weights = dataset.weights.copy()
-    classifier = learner.train(dataset, weights, stream.generator("train", 0, 1))
+    classifier = _train_round(learner, dataset, weights, stream.generator("train", 0, 1), 1)
     estimate = OracleEstimate.empty(dataset.n_examples)
-    from .weak_learner import _sample_round  # first sampling pass
-
     estimate.observe(_sample_round(classifier, dataset, stream, "q-est-1", 1))
-    z, _ = map_z_estimate(estimate, weights, dataset.labels, config.estimator)
-    state = SamplingState(
-        dataset=dataset,
-        learner=learner,
-        stream=stream,
-        t=1,
-        weights=weights,
-        classifier=classifier,
-        estimate=estimate,
-        z=z,
-        estimator=config.estimator,
-    )
+    z, _ = map_z_estimate(estimate, weights, labels, config.estimator)
     stages: list[StageRecord] = []
-    guard = 0
-    while state.t < T:
-        prev_classifier = state.classifier
-        prev_weights = state.weights
-        prev_q = state.q_plus()
-        decision = estimate_q_strategy_B(state, stopwatch)
-        if decision == "A":
-            stage, _ = _make_stage(prev_classifier, prev_q, prev_weights, dataset.labels)
+    t, looks = 1, 0
+    while t < T and looks <= config.r_max * T:
+        looks += 1
+        stage, next_weights = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
+        rng = stream.generator("strategy-B-train", 0, t + 1)
+        candidate = _train_round(learner, dataset, next_weights, rng, t + 1)
+        cand_estimate = OracleEstimate.empty(dataset.n_examples)
+        cand_estimate.observe(_sample_round(candidate, dataset, stream, f"strategy-B-cand-{t + 1}", 1))
+        z_next, _ = map_z_estimate(cand_estimate, next_weights, labels, config.estimator)
+
+        refreshed = OracleEstimate(estimate.counts_plus.copy(), estimate.rounds)
+        refreshed.observe(
+            _sample_round(classifier, dataset, stream, f"strategy-B-resample-{t}", refreshed.rounds + 1)
+        )
+        z_prime, _ = map_z_estimate(refreshed, weights, labels, config.estimator)
+
+        if _log_rate(z_next, _ADVANCE_PASSES) <= _log_rate(z_prime / z, _RESAMPLE_PASSES):
             stages.append(stage)
-        guard += 1
-        if guard > config.r_max * T:
-            break
-    stage, _ = _make_stage(state.classifier, state.q_plus(), state.weights, dataset.labels)
+            t, weights, classifier, estimate, z = t + 1, next_weights, candidate, cand_estimate, z_next
+        else:
+            estimate, z = refreshed, z_prime
+    stage, _ = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
     stages.append(stage)
     return AdaboostModel(stages, metadata=_metadata(config, T))
 

@@ -9,13 +9,10 @@ and the nested/iso/M2 variants compose it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .specfun import EULER_GAMMA, beta, digamma, lgamma_diff, log_gamma
+from .specfun import EULER_GAMMA, digamma, lgamma_diff, log_gamma
 
 __all__ = [
-    "EdgeParams",
-    "BoundCurve",
     "rho_from_epsilon",
     "bound_adaboost",
     "bound_F",
@@ -28,37 +25,6 @@ __all__ = [
     "rate_matryoshka",
     "rate_simple",
 ]
-
-
-@dataclass(frozen=True)
-class EdgeParams:
-    """Weak-learner edge eps and the induced per-node factor rho."""
-
-    epsilon: float
-    rho: float
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "EdgeParams":
-        return cls(epsilon=epsilon, rho=rho_from_epsilon(epsilon))
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
-
-
-@dataclass
-class BoundCurve:
-    """Ordered (size T, bound) pairs for figure emission."""
-
-    label: str
-    points: list[tuple[float, float]] = field(default_factory=list)
-
-    def add(self, size: float, bound: float) -> None:
-        if self.points and size <= self.points[-1][0]:
-            raise ValueError("curve points must be strictly increasing in T")
-        if not 0.0 <= bound <= 1.0:
-            raise ValueError(f"bound {bound} outside [0, 1]")
-        self.points.append((size, bound))
 
 
 def _check_T(T: float) -> None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -132,7 +131,9 @@ def _make_learner(oracle: str, epsilon: float, p_flip: float):
 @click.option("--L", "levels", type=int, default=None, help="fixed-2 matryoshka nesting levels")
 @click.option("--mode", type=click.Choice(["fixed2", "greedy"]), default="fixed2", show_default=True)
 @click.option("--estimator", type=click.Choice(["map", "ml"]), default="map", show_default=True)
-@click.option("--strategy", type=click.Choice(["A", "B"]), default="A", show_default=True)
+@click.option("--strategy", type=click.Choice(["A", "B"]), default="A", show_default=True,
+              help="sampled-q AdaBoost: A samples each stage until its Z estimate rises; B "
+                   "advances or resamples, whichever lowers the bound more per pass over the data")
 @click.option("--exact-q", is_flag=True, help="use the synthetic oracle's exact q")
 @click.option("--seed", type=int, envvar="MATRYOSHKA_SEED", default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="model output path")
@@ -143,7 +144,10 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
     """Train a model and report its recorded bound and training error."""
     dataset = _load_dataset(data, seed)
     learner = CountingLearner(_make_learner(oracle, epsilon, p_flip))
-    config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
+    try:
+        config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
 
     if algo == "adaboost":
         if t_stop is None:

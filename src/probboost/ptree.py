@@ -23,7 +23,6 @@ composites expanded into their inner walks.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any

@@ -4,38 +4,30 @@ parameterless sampling strategies.
 A weak learner returns, for any weighting of the training set, a classifier
 whose output on X is a Bernoulli draw over {-1, +1} with parameter
 q(+, X).  The branch probabilities q are unknown in general and are
-estimated by repeated sampling (ML or MAP); the two strategies below decide
-when to stop spending samples on the current classifier.
+estimated by repeated sampling (ML or MAP); the two strategies decide when
+to stop spending samples on the current classifier.  Strategy A is below;
+strategy B's loop is ``adaboost._train_strategy_B``, which compares its
+options with ``_log_rate``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Protocol
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from ._zstats import WStats, optimal_alphas, w_statistics, z_value
-from .core import Dataset, RandomStream, normalize_weights
+from ._zstats import optimal_alphas, w_statistics, z_value
+from .core import Dataset, RandomStream
 
 __all__ = [
     "ProbClassifier",
     "WeakLearner",
     "OracleEstimate",
-    "Stopwatch",
-    "SystemStopwatch",
-    "FakeStopwatch",
-    "ml_estimate",
-    "map_estimate",
     "map_z_estimate",
     "estimate_q_strategy_A",
-    "estimate_q_strategy_B",
-    "decrease_rate",
-    "OptionMeasurement",
-    "SamplingState",
     "builtin_constant_edge_oracle",
     "builtin_noisy_stump",
     "ConstantEdgeClassifier",
@@ -81,21 +73,6 @@ class WeakLearner(ABC):
     def train(
         self, dataset: Dataset, weights: np.ndarray, rng: np.random.Generator
     ) -> ProbClassifier: ...
-
-
-def ml_estimate(count_y: int, R: int) -> float:
-    """Maximum-likelihood Bernoulli estimate count/R."""
-    if R < 1:
-        raise ValueError("ML estimate undefined without observations")
-    if not 0 <= count_y <= R:
-        raise ValueError(f"count {count_y} outside [0, {R}]")
-    return count_y / R
-
-def map_estimate(count_y: int, R: int) -> float:
-    """MAP estimate (1 + count) / (R + 2) under the uniform [0, 1] prior."""
-    if R < 0 or not 0 <= count_y <= R:
-        raise ValueError(f"invalid counts ({count_y}, {R})")
-    return (1 + count_y) / (R + 2)
 
 
 @dataclass
@@ -179,128 +156,25 @@ def estimate_q_strategy_A(
 
 
 # ---------------------------------------------------------------------------
-# Strategy B: stopwatch-arbitrated look-ahead.
-
-class Stopwatch(Protocol):
-    def now(self) -> float: ...
-
-
-class SystemStopwatch:
-    def now(self) -> float:
-        return time.perf_counter()
-
-
-class FakeStopwatch:
-    """Scripted clock for tests; each now() pops the next instant."""
-
-    def __init__(self, instants: list[float]):
-        self._instants = list(instants)
-
-    def now(self) -> float:
-        return self._instants.pop(0)
+# Strategy B: look-ahead arbitrated by bound decrease per pass.
+#
+# The training loop (``adaboost._train_strategy_B``) compares two options
+# each iteration: option A trains a candidate h_{T+1} on the weights the
+# current estimates give and samples it once; option B samples h_T once
+# more.  Each option's cost is counted in passes over the N training
+# examples (a weak-learner call is one pass, a sampling round is one pass),
+# so option A costs 2 and option B costs 1.  No clock is read, so the same
+# seed always gives the same decisions.  The loop advances when
+# ln(Z_{T+1}) / 2 <= ln(Z'_T / Z_T) / 1; ties go to A.
 
 
-_MIN_ELAPSED = 1e-9  # zero elapsed time counts as the smallest duration
-
-
-def decrease_rate(z_factor: float, elapsed: float) -> float:
-    """Instantaneous bound decrease rate per unit time, z^(1/S)."""
-    if z_factor < 0.0:
-        raise ValueError("Z factor must be nonnegative")
-    return z_factor ** (1.0 / max(elapsed, _MIN_ELAPSED))
-
-
-@dataclass
-class OptionMeasurement:
-    z_factor: float  # Z_{T+1} for option A, Z'_T / Z_T for option B
-    elapsed: float
-
-
-def _log_rate(option: OptionMeasurement) -> float:
-    """ln of ``decrease_rate``, ln z / S; it orders options as z^(1/S) does
-    but does not underflow to 0 for short S.  z = 0 gives -inf."""
-    if option.z_factor == 0.0:
+def _log_rate(z_factor: float, passes: float) -> float:
+    """ln of the bound decrease rate z^(1/passes).  It orders options as the
+    rate does, but cannot underflow to 0 when the exponent is large.  z = 0
+    gives -inf."""
+    if z_factor == 0.0:
         return -math.inf
-    return math.log(option.z_factor) / max(option.elapsed, _MIN_ELAPSED)
-
-
-def _choose(option_a: OptionMeasurement, option_b: OptionMeasurement) -> str:
-    return "A" if _log_rate(option_a) <= _log_rate(option_b) else "B"
-
-
-@dataclass
-class SamplingState:
-    """Mutable training-loop state that strategy B arbitrates over."""
-
-    dataset: Dataset
-    learner: WeakLearner
-    stream: RandomStream
-    t: int  # index of the current classifier
-    weights: np.ndarray  # D_t used to train the current classifier
-    classifier: ProbClassifier
-    estimate: OracleEstimate
-    z: float  # current MAP-based Z_t estimate
-    estimator: str = "map"
-
-    def q_plus(self) -> np.ndarray:
-        return self.estimate.q_plus(self.estimator)
-
-
-def estimate_q_strategy_B(state: SamplingState, stopwatch: Stopwatch) -> str:
-    """Measure both options, pick the smaller decrease rate, commit it.
-
-    Option A trains a candidate h_{T+1} on weights derived from the current
-    estimates and samples it once; option B spends one more sampling pass on
-    h_T.  Returns "A" (advance to the new classifier) or "B" (keep the
-    refreshed estimate).
-    """
-    from .adaboost import update_weights  # local import to avoid a cycle
-
-    dataset = state.dataset
-    labels = dataset.labels
-
-    t0 = stopwatch.now()
-    q_hat = state.q_plus()
-    w = w_statistics(state.weights, q_hat, labels)
-    a_plus, a_minus = optimal_alphas(w)
-    next_weights, _ = update_weights(state.weights, q_hat, labels, a_plus, a_minus)
-    rng = state.stream.generator("strategy-B-train", 0, state.t + 1)
-    candidate = state.learner.train(dataset, next_weights, rng)
-    cand_estimate = OracleEstimate.empty(dataset.n_examples)
-    cand_estimate.observe(
-        _sample_round(candidate, dataset, state.stream, f"strategy-B-cand-{state.t + 1}", 1)
-    )
-    z_next, _ = map_z_estimate(cand_estimate, next_weights, labels, state.estimator)
-    t1 = stopwatch.now()
-    option_a = OptionMeasurement(z_factor=z_next, elapsed=t1 - t0)
-
-    refreshed = OracleEstimate(
-        counts_plus=state.estimate.counts_plus.copy(), rounds=state.estimate.rounds
-    )
-    refreshed.observe(
-        _sample_round(
-            state.classifier,
-            dataset,
-            state.stream,
-            f"strategy-B-resample-{state.t}",
-            refreshed.rounds + 1,
-        )
-    )
-    z_prime, _ = map_z_estimate(refreshed, state.weights, labels, state.estimator)
-    t2 = stopwatch.now()
-    option_b = OptionMeasurement(z_factor=z_prime / state.z, elapsed=t2 - t1)
-
-    decision = _choose(option_a, option_b)
-    if decision == "A":
-        state.t += 1
-        state.weights = next_weights
-        state.classifier = candidate
-        state.estimate = cand_estimate
-        state.z = z_next
-    else:
-        state.estimate = refreshed
-        state.z = z_prime
-    return decision
+    return math.log(z_factor) / passes
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from probboost.adaboost import (
     z_value,
 )
 from probboost.core import Dataset, make_synthetic_dataset
+from probboost.persist import save_model
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
 
@@ -206,18 +207,60 @@ class TestTrainAdaboost:
             def train(self, dataset, weights, rng):
                 raise RuntimeError("nope")
 
-        with pytest.raises(RuntimeError, match="round 1"):
-            train_adaboost(small_dataset, Boom(), 3)
+        class FailsSecond:
+            def __init__(self):
+                self.calls = 0
+
+            def train(self, dataset, weights, rng):
+                self.calls += 1
+                if self.calls > 1:
+                    raise KeyError("nope")
+                return builtin_constant_edge_oracle(0.3).train(dataset, weights, rng)
+
+        for strategy in ("A", "B"):
+            config = TrainConfig(strategy=strategy)
+            with pytest.raises(RuntimeError, match="round 1"):
+                train_adaboost(small_dataset, Boom(), 3, config)
+            with pytest.raises(RuntimeError, match="round 2"):
+                train_adaboost(small_dataset, FailsSecond(), 3, config)
 
     def test_strategy_b_training_runs(self, small_dataset):
+        T = 3
         model = train_adaboost(
             small_dataset,
             builtin_constant_edge_oracle(0.3),
-            3,
+            T,
             TrainConfig(seed=5, strategy="B"),
         )
-        assert model.n_stages >= 1
+        assert model.n_stages == T
         assert 0.0 < model.recorded_bound() <= 1.0
+        assert model.recorded_bound() == pytest.approx(
+            exact_expected_bound(model, small_dataset), rel=1e-12
+        )
+
+    def test_strategy_b_same_seed_same_file(self, tmp_path):
+        dataset = make_synthetic_dataset(40, seed=0)
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            model = train_adaboost(
+                dataset, builtin_constant_edge_oracle(0.3), 4, TrainConfig(seed=5, strategy="B")
+            )
+            save_model(model, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestTrainConfig:
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="strategy"):
+            TrainConfig(strategy="C")
+
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="estimator"):
+            TrainConfig(estimator="mle", exact_q=True)
+
+    def test_strategy_b_with_exact_q_rejected(self):
+        with pytest.raises(ValueError, match="exact q"):
+            TrainConfig(strategy="B", exact_q=True)
 
 
 def _enumerated_bound(model, dataset):

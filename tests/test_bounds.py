@@ -268,20 +268,3 @@ class TestRates:
             bounds.rate_matryoshka(1.1, 2.0)
         with pytest.raises(ValueError):
             bounds.rate_simple(-0.1, 0.5)
-
-
-class TestCurveContainer:
-    def test_ordering_enforced(self):
-        curve = bounds.BoundCurve("demo")
-        curve.add(1.0, 0.5)
-        curve.add(2.0, 0.4)
-        with pytest.raises(ValueError):
-            curve.add(2.0, 0.3)
-        with pytest.raises(ValueError):
-            curve.add(3.0, 1.5)
-
-    def test_edge_params(self):
-        params = bounds.EdgeParams.from_epsilon(0.3)
-        assert params.rho == pytest.approx(0.8, rel=1e-14)
-        with pytest.raises(ValueError):
-            bounds.EdgeParams(epsilon=0.1, rho=1.5)

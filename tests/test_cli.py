@@ -185,6 +185,13 @@ class TestTrain:
         result = runner.invoke(main, ["train", "--algo", "adaboost"])
         assert result.exit_code != 0
 
+    def test_strategy_b_with_exact_q_rejected(self, runner):
+        result = runner.invoke(
+            main, ["train", "--algo", "adaboost", "--T", "2", "--strategy", "B", "--exact-q"]
+        )
+        assert result.exit_code == 1
+        assert "Error: strategy B samples q" in result.output
+
     def test_seed_env_var(self, runner, tmp_path, monkeypatch):
         f1, f2 = tmp_path / "env.json", tmp_path / "flag.json"
         monkeypatch.setenv("MATRYOSHKA_SEED", "123")

@@ -5,46 +5,44 @@ import math
 import numpy as np
 import pytest
 
+from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.core import Dataset, RandomStream
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
-    FakeStopwatch,
-    OptionMeasurement,
     OracleEstimate,
-    SamplingState,
     StumpClassifier,
+    _log_rate,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
-    decrease_rate,
     estimate_q_strategy_A,
-    estimate_q_strategy_B,
-    map_estimate,
     map_z_estimate,
-    ml_estimate,
 )
+
+
+def _counts(counts, rounds):
+    return OracleEstimate(counts_plus=np.array(counts), rounds=rounds)
 
 
 class TestPointEstimates:
     def test_ml(self):
-        assert ml_estimate(3, 4) == 0.75
-        assert ml_estimate(0, 5) == 0.0
-        assert ml_estimate(7, 7) == 1.0
+        np.testing.assert_array_equal(_counts([3, 0, 4], 4).q_plus("ml"), [0.75, 0.0, 1.0])
+        np.testing.assert_array_equal(_counts([7], 7).q_plus("ml"), [1.0])
 
     def test_ml_errors(self):
-        with pytest.raises(ValueError):
-            ml_estimate(0, 0)
-        with pytest.raises(ValueError):
-            ml_estimate(5, 4)
+        with pytest.raises(ValueError, match="without observations"):
+            OracleEstimate.empty(3).q_plus("ml")
+        with pytest.raises(ValueError, match="unknown estimator"):
+            _counts([1], 2).q_plus("mle")
 
     def test_map(self):
-        assert map_estimate(0, 0) == 0.5
-        assert map_estimate(3, 4) == pytest.approx(4 / 6)
-        assert map_estimate(0, 8) == pytest.approx(0.1)
+        np.testing.assert_array_equal(OracleEstimate.empty(2).q_plus("map"), [0.5, 0.5])
+        assert _counts([3], 4).q_plus("map")[0] == pytest.approx(4 / 6)
+        assert _counts([0], 8).q_plus("map")[0] == pytest.approx(0.1)
 
     def test_map_strictly_interior(self):
-        assert 0.0 < map_estimate(0, 1000) < 1.0
-        assert 0.0 < map_estimate(1000, 1000) < 1.0
+        q = _counts([0, 1000], 1000).q_plus("map")
+        assert np.all((0.0 < q) & (q < 1.0))
 
     def test_oracle_estimate_counts(self):
         est = OracleEstimate.empty(3)
@@ -131,83 +129,67 @@ class TestStrategyA:
 
 
 class TestDecreaseRate:
+    # a rate is ln z per pass over the training set, the unit strategy B
+    # counts its options' cost in
     def test_equal_time_prefers_smaller_factor(self):
-        assert decrease_rate(0.8, 1.0) < decrease_rate(0.99, 1.0)
+        assert _log_rate(0.8, 1) < _log_rate(0.99, 1)
 
     def test_slow_option_loses(self):
-        rate_a = decrease_rate(0.8, 100.0)
-        assert rate_a == pytest.approx(0.8**0.01, rel=1e-12)
-        assert rate_a == pytest.approx(0.99777, abs=1e-5)
-        assert decrease_rate(0.9, 1.0) < rate_a
+        assert _log_rate(0.8, 100) == pytest.approx(math.log(0.8) / 100, rel=1e-12)
+        assert _log_rate(0.9, 1) < _log_rate(0.8, 100)
 
     def test_worsened_estimate_rate_above_one(self):
-        assert decrease_rate(1.05, 1.0) > 1.0 > decrease_rate(0.97, 1.0)
+        assert _log_rate(1.05, 1) > 0.0 > _log_rate(0.97, 1)
 
-    def test_zero_elapsed_clamped(self):
-        assert decrease_rate(0.5, 0.0) == 0.5 ** (1.0 / 1e-9)
+    def test_zero_factor_gives_minus_infinity(self):
+        assert _log_rate(0.0, 2) == -math.inf
 
     def test_short_options_compared_without_underflow(self):
-        # 0.8**1e4 and 0.5**1e4 both round to 0.0; B still decreases faster
-        from probboost.weak_learner import _choose
+        # 0.8**1e4 and 0.5**1e4 both round to 0.0; 0.5 still decreases faster
+        assert 0.8**1e4 == 0.5**1e4 == 0.0
+        assert _log_rate(0.8, 1e-4) > _log_rate(0.5, 1e-4)
 
-        assert _choose(OptionMeasurement(0.8, 1e-4), OptionMeasurement(0.5, 1e-4)) == "B"
 
-
-def _make_state(dataset, epsilon=0.3, seed=0):
-    learner = builtin_constant_edge_oracle(epsilon)
-    stream = RandomStream(seed)
-    clf = learner.train(dataset, dataset.weights, stream.generator("train", 0, 1))
-    est = OracleEstimate.empty(dataset.n_examples)
-    from probboost.weak_learner import _sample_round
-
-    est.observe(_sample_round(clf, dataset, stream, "q-est-1", 1))
-    z, _ = map_z_estimate(est, dataset.weights, dataset.labels)
-    return SamplingState(
-        dataset=dataset,
-        learner=learner,
-        stream=stream,
-        t=1,
-        weights=dataset.weights.copy(),
-        classifier=clf,
-        estimate=est,
-        z=z,
-    )
+def _stage_rounds(q, r_max=1000):
+    """The number of sampling rounds R behind MAP estimates (1 + c) / (R + 2)."""
+    for rounds in range(1, r_max):
+        scaled = q * (rounds + 2)
+        if np.allclose(scaled, np.round(scaled), rtol=0.0, atol=1e-9):
+            return rounds
+    raise AssertionError("q is not a MAP estimate")
 
 
 class TestStrategyB:
-    def test_instant_option_a_wins(self, small_dataset):
-        # candidate training+sampling takes essentially no time: its rate
-        # z^(1/tiny) collapses to ~0 and option A must win
-        state = _make_state(small_dataset)
-        clock = FakeStopwatch([0.0, 1e-12, 3600.0])
-        decision = estimate_q_strategy_B(state, clock)
-        assert decision == "A"
-        assert state.t == 2
-
     def test_side_effects_match_decision(self, small_dataset):
+        # an advance starts h_{t+1} from one round; a resample adds one round
+        # to h_t; the last stage is never resampled
+        T = 4
         for seed in range(6):
-            state = _make_state(small_dataset, seed=seed)
-            rounds_before = state.estimate.rounds
-            t_before = state.t
-            decision = estimate_q_strategy_B(state, FakeStopwatch([0.0, 1.0, 2.0]))
-            if decision == "A":
-                assert state.t == t_before + 1
-                assert state.estimate.rounds == 1  # fresh candidate estimate
-            else:
-                assert state.t == t_before
-                assert state.estimate.rounds == rounds_before + 1
+            calls = []
+
+            class Counting:
+                def train(self, dataset, weights, rng):
+                    calls.append(1)
+                    return builtin_constant_edge_oracle(0.3).train(dataset, weights, rng)
+
+            model = train_adaboost(small_dataset, Counting(), T, TrainConfig(seed=seed, strategy="B"))
+            rounds = [_stage_rounds(stage.q_plus) for stage in model.stages]
+            looks = len(calls) - 1
+            assert model.n_stages == T
+            assert rounds[-1] == 1
+            assert sum(r - 1 for r in rounds) == looks - (T - 1)
 
     def test_slow_candidate_loses_to_improving_resample(self, small_dataset):
-        # make option A cost 10^4 seconds; as long as the resample improves
-        # the estimate at all, its rate ratio < 1 beats z^(1/10^4) ~ 1
-        chosen = []
+        # advancing costs two passes (train and sample), resampling one, so
+        # an improving resample wins some look-aheads: some stage's q was
+        # sampled in more than one round (MAP denominator above 3)
+        rounds = []
         for seed in range(10):
-            state = _make_state(small_dataset, seed=seed)
-            decision = estimate_q_strategy_B(
-                state, FakeStopwatch([0.0, 1e4, 1e4 + 1.0])
+            model = train_adaboost(
+                small_dataset, builtin_constant_edge_oracle(0.3), 3, TrainConfig(seed=seed, strategy="B")
             )
-            chosen.append(decision)
-        assert "B" in chosen
+            rounds += [_stage_rounds(stage.q_plus) for stage in model.stages]
+        assert max(rounds) > 1
 
 
 class TestConstantEdgeOracle:
