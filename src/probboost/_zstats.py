@@ -37,10 +37,10 @@ def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray) ->
     )
 
 
-def optimal_alphas(w: WStats, delta: float = ALPHA_SMOOTHING) -> tuple[float, float]:
+def optimal_alphas(w: WStats) -> tuple[float, float]:
     """Z-minimizing domain-partitioned weights, smoothed against empty cells."""
-    alpha_plus = 0.5 * math.log((w.pp + delta) / (w.pm + delta))
-    alpha_minus = 0.5 * math.log((w.mm + delta) / (w.mp + delta))
+    alpha_plus = 0.5 * math.log((w.pp + ALPHA_SMOOTHING) / (w.pm + ALPHA_SMOOTHING))
+    alpha_minus = 0.5 * math.log((w.mm + ALPHA_SMOOTHING) / (w.mp + ALPHA_SMOOTHING))
     return alpha_plus, alpha_minus
 
 

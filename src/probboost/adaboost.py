@@ -25,8 +25,10 @@ from ._zstats import (
 from .core import Dataset, RandomStream
 from .ptree import node_q
 from .weak_learner import (
+    R_MAX_DEFAULT,
     OracleEstimate,
     ProbClassifier,
+    TrainConfig,
     WeakLearner,
     _log_rate,
     _sample_round,
@@ -64,24 +66,6 @@ def update_weights(
     factors = q_plus * np.exp(-alpha_plus * y) + (1.0 - q_plus) * np.exp(alpha_minus * y)
     z = float(np.sum(weights * factors))
     return weights * factors / z, z
-
-
-@dataclass
-class TrainConfig:
-    seed: int = 0
-    exact_q: bool = False
-    estimator: str = "map"  # "map" | "ml"
-    strategy: str = "A"  # "A" | "B"
-    r_min: int = 2
-    r_max: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.estimator not in ("map", "ml"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.strategy not in ("A", "B"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "B" and self.exact_q:
-            raise ValueError("strategy B samples q; it cannot run with exact q")
 
 
 @dataclass
@@ -208,7 +192,7 @@ def _train_strategy_B(
     z, _ = map_z_estimate(estimate, weights, labels, config.estimator)
     stages: list[StageRecord] = []
     t, looks = 1, 0
-    while t < T and looks <= config.r_max * T:
+    while t < T and looks <= R_MAX_DEFAULT * T:
         looks += 1
         stage, next_weights = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
         rng = stream.generator("strategy-B-train", 0, t + 1)
@@ -252,6 +236,8 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
     factors = np.ones(dataset.n_examples)
     for stage in model.stages:
         q = stage.q_plus
+        if len(q) != len(y):
+            raise ValueError("dataset size does not match the stored model")
         factors *= q * np.exp(-stage.alpha_plus * y) + (1.0 - q) * np.exp(stage.alpha_minus * y)
     return float(np.sum(dataset.weights * factors))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 
@@ -41,6 +42,20 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 @click.group()
 def main() -> None:
     """Probabilistic boosting, decision trees, and matryoshka trees."""
+
+
+def _input_errors(command):
+    """Report the library's ValueErrors on bad input (options, data files,
+    models that do not fit the data) as one-line click errors."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
+
+    return wrapper
 
 
 @main.command("bounds-figure")
@@ -116,9 +131,7 @@ def _load_dataset(data: str | None, seed: int) -> Dataset:
 def _make_learner(oracle: str, epsilon: float, p_flip: float):
     if oracle == "constant-edge":
         return builtin_constant_edge_oracle(epsilon)
-    if oracle == "stump":
-        return builtin_noisy_stump(p_flip)
-    raise click.ClickException(f"unknown oracle {oracle!r}")
+    return builtin_noisy_stump(p_flip)
 
 
 @main.command("train")
@@ -139,15 +152,13 @@ def _make_learner(oracle: str, epsilon: float, p_flip: float):
 @click.option("--out", type=click.Path(), default=None, help="model output path")
 @click.option("--log", "log_path", type=click.Path(), default=None, help="per-step CSV log path")
 @click.option("--trials", type=int, default=2000, show_default=True, help="Monte-Carlo trials for the reported training error")
+@_input_errors
 def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimator,
               strategy, exact_q, seed, out, log_path, trials) -> None:
     """Train a model and report its recorded bound and training error."""
     dataset = _load_dataset(data, seed)
     learner = CountingLearner(_make_learner(oracle, epsilon, p_flip))
-    try:
-        config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
 
     if algo == "adaboost":
         if t_stop is None:
@@ -209,6 +220,8 @@ def _write_tree_log(path: str, tree: TreeModel) -> None:
 
 
 def _tree_mc_loss(tree: TreeModel, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     stream = RandomStream(seed)
     per_trial = np.empty(trials)
     for trial in range(trials):
@@ -228,25 +241,24 @@ def _tree_mc_loss(tree: TreeModel, dataset: Dataset, trials: int, seed: int) -> 
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--trials", type=int, default=2000, show_default=True)
 @click.option("--seed", type=int, envvar="MATRYOSHKA_SEED", default=0, show_default=True)
+@_input_errors
 def cmd_eval(model_path, data, trials, seed) -> None:
     """Evaluate a stored model: Monte-Carlo loss, exact bound, recorded bound."""
     model = load_model(model_path)
     dataset = _load_dataset(data, seed)
+    # the exact bounds come first: they refuse data of another size
     if isinstance(model, AdaboostModel):
-        if model.stages and len(model.stages[0].q_plus) != dataset.n_examples:
-            raise click.ClickException("dataset size does not match the stored model")
-        loss, se = mc_misclassification(model, dataset, trials, seed=seed)
         exact = exact_expected_bound(model, dataset)
-        recorded = model.recorded_bound()
+        loss, se = mc_misclassification(model, dataset, trials, seed=seed)
     else:
         expected_dim = model.metadata.get("dimension")
         if expected_dim is not None and expected_dim != dataset.dimension:
             raise click.ClickException(
                 f"dataset dimension {dataset.dimension} does not match model ({expected_dim})"
             )
-        loss, se = _tree_mc_loss(model, dataset, trials, seed)
         exact = exact_tree_bound(model, dataset)
-        recorded = model.recorded_bound()
+        loss, se = _tree_mc_loss(model, dataset, trials, seed)
+    recorded = model.recorded_bound()
     click.echo(f"mc loss: {loss:.6f} +/- {se:.6f} ({trials} trials)")
     click.echo(f"exact exponential bound: {exact!r}")
     click.echo(f"recorded training bound: {recorded!r}")

@@ -97,11 +97,9 @@ class Dataset:
         return cls(features, labels, weights)
 
 
-def load_csv(path: str | Path, weight_column: bool | None = None) -> Dataset:
-    """Load a dataset from a CSV with header ``f0..f{d-1},label[,weight]``.
-
-    When ``weight_column`` is None its presence is inferred from the header.
-    """
+def load_csv(path: str | Path) -> Dataset:
+    """Load a dataset from a CSV with header ``f0..f{d-1},label[,weight]``;
+    the header decides whether there is a weight column."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -112,7 +110,7 @@ def load_csv(path: str | Path, weight_column: bool | None = None) -> Dataset:
         header = [h.strip() for h in header]
         if "label" not in header:
             raise ValueError(f"{path}: header must contain a 'label' column")
-        has_weight = "weight" in header if weight_column is None else weight_column
+        has_weight = "weight" in header
         expected = [f"f{i}" for i in range(header.index("label"))] + ["label"]
         if has_weight:
             expected.append("weight")

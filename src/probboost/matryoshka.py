@@ -25,16 +25,7 @@ import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset, RandomStream
-from .ptree import (
-    PLAIN_SCORES,
-    TreeModel,
-    _leaf_weights,
-    attach_node,
-    grow_tree,
-    node_q,
-    predict_tree,
-    walk_table,
-)
+from .ptree import TreeModel, _leaf_weights, attach_node, grow_tree, predict_tree, walk_table
 from .weak_learner import ProbClassifier, WeakLearner, register_classifier_kind
 
 __all__ = [
@@ -51,28 +42,22 @@ class CompositeNode(ProbClassifier):
     """A collected subtree acting as a single two-branch node.
 
     A draw's score is H_inner of one walk through the inner tree, nested
-    composites included; its output is sign(H_inner) with ties to +1.
-    ``leaf_table`` holds each training example's probability of every
-    inner walk and the walk's H_inner, built once from the inner nodes'
-    stored q so that it agrees with the inner tree's recorded C.  When
-    every inner classifier exposes exact branch probabilities, q(+, X) is
-    computable by walk enumeration.
+    composites included; its output is sign(H_inner) with ties to +1.  Its
+    outcomes on rows X are the inner walks: their probabilities on each row
+    and their H_inner.  ``leaf_table`` holds them for the training
+    examples, built once from what the inner nodes stored so that it agrees
+    with the inner tree's recorded C.
     """
 
     def __init__(self, inner: TreeModel):
         self.inner = inner
-        self.has_exact_q = all(
-            node.classifier.has_exact_q for node in inner.nodes.values()
-        )
         self.leaf_table = walk_table(inner)
 
-    def _table_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return walk_table(self.inner, lambda node: _outcomes_at(node.classifier, x))
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return walk_table(self.inner, X)
 
     def q_plus(self, x: np.ndarray) -> float:
-        if not self.has_exact_q:
-            raise NotImplementedError("inner q unavailable; sample instead")
-        reach, scores = self._table_at(x)
+        reach, scores = self.outcomes(np.asarray(x, dtype=float)[None])
         return float(reach[0, scores >= 0.0].sum())
 
     def sample_score(self, x: np.ndarray, rng: np.random.Generator) -> float:
@@ -90,14 +75,6 @@ class CompositeNode(ProbClassifier):
 
 
 register_classifier_kind("composite", CompositeNode)
-
-
-def _outcomes_at(classifier: ProbClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(reach, scores) of one classifier's outcomes at a single input x."""
-    if isinstance(classifier, CompositeNode):
-        return classifier._table_at(x)
-    q = classifier.q_plus(x)
-    return np.array([[q, 1.0 - q]]), PLAIN_SCORES
 
 
 def collect_leaves(subtree: TreeModel) -> CompositeNode:
@@ -159,18 +136,9 @@ def build_fixed_2_matryoshka(
 
     Total raw weak-classifier budget is 2^L.
     """
-    from .adaboost import TrainConfig
-
     if L < 1:
         raise ValueError("L must be >= 1")
-    config = config or TrainConfig()
-    tree = grow_tree(
-        dataset,
-        _UnitLearner(L - 1, learner, config),
-        max_nodes=2,
-        config=config,
-        stream=RandomStream(config.seed),
-    )
+    tree = grow_tree(dataset, _UnitLearner(L - 1, learner, config), max_nodes=2, config=config)
     tree.metadata["kind"] = "matryoshka"
     tree.metadata["mode"] = "fixed-2"
     tree.metadata["levels"] = L
@@ -258,9 +226,7 @@ def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
     """Replace the subtree rooted at ``p`` by one composite node."""
     inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
     composite = collect_leaves(TreeModel(nodes=inner, metadata={"kind": "ptree", "collected_from": p}))
-    weights = _leaf_weights(tree, p, dataset)
-    # a composite's q is summed from its walk table; nothing is sampled
-    q = node_q(composite, dataset, weights, config=None, stream=None, purpose="")
-    attach_node(tree, p, composite, q, weights, dataset.labels)
+    # a composite's edges come from its walk table; nothing is sampled
+    attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.labels)
     # attach_node's incremental update assumed plain growth; restate C exactly
     tree.trajectory[-1] = tree.leaf_sum()

@@ -31,7 +31,8 @@ import numpy as np
 
 from ._zstats import optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, path_last, path_parent, validate_path
-from .weak_learner import ProbClassifier, WeakLearner, classifier_from_record, estimate_q_strategy_A
+from .weak_learner import PLAIN_SCORES, ProbClassifier, TrainConfig, WeakLearner
+from .weak_learner import classifier_from_record, estimate_q_strategy_A
 
 __all__ = [
     "DEAD_BRANCH_THRESHOLD",
@@ -49,7 +50,6 @@ __all__ = [
 ]
 
 DEAD_BRANCH_THRESHOLD = 1e-300
-PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
 SCALE_SEARCH_STEPS = 100
 # Walks multiply at every nesting level (about K -> K^2 / 2 per fixed-2
 # level), so walk tables are capped in (rows x walks) entries.
@@ -155,7 +155,9 @@ class TreeNode:
     """An inner node: its classifier plus the statistics of its two edges."""
 
     classifier: ProbClassifier
-    q_plus: np.ndarray  # per-example branch probabilities used in training
+    # per-example branch probabilities used in training; None for a
+    # composite, whose outcomes are its inner walk table
+    q_plus: np.ndarray | None
     alpha_plus: float
     alpha_minus: float
     z_plus: float
@@ -176,7 +178,7 @@ class TreeNode:
     def to_record(self) -> dict[str, Any]:
         return {
             "classifier": self.classifier.to_record(),
-            "q_plus": self.q_plus.tolist(),
+            "q_plus": None if self.q_plus is None else self.q_plus.tolist(),
             "alpha_plus": self.alpha_plus,
             "alpha_minus": self.alpha_minus,
             "z_plus": self.z_plus,
@@ -185,9 +187,11 @@ class TreeNode:
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "TreeNode":
+        classifier = classifier_from_record(record["classifier"])
+        plain = classifier.leaf_table is None  # older files store a composite's q too
         return cls(
-            classifier=classifier_from_record(record["classifier"]),
-            q_plus=np.array(record["q_plus"], dtype=float),
+            classifier=classifier,
+            q_plus=np.array(record["q_plus"], dtype=float) if plain else None,
             alpha_plus=record["alpha_plus"],
             alpha_minus=record["alpha_minus"],
             z_plus=record["z_plus"],
@@ -267,23 +271,28 @@ class TreeModel:
         )
 
 
-def _node_outcomes(node: TreeNode) -> tuple[np.ndarray, np.ndarray]:
-    """(reach, scores) of a node on the training set: a plain node draws +1
-    with its stored q and -1 otherwise; a composite draws its inner walks."""
+def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(reach, scores) of a node's classifier on the rows X.  Without X the
+    rows are the training examples and come from what training stored: a
+    plain node draws +1 with its stored q and -1 otherwise; a composite
+    draws its inner walks."""
+    if X is not None:
+        return node.classifier.outcomes(X)
     if node.classifier.leaf_table is not None:
         return node.classifier.leaf_table
     return np.column_stack([node.q_plus, 1.0 - node.q_plus]), PLAIN_SCORES
 
 
-def walk_table(tree: TreeModel, outcomes=_node_outcomes) -> tuple[np.ndarray, np.ndarray]:
+def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reach probabilities (rows, K) and scores H (K,) of every root-to-leaf
     walk, each composite on the way expanded into its inner walks.
 
-    ``outcomes(node)`` gives a node's (reach, scores); the rows are the
-    training examples by default.  A tree without nodes has one walk, H = 0.
+    The rows are X, each node asked for its classifier's ``outcomes``; without
+    X they are the training examples, read from what training stored.  A tree
+    without nodes has one walk, H = 0.
     """
     walks_reach, walks_score = [], []
-    stack = [("", np.ones((1, 1)), np.zeros(1))]
+    stack = [("", np.ones((1 if X is None else len(X), 1)), np.zeros(1))]
     entries = 0
     while stack:
         path, reach, score = stack.pop()
@@ -292,7 +301,7 @@ def walk_table(tree: TreeModel, outcomes=_node_outcomes) -> tuple[np.ndarray, np
             walks_reach.append(reach)
             walks_score.append(score)
             continue
-        node_reach, node_scores = outcomes(node)
+        node_reach, node_scores = _node_outcomes(node, X)
         for sign, child in ((-1, "-"), (1, "+")):  # '+' is expanded first
             side = _side(node_scores, sign)
             entries += max(len(reach), len(node_reach)) * reach.shape[1] * int(side.sum())
@@ -359,13 +368,15 @@ def grow_tree(
     Stops after ``max_nodes`` growth steps (weak-learner calls) or once
     C(T) <= ``target_bound``.  ``on_grow(tree, leaf)`` is invoked after
     every step and may rewrite the tree (the greedy matryoshka builder
-    collects subtrees there).
+    collects subtrees there).  Tree nodes sample q with strategy A only.
     """
-    from .adaboost import TrainConfig
-
     if max_nodes is None and target_bound is None:
         raise ValueError("either max_nodes or target_bound must be given")
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError("max_nodes must be >= 1")
     config = config or TrainConfig()
+    if config.strategy == "B":
+        raise ValueError("strategy B is for AdaBoost; trees sample q with strategy A")
     stream = stream or RandomStream(config.seed)
     tree = TreeModel(trajectory=[1.0], metadata=_metadata(config, max_nodes, target_bound))
     tree.metadata["dimension"] = dataset.dimension
@@ -416,14 +427,16 @@ def attach_node(
     tree: TreeModel,
     leaf: str,
     classifier: ProbClassifier,
-    q: np.ndarray,
+    q: np.ndarray | None,
     weights: np.ndarray,
     labels: np.ndarray,
 ) -> None:
-    """Install a trained classifier at a leaf and update the C trajectory."""
+    """Install a trained classifier at a leaf and update the C trajectory.
+    ``q`` is the plain classifier's per-example q(+); None for a composite."""
     if leaf in tree.nodes:
         raise ValueError(f"{leaf!r} is already an inner node")
     if classifier.leaf_table is None:
+        q = np.asarray(q, dtype=float)
         a_plus, a_minus = node_alphas(weights, q, labels)
         d_plus, z_plus, d_minus, z_minus = children_weights(weights, q, labels, a_plus, a_minus)
     else:
@@ -432,7 +445,7 @@ def attach_node(
         )
     tree.nodes[leaf] = TreeNode(
         classifier=classifier,
-        q_plus=np.asarray(q, dtype=float),
+        q_plus=q,
         alpha_plus=a_plus,
         alpha_minus=a_minus,
         z_plus=z_plus,
@@ -445,24 +458,17 @@ def attach_node(
     tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
 
 
-def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray:
-    """Per-example q(+) of a new node or boosting stage: exact, estimated by
-    sampling the stream tagged ``purpose``, or, for a composite, summed from
-    its inner walks' reach on the + side."""
+def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray | None:
+    """Per-example q(+) of a new node or boosting stage: exact, or estimated
+    by sampling the stream tagged ``purpose``.  None for a composite, whose
+    outcomes on the training set are its ``leaf_table``."""
     if classifier.leaf_table is not None:
-        reach, scores = classifier.leaf_table
-        return reach[:, _side(scores, 1)].sum(axis=1)
+        return None
     if config.exact_q:
-        return np.array([classifier.q_plus(x) for x in dataset.features])
+        reach, scores = classifier.outcomes(dataset.features)
+        return reach[:, _side(scores, 1)].sum(axis=1)
     q, _ = estimate_q_strategy_A(
-        classifier,
-        dataset,
-        weights,
-        stream,
-        purpose=purpose,
-        estimator=config.estimator,
-        r_min=config.r_min,
-        r_max=config.r_max,
+        classifier, dataset, weights, stream, purpose=purpose, estimator=config.estimator
     )
     return q
 
@@ -491,7 +497,9 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
         node = tree.nodes.get(path)
         if node is None:
             return 1.0
-        reach, scores = _node_outcomes(node)
+        reach, scores = _node_outcomes(node, None)
+        if len(reach) != len(y):
+            raise ValueError("dataset size does not match the stored model")
         return sum(
             _edge_factor(reach, scores, y, sign, node.alpha(sign)) * below(path + child)
             for sign, child in ((1, "+"), (-1, "-"))

@@ -35,25 +35,50 @@ __all__ = [
     "classifier_from_record",
 ]
 
+# Strategy A may stop once it has sampled more than R_MIN_DEFAULT rounds and
+# stops at R_MAX_DEFAULT; strategy B looks ahead at most R_MAX_DEFAULT * T times.
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
+PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
+
+
+@dataclass
+class TrainConfig:
+    """What a user chooses for training; the sampling strategies themselves
+    take no parameters."""
+
+    seed: int = 0
+    exact_q: bool = False
+    estimator: str = "map"  # "map" | "ml"
+    strategy: str = "A"  # "A" | "B"
+
+    def __post_init__(self) -> None:
+        if self.estimator not in ("map", "ml"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
+        if self.strategy not in ("A", "B"):
+            raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "B" and self.exact_q:
+            raise ValueError("strategy B samples q; it cannot run with exact q")
 
 
 class ProbClassifier(ABC):
     """A per-input Bernoulli oracle over {-1, +1}."""
 
-    #: True when q(+, X) is analytically available (synthetic oracles).
-    has_exact_q: bool = False
-
     #: None for a plain +/-1 classifier.  A classifier whose tree edges carry
-    #: real-valued scores (a collected subtree) sets it to (reach, scores):
-    #: per training example, the probability of each outcome it can draw,
-    #: and the score of that outcome.
+    #: real-valued scores (a collected subtree) sets it to its ``outcomes``
+    #: on the training examples.
     leaf_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def q_plus(self, x: np.ndarray) -> float:
         """Exact Bernoulli parameter q(+, x); only for synthetic oracles."""
         raise NotImplementedError("exact q unavailable; sample instead")
+
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(reach (len(X), K), scores (K,)): the probability of each outcome
+        the classifier can draw on each row of X, and that outcome's score.
+        A plain classifier draws +1 with its exact q(+, x), else -1."""
+        q = np.array([self.q_plus(x) for x in X])
+        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> int:
         """One Bernoulli draw of the classifier output on x."""
@@ -134,22 +159,20 @@ def estimate_q_strategy_A(
     stream: RandomStream,
     purpose: str = "strategy-A",
     estimator: str = "map",
-    r_min: int = R_MIN_DEFAULT,
-    r_max: int = R_MAX_DEFAULT,
 ) -> tuple[np.ndarray, int]:
     """Sample until the Z_T estimate first increases; return the estimates
     from the round preceding the increase.
 
-    Returns (q_plus estimates, rounds spent).  A hard cap ``r_max`` aborts
-    with the current estimates.
+    Returns (q_plus estimates, rounds spent).  A hard cap of
+    ``R_MAX_DEFAULT`` rounds aborts with the current estimates.
     """
     estimate = OracleEstimate.empty(dataset.n_examples)
     prev_z = math.inf
     prev_q = estimate.q_plus("map")  # prior mean before any observation
-    for r in range(1, r_max + 1):
+    for r in range(1, R_MAX_DEFAULT + 1):
         estimate.observe(_sample_round(classifier, dataset, stream, purpose, r))
         z, q = map_z_estimate(estimate, weights, dataset.labels, estimator)
-        if r > r_min and z > prev_z:
+        if r > R_MIN_DEFAULT and z > prev_z:
             return prev_q, r
         prev_z, prev_q = z, q
     return prev_q, estimate.rounds
@@ -182,8 +205,6 @@ def _log_rate(z_factor: float, passes: float) -> float:
 
 class ConstantEdgeClassifier(ProbClassifier):
     """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
-
-    has_exact_q = True
 
     def __init__(self, epsilon: float, features: np.ndarray, labels: np.ndarray):
         self.epsilon = float(epsilon)
@@ -236,8 +257,6 @@ def builtin_constant_edge_oracle(epsilon: float) -> ConstantEdgeLearner:
 
 class StumpClassifier(ProbClassifier):
     """Axis-aligned threshold stump whose decision is flipped w.p. p_flip."""
-
-    has_exact_q = True
 
     def __init__(
         self,

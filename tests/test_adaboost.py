@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from probboost import weak_learner
 from probboost.adaboost import (
     AdaboostModel,
     TrainConfig,
@@ -160,14 +161,12 @@ class TestTrainAdaboost:
             assert stage.z <= rho + 1e-12
         assert model.recorded_bound() <= rho**5 + 1e-12
 
-    def test_constant_edge_estimated_q_near_rho(self, small_dataset):
+    def test_constant_edge_estimated_q_near_rho(self, small_dataset, monkeypatch):
         # with enough sampling rounds the estimated alphas land close enough
         # to optimal that every stage normalizer sits near rho = 0.8
+        monkeypatch.setattr(weak_learner, "R_MIN_DEFAULT", 1000)
         model = train_adaboost(
-            small_dataset,
-            builtin_constant_edge_oracle(0.3),
-            5,
-            TrainConfig(seed=11, r_min=1000),
+            small_dataset, builtin_constant_edge_oracle(0.3), 5, TrainConfig(seed=11)
         )
         for stage in model.stages:
             assert stage.z <= 0.8 + 0.02

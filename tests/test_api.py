@@ -1,4 +1,5 @@
-"""Every public name resolves, and no module imports a name it never uses."""
+"""Every public name resolves, no module imports a name it never uses, and
+every import sits at module level."""
 
 import ast
 import importlib
@@ -27,3 +28,16 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(getattr(importlib.import_module(f"probboost.{path.stem}"), "__all__", []))
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_imports_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        f"{fn.name}:{node.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == []

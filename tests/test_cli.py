@@ -7,10 +7,11 @@ import pytest
 from click.testing import CliRunner
 
 from probboost import bounds
-from probboost.adaboost import TrainConfig
+from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import main
 from probboost.core import make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka
+from probboost.persist import save_model
 from probboost.ptree import grow_tree
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
@@ -261,3 +262,45 @@ class TestEval:
         r = runner.invoke(main, ["eval", "--model", str(model), "--data", str(data)])
         assert r.exit_code != 0
         assert "dimension" in r.output
+
+
+class TestInputErrors:
+    @pytest.fixture
+    def files(self, tmp_path):
+        data = make_synthetic_dataset(seed=0)
+        paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
+                 "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv"}
+        save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
+        save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
+        paths["short"].write_text("f0,f1,label\n0.5,0.5,1\n-0.5,-0.5,-1\n-1.0,0.0,-1\n")
+        paths["bad"].write_text("f0,f1,label\n0.5,0.5\n")
+        return paths
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("eval --model {tree} --data {short}", "dataset size does not match"),
+            ("eval --model {ada} --data {short}", "dataset size does not match"),
+            ("train --algo ptree --T 2 --data {bad}", "expected 3 fields"),
+            ("eval --model {tree} --data {bad}", "expected 3 fields"),
+            ("train --algo adaboost --T 0", "T must be >= 1"),
+            ("train --algo ptree --T 0", "max_nodes must be >= 1"),
+            ("train --algo matryoshka --L 0", "L must be >= 1"),
+            ("train --algo adaboost --T 2 --oracle constant-edge --epsilon 0.7", "epsilon"),
+            ("eval --model {ada} --trials 0", "trials must be >= 1"),
+            ("eval --model {tree} --trials 0", "trials must be >= 1"),
+        ],
+    )
+    def test_one_line_error(self, runner, files, args, message):
+        result = runner.invoke(main, args.format(**files).split())
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # reported, not raised
+        assert result.output.startswith("Error: ") and message in result.output
+        assert "Traceback" not in result.output
+
+    def test_trees_reject_strategy_b(self, runner):
+        for algo in (["ptree", "--T", "2"], ["matryoshka", "--L", "2"],
+                     ["matryoshka", "--mode", "greedy", "--T", "3"]):
+            result = runner.invoke(main, ["train", "--algo", *algo, "--strategy", "B"])
+            assert result.exit_code == 1
+            assert "Error: strategy B is for AdaBoost" in result.output

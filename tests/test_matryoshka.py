@@ -29,6 +29,7 @@ from probboost.ptree import (
 )
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
+    ProbClassifier,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
@@ -53,6 +54,8 @@ class TestCompositeNode:
         x = np.array([0.0])
         assert all(composite.sample(x, rng) == 1 for _ in range(10))
         assert composite.q_plus(x) == 1.0
+        reach, scores = composite.outcomes(np.zeros((3, 1)))  # one row per input
+        assert reach.tolist() == [[1.0], [1.0], [1.0]] and scores.tolist() == [0.0]
 
     def test_deterministic_split_reproduced(self, tiny_dataset):
         inner = grow_tree(
@@ -129,15 +132,60 @@ class TestCompositeNode:
         assert any(
             isinstance(node.classifier, CompositeNode) for node in composite.inner.nodes.values()
         )
+        reach, scores = composite.leaf_table
         rng = np.random.default_rng(8)
         n = 4000
         for index in range(3):
             x = small_dataset.features[index]
             q = composite.q_plus(x)
-            assert q == pytest.approx(root.q_plus[index], abs=1e-12)
+            assert q == pytest.approx(reach[index, scores >= 0.0].sum(), abs=1e-12)
             freq = sum(composite.sample(x, rng) == 1 for _ in range(n)) / n
             se = math.sqrt(max(q * (1.0 - q), 1e-12) / n)
             assert freq == pytest.approx(q, abs=max(4 * se, 1e-3))
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_outcomes_on_training_rows_are_the_leaf_table(self, small_dataset, L):
+        # one walk, two sources: the classifiers' q on the rows, and what
+        # training stored; with exact q they agree bit for bit
+        tree = build_fixed_2_matryoshka(
+            small_dataset, builtin_constant_edge_oracle(0.3), L, TrainConfig(exact_q=True)
+        )
+        composite = tree.nodes[""].classifier
+        reach, scores = composite.outcomes(small_dataset.features)
+        np.testing.assert_array_equal(reach, composite.leaf_table[0])
+        np.testing.assert_array_equal(scores, composite.leaf_table[1])
+
+    def test_inner_classifier_without_exact_q(self):
+        class SampleOnly(ProbClassifier):
+            def sample(self, x, rng):
+                return 1
+
+            def to_record(self):
+                return {"kind": "sample-only"}
+
+        ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
+        inner = TreeModel(trajectory=[1.0])
+        attach_node(inner, "", SampleOnly(), np.array([0.9, 0.2]), ds.weights.copy(), ds.labels)
+        composite = collect_leaves(inner)
+        with pytest.raises(NotImplementedError):
+            composite.q_plus(ds.features[0])
+        with pytest.raises(NotImplementedError):
+            composite.outcomes(ds.features)
+
+    def test_older_record_with_composite_q_loads(self, small_dataset):
+        # files written before composites stopped storing q still load
+        tree = build_fixed_2_matryoshka(
+            small_dataset, builtin_constant_edge_oracle(0.3), 3, TrainConfig(exact_q=True)
+        )
+        record = tree.to_record()
+        assert record["nodes"][""]["q_plus"] is None
+        reach, scores = tree.nodes[""].classifier.leaf_table
+        for node in record["nodes"].values():
+            node["q_plus"] = reach[:, scores >= 0.0].sum(axis=1).tolist()
+        old = TreeModel.from_record(record)
+        assert all(node.q_plus is None for node in old.nodes.values())
+        assert old.to_record() == tree.to_record()
+        assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
 
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("exact", [True, False])
@@ -249,6 +297,11 @@ class TestFixedTwoMatryoshka:
         with pytest.raises(ValueError):
             build_fixed_2_matryoshka(small_dataset, builtin_constant_edge_oracle(0.3), 0)
 
+    def test_strategy_b_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="strategy B"):
+            build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 2,
+                                     TrainConfig(strategy="B"))
+
 
 class TestGreedyRates:
     def test_flat_trajectory_favors_collection(self):
@@ -300,6 +353,11 @@ class TestGreedyMatryoshka:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             MatryoshkaPolicy(mode="other")
+
+    def test_strategy_b_rejected(self, small_dataset):
+        with pytest.raises(ValueError, match="strategy B"):
+            build_greedy_matryoshka(small_dataset, builtin_noisy_stump(0.1), 4,
+                                    config=TrainConfig(strategy="B"))
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(exact_q=True, seed=1)

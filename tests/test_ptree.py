@@ -280,6 +280,14 @@ class TestGrowTree:
     def test_requires_stop_criterion(self, small_dataset):
         with pytest.raises(ValueError):
             grow_tree(small_dataset, builtin_constant_edge_oracle(0.3))
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            grow_tree(small_dataset, builtin_constant_edge_oracle(0.3), max_nodes=0)
+
+    def test_strategy_b_rejected(self, small_dataset):
+        # tree nodes sample q with strategy A; B used to be ignored silently
+        with pytest.raises(ValueError, match="strategy B"):
+            grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=2,
+                      config=TrainConfig(strategy="B"))
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(seed=13)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from probboost import weak_learner
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.core import Dataset, RandomStream
 from probboost.weak_learner import (
@@ -84,13 +85,12 @@ class TestMapBias:
 
 
 class TestStrategyA:
-    def test_r_max_one_returns_single_round_map(self, tiny_dataset):
+    def test_r_max_one_returns_single_round_map(self, tiny_dataset, monkeypatch):
         learner = builtin_constant_edge_oracle(0.3)
         clf = learner.train(tiny_dataset, tiny_dataset.weights, None)
         stream = RandomStream(0)
-        q, rounds = estimate_q_strategy_A(
-            clf, tiny_dataset, tiny_dataset.weights, stream, r_max=1
-        )
+        monkeypatch.setattr(weak_learner, "R_MAX_DEFAULT", 1)
+        q, rounds = estimate_q_strategy_A(clf, tiny_dataset, tiny_dataset.weights, stream)
         assert rounds == 1
         # single observation per example: MAP values are (1 + c)/3, c in {0, 1}
         assert set(np.round(q, 12)) <= {round(1 / 3, 12), round(2 / 3, 12)}
@@ -104,14 +104,12 @@ class TestStrategyA:
         assert 1 <= rounds < 10_000
         assert np.all((q > 0.0) & (q < 1.0))
 
-    def test_deterministic_classifier_accuracy(self, tiny_dataset):
+    def test_deterministic_classifier_accuracy(self, tiny_dataset, monkeypatch):
         # noiseless stump: q is exactly 0/1, so the MAP estimate after R
         # rounds sits exactly 1/(R+2) away from the truth
         clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights, None)
-        r_cap = 50
-        q, rounds = estimate_q_strategy_A(
-            clf, tiny_dataset, tiny_dataset.weights, RandomStream(5), r_max=r_cap
-        )
+        monkeypatch.setattr(weak_learner, "R_MAX_DEFAULT", 50)
+        q, rounds = estimate_q_strategy_A(clf, tiny_dataset, tiny_dataset.weights, RandomStream(5))
         true_q = np.array([clf.q_plus(x) for x in tiny_dataset.features])
         assert np.all(np.abs(q - true_q) <= 1.0 / (rounds + 2) + 1e-12)
 
