@@ -255,11 +255,10 @@ def mc_misclassification(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stream = RandomStream(seed)
-    n = dataset.n_examples
-    H = np.zeros((trials, n))
+    examples, draws = np.arange(dataset.n_examples), np.arange(trials)[:, None]
+    H = np.zeros((trials, dataset.n_examples))
     for t, stage in enumerate(model.stages, start=1):
-        u = stream.generator("mc-stage", 0, t).random((trials, n))
-        plus = u < stage.q_plus[None, :]
+        plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.q_plus
         H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
     wrong = (H * dataset.labels[None, :]) <= 0.0
     per_trial = wrong @ dataset.weights

@@ -8,7 +8,6 @@ import math
 import sys
 
 import click
-import numpy as np
 
 from . import bounds
 from .adaboost import (
@@ -220,18 +219,8 @@ def _write_tree_log(path: str, tree: TreeModel) -> None:
 
 
 def _tree_mc_loss(tree: TreeModel, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    stream = RandomStream(seed)
-    per_trial = np.empty(trials)
-    for trial in range(trials):
-        loss = 0.0
-        for n in range(dataset.n_examples):
-            rng = stream.generator("tree-mc", n, trial)
-            score, _ = predict_tree(tree, dataset.features[n], rng)
-            if score * dataset.labels[n] <= 0.0:
-                loss += dataset.weights[n]
-        per_trial[trial] = loss
+    scores, _ = predict_tree(tree, dataset.features, RandomStream(seed), "tree-mc", trials)
+    per_trial = (scores * dataset.labels <= 0.0) @ dataset.weights
     se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
     return float(per_trial.mean()), se
 

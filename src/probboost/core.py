@@ -166,27 +166,69 @@ def path_last(s: str) -> int:
     return 1 if s[-1] == "+" else -1
 
 
+_MASK32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_PHILOX_ROUNDS = 10
+
+
+def _philox4x32(counter: tuple, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 (Salmon et al., SC'11): four 32-bit counter words (arrays
+    that broadcast) and two 32-bit key words to four 32-bit output words,
+    held in uint64 arrays."""
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = key
+    for _ in range(_PHILOX_ROUNDS):
+        p0 = _PHILOX_M[0] * c0
+        p1 = _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = (
+            (p1 >> np.uint64(32)) ^ c1 ^ np.uint64(k0),
+            p1 & _MASK32,
+            (p0 >> np.uint64(32)) ^ c3 ^ np.uint64(k1),
+            p0 & _MASK32,
+        )
+        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
+        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
 class RandomStream:
     """Deterministic, order-independent random draws keyed by stream id.
 
-    Each (purpose, example, counter) triple addresses an independent
-    generator, so concurrent or reordered sampling reproduces bit-exactly.
+    A uniform is Philox4x32-10 keyed by a hash of (seed, purpose) and counted
+    by (example, counter), so each draw is a pure function of where it sits
+    in the stream: one call returns a whole array of draws, and concurrent
+    or reordered sampling reproduces bit-exactly.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def _sequence(self, purpose: str, example: int, counter: int) -> np.random.SeedSequence:
-        tag = int.from_bytes(
-            hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big"
-        )
-        return np.random.SeedSequence([self.seed, tag, int(example), int(counter)])
+    def _key(self, purpose: str) -> tuple[int, int]:
+        digest = hashlib.blake2s(f"{self.seed}\x00{purpose}".encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")
 
-    def generator(self, purpose: str, example: int = 0, counter: int = 0) -> np.random.Generator:
-        return np.random.default_rng(self._sequence(purpose, example, counter))
+    def uniforms(self, purpose: str, example, counter) -> np.ndarray:
+        """Uniforms in [0, 1) on a 2^-53 grid, one per element of the
+        broadcast of ``example`` and ``counter`` (non-negative integers
+        below 2^64)."""
+        example = np.asarray(example, dtype=np.uint64)
+        counter = np.asarray(counter, dtype=np.uint64)
+        shift = np.uint64(32)
+        w0, w1, _, _ = _philox4x32(
+            (example & _MASK32, example >> shift, counter & _MASK32, counter >> shift),
+            self._key(purpose),
+        )
+        return ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
 
     def uniform(self, purpose: str, example: int, counter: int) -> float:
-        return float(self.generator(purpose, example, counter).random())
+        return float(self.uniforms(purpose, example, counter))
+
+    def generator(self, purpose: str, example: int = 0, counter: int = 0) -> np.random.Generator:
+        """A numpy Generator for one (purpose, example, counter); for code
+        that takes an ``rng``, such as ``WeakLearner.train``."""
+        tag = int.from_bytes(hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big")
+        return np.random.default_rng(np.random.SeedSequence([self.seed, tag, int(example), int(counter)]))
 
 
 # ---------------------------------------------------------------------------

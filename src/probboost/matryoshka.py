@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset, RandomStream
-from .ptree import TreeModel, _leaf_weights, attach_node, grow_tree, predict_tree, walk_table
+from .ptree import TreeModel, _leaf_weights, attach_node, grow_tree, walk_table
 from .weak_learner import ProbClassifier, WeakLearner, register_classifier_kind
 
 __all__ = [
@@ -55,16 +55,6 @@ class CompositeNode(ProbClassifier):
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
-
-    def q_plus(self, x: np.ndarray) -> float:
-        reach, scores = self.outcomes(np.asarray(x, dtype=float)[None])
-        return float(reach[0, scores >= 0.0].sum())
-
-    def sample_score(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        return predict_tree(self.inner, x, rng)[0]
-
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> int:
-        return 1 if self.sample_score(x, rng) >= 0.0 else -1
 
     def to_record(self) -> dict[str, Any]:
         return {"kind": "composite", "inner": self.inner.to_record()}

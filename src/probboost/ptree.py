@@ -509,19 +509,58 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
 
 
 def predict_tree(
-    tree: TreeModel, x: np.ndarray, rng: np.random.Generator
-) -> tuple[float, str]:
-    """Sample a root-to-leaf walk; returns (score H, trajectory path)."""
-    x = np.asarray(x, dtype=float)
+    tree: TreeModel, X: np.ndarray, stream: RandomStream, purpose: str, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample ``trials`` root-to-leaf walks for every row of X.
+
+    Returns (scores H, leaves), both of shape (trials, len(X)): each walk's
+    score and the top-level leaf it ends at.  The tree is walked node by
+    node over the walks that reach each node; a plain node draws with its
+    classifier's ``sample_batch``, and a composite walks its inner tree.
+    The uniform of a walk's k-th draw is keyed by (row, trial, k) in the
+    stream tagged ``purpose``, so the result does not depend on the order
+    in which nodes are visited, and fewer trials give the first trials'
+    walks.
+    """
+    X = np.asarray(X, dtype=float)
     dim = tree.metadata.get("dimension")
-    if dim is not None and x.shape != (dim,):
-        raise ValueError(f"expected feature dimension {dim}, got {x.shape}")
-    path = ""
-    score = 0.0
-    while path in tree.nodes:
-        node = tree.nodes[path]
-        h = node.classifier.sample_score(x, rng)
-        sign = 1 if h >= 0.0 else -1
-        score += node.alpha(sign) * h
-        path += "+" if sign == 1 else "-"
-    return score, path
+    if X.ndim != 2 or (dim is not None and X.shape[1] != dim):
+        raise ValueError(f"expected rows of feature dimension {dim}, got shape {X.shape}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials >= 2**32:
+        raise ValueError("trials must be below 2^32")
+    trial, row = np.divmod(np.arange(trials * len(X)), len(X))
+    draws = np.zeros(len(row), dtype=np.uint64)
+    scores, leaves = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose)
+    return scores.reshape(trials, len(X)), leaves.reshape(trials, len(X))
+
+
+def _walk(tree, X, row, trial, draws, stream, purpose) -> tuple[np.ndarray, np.ndarray]:
+    """One walk through ``tree`` per entry of ``row`` (the example) and
+    ``trial``; ``draws`` counts each walk's draws so far and is advanced in
+    place.  Returns each walk's score and leaf path."""
+    scores = np.zeros(len(row))
+    leaves = np.empty(len(row), dtype=object)
+    stack = [("", np.arange(len(row)))]
+    while stack:
+        path, at = stack.pop()
+        if len(at) == 0:
+            continue
+        node = tree.nodes.get(path)
+        if node is None:
+            leaves[at] = path
+            continue
+        if node.classifier.leaf_table is not None:  # a composite: walk its inner tree
+            inner_draws = draws[at]
+            h, _ = _walk(node.classifier.inner, X, row[at], trial[at], inner_draws, stream, purpose)
+            draws[at] = inner_draws
+        else:
+            u = stream.uniforms(purpose, row[at], (draws[at] << np.uint64(32)) | trial[at])
+            h = node.classifier.sample_batch(X[row[at]], u)
+            draws[at] += np.uint64(1)
+        plus = h >= 0.0
+        scores[at] += np.where(plus, node.alpha_plus, node.alpha_minus) * h
+        stack.append((path + "-", at[~plus]))
+        stack.append((path + "+", at[plus]))
+    return scores, leaves

@@ -69,25 +69,26 @@ class ProbClassifier(ABC):
     #: on the training examples.
     leaf_table: tuple[np.ndarray, np.ndarray] | None = None
 
-    def q_plus(self, x: np.ndarray) -> float:
-        """Exact Bernoulli parameter q(+, x); only for synthetic oracles."""
-        raise NotImplementedError("exact q unavailable; sample instead")
-
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(reach (len(X), K), scores (K,)): the probability of each outcome
         the classifier can draw on each row of X, and that outcome's score.
-        A plain classifier draws +1 with its exact q(+, x), else -1."""
-        q = np.array([self.q_plus(x) for x in X])
-        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
+        A plain classifier draws +1 with its exact q(+, x), else -1
+        (``PLAIN_SCORES``).  Only a classifier whose q is known has them."""
+        raise NotImplementedError("exact q unavailable; sample instead")
 
-    def sample(self, x: np.ndarray, rng: np.random.Generator) -> int:
-        """One Bernoulli draw of the classifier output on x."""
-        return 1 if rng.random() < self.q_plus(x) else -1
+    def q_plus(self, x: np.ndarray) -> float:
+        """Exact q(+, x) on one row: the probability of drawing a score >= 0."""
+        reach, scores = self.outcomes(np.asarray(x, dtype=float)[None])
+        return float(reach[0, scores >= 0.0].sum())
 
-    def sample_score(self, x: np.ndarray, rng: np.random.Generator) -> float:
-        """One draw of the score a tree edge scales by its alpha; its sign is
-        the branch taken.  A plain classifier's score is its +/-1 output."""
-        return float(self.sample(x, rng))
+    def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One draw per row of X, made from the uniform in [0, 1) at the same
+        position of ``u``: the score of the outcome drawn, whose sign is the
+        branch a tree takes.  A plain classifier's score is its +/-1 output,
+        +1 where u < q(+, x).  A classifier without exact q overrides this."""
+        reach, scores = self.outcomes(X)
+        picked = np.sum(np.cumsum(reach, axis=1) <= np.asarray(u)[:, None], axis=1)
+        return scores[np.minimum(picked, len(scores) - 1)]
 
     @abstractmethod
     def to_record(self) -> dict[str, Any]: ...
@@ -145,11 +146,8 @@ def _sample_round(
     purpose: str,
     counter: int,
 ) -> np.ndarray:
-    outputs = np.empty(dataset.n_examples, dtype=int)
-    for n in range(dataset.n_examples):
-        rng = stream.generator(purpose, n, counter)
-        outputs[n] = classifier.sample(dataset.features[n], rng)
-    return outputs
+    u = stream.uniforms(purpose, np.arange(dataset.n_examples), counter)
+    return classifier.sample_batch(dataset.features, u)
 
 
 def estimate_q_strategy_A(
@@ -203,6 +201,13 @@ def _log_rate(z_factor: float, passes: float) -> float:
 # ---------------------------------------------------------------------------
 # Built-in learners.
 
+def _row_keys(X: np.ndarray) -> np.ndarray:
+    """Each row of a float matrix as one opaque byte string; -0.0 is stored
+    as 0.0 so that equal rows have equal keys."""
+    X = np.ascontiguousarray(X + 0.0)
+    return X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+
+
 class ConstantEdgeClassifier(ProbClassifier):
     """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
 
@@ -210,21 +215,25 @@ class ConstantEdgeClassifier(ProbClassifier):
         self.epsilon = float(epsilon)
         self._features = np.asarray(features, dtype=float)
         self._labels = np.asarray(labels, dtype=int)
-        self._lookup = {
-            tuple(row): int(lab) for row, lab in zip(self._features, self._labels)
-        }
+        # training rows sorted by their bytes, so that rows of X are found by
+        # binary search; a repeated row takes the label of its last copy
+        keys = _row_keys(self._features)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[self._order]
 
-    def _true_label(self, x: np.ndarray) -> int:
-        key = tuple(np.asarray(x, dtype=float))
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise LookupError("constant-edge oracle only knows its training examples") from None
+    def _true_labels(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self._features.shape[1]:
+            raise ValueError(f"expected rows of dimension {self._features.shape[1]}, got shape {X.shape}")
+        keys = _row_keys(X)
+        at = np.searchsorted(self._sorted_keys, keys, side="right") - 1
+        if np.any(at < 0) or np.any(self._sorted_keys[at] != keys):
+            raise ValueError("constant-edge oracle only knows its training examples")
+        return self._labels[self._order[at]]
 
-    def q_plus(self, x: np.ndarray) -> float:
-        if self._true_label(x) == 1:
-            return 0.5 + self.epsilon
-        return 0.5 - self.epsilon
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = np.where(self._true_labels(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
+        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -272,16 +281,19 @@ class StumpClassifier(ProbClassifier):
         self.p_flip = p_flip
         self.constant = constant
 
-    def decision(self, x: np.ndarray) -> int:
+    def decisions(self, X: np.ndarray) -> np.ndarray:
+        """The noiseless +/-1 decision on each row of X."""
+        X = np.asarray(X, dtype=float)
         if self.constant is not None:
-            return self.constant
-        raw = 1 if x[self.feature] >= self.threshold else -1
-        return raw * self.polarity
+            return np.full(len(X), self.constant)
+        return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
-    def q_plus(self, x: np.ndarray) -> float:
-        if self.decision(x) == 1:
-            return 1.0 - self.p_flip
-        return self.p_flip
+    def decision(self, x: np.ndarray) -> int:
+        return int(self.decisions(np.asarray(x, dtype=float)[None])[0])
+
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip)
+        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
 
     def to_record(self) -> dict[str, Any]:
         return {

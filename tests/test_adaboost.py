@@ -21,7 +21,7 @@ from probboost.adaboost import (
     z_min,
     z_value,
 )
-from probboost.core import Dataset, make_synthetic_dataset
+from probboost.core import Dataset, RandomStream, make_synthetic_dataset
 from probboost.persist import save_model
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
@@ -170,6 +170,22 @@ class TestTrainAdaboost:
         )
         for stage in model.stages:
             assert stage.z <= 0.8 + 0.02
+
+    def test_one_generator_per_stage(self, small_dataset, monkeypatch):
+        # a Generator is built only for the rng each weak-learner call takes;
+        # every sampling round and the Monte-Carlo loss draw Philox arrays
+        calls = []
+        generator = RandomStream.generator
+
+        def counted(stream, purpose, example=0, counter=0):
+            calls.append(purpose)
+            return generator(stream, purpose, example, counter)
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        model = train_adaboost(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=4))
+        assert calls == ["train"] * 3
+        mc_misclassification(model, small_dataset, 50, seed=1)
+        assert len(calls) == 3
 
     def test_w_sums_to_one_per_stage(self, small_dataset):
         model = train_adaboost(

@@ -8,8 +8,8 @@ from click.testing import CliRunner
 
 from probboost import bounds
 from probboost.adaboost import TrainConfig, train_adaboost
-from probboost.cli import main
-from probboost.core import make_synthetic_dataset
+from probboost.cli import _tree_mc_loss, main
+from probboost.core import RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka
 from probboost.persist import save_model
 from probboost.ptree import grow_tree
@@ -264,14 +264,43 @@ class TestEval:
         assert "dimension" in r.output
 
 
+class TestTreeMcLoss:
+    def test_composite_beyond_walk_table_cap(self):
+        # the root composite has 69,065 inner walks, so a table of its
+        # walks on 200 rows would pass the cap; a walk descends instead
+        model = build_fixed_2_matryoshka(
+            make_synthetic_dataset(40, seed=0), builtin_noisy_stump(0.1), 6, TrainConfig(exact_q=True)
+        )
+        assert model.nodes[""].classifier.leaf_table[0].shape == (40, 69_065)
+        loss, se = _tree_mc_loss(model, make_synthetic_dataset(200, seed=5), 2, 1)
+        assert 0.0 <= loss <= 1.0 and math.isfinite(se)
+
+    def test_no_generator_per_draw(self, monkeypatch):
+        calls = []
+        generator = RandomStream.generator
+
+        def counted(stream, *args, **kwargs):
+            calls.append(args)
+            return generator(stream, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "generator", counted)
+        data = make_synthetic_dataset(seed=0)
+        tree = build_fixed_2_matryoshka(data, builtin_noisy_stump(0.1), 2, TrainConfig(exact_q=True))
+        calls.clear()
+        _tree_mc_loss(tree, data, 50, 3)
+        assert calls == []
+
+
 class TestInputErrors:
     @pytest.fixture
     def files(self, tmp_path):
         data = make_synthetic_dataset(seed=0)
         paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
+                 "edge": tmp_path / "edge.json",
                  "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv"}
         save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
         save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
+        save_model(grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=2), paths["edge"])
         paths["short"].write_text("f0,f1,label\n0.5,0.5,1\n-0.5,-0.5,-1\n-1.0,0.0,-1\n")
         paths["bad"].write_text("f0,f1,label\n0.5,0.5\n")
         return paths
@@ -289,6 +318,8 @@ class TestInputErrors:
             ("train --algo adaboost --T 2 --oracle constant-edge --epsilon 0.7", "epsilon"),
             ("eval --model {ada} --trials 0", "trials must be >= 1"),
             ("eval --model {tree} --trials 0", "trials must be >= 1"),
+            # seed 4 makes other examples than the oracle was trained on
+            ("eval --model {edge} --seed 4", "only knows its training examples"),
         ],
     )
     def test_one_line_error(self, runner, files, args, message):

@@ -1,5 +1,7 @@
 """Dataset handling, path indices, random streams, persistence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from probboost.core import (
     save_record,
     validate_path,
 )
+from probboost.core import _philox4x32
 
 
 class TestNormalizeWeights:
@@ -166,6 +169,54 @@ class TestRandomStream:
         forward = [s.uniform("t", n, 0) for n in range(4)]
         backward = [RandomStream(3).uniform("t", n, 0) for n in reversed(range(4))]
         assert forward == list(reversed(backward))
+
+    @pytest.mark.parametrize(
+        "counter, key, expected",
+        [  # known-answer vectors of Philox4x32-10 from Random123
+            ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+            ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+            (
+                (0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344),
+                (0xA4093822, 0x299F31D0),
+                (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1),
+            ),
+        ],
+    )
+    def test_philox_known_answers(self, counter, key, expected):
+        assert tuple(int(w) for w in _philox4x32(counter, key)) == expected
+
+    def test_array_call_equals_elementwise_calls(self):
+        s = RandomStream(2**63 - 25)  # the 63-bit seeds a nested unit draws
+        examples = np.array([[0, 5, 2**40], [7, 1, 3]])
+        counters = np.array([[9, 0, 1], [2**33 + 4, 6, 0]])
+        grid = s.uniforms("p", examples, counters)
+        assert grid.shape == (2, 3)
+        for i in (1, 0):  # any order
+            for j in (2, 0, 1):
+                assert grid[i, j] == s.uniform("p", int(examples[i, j]), int(counters[i, j]))
+        # any layout: transposed, broadcast and scalar arguments
+        np.testing.assert_array_equal(s.uniforms("p", examples.T, counters.T), grid.T)
+        row = s.uniforms("p", np.arange(4)[:, None], np.arange(3)[None, :])
+        assert row.shape == (4, 3)
+        assert row[2, 1] == s.uniform("p", 2, 1)
+        np.testing.assert_array_equal(s.uniforms("p", 3, np.arange(3)), row[3])
+        assert RandomStream(-5).uniform("p", 0, 0) != RandomStream(5).uniform("p", 0, 0)
+
+    def test_unit_interval_on_a_grid(self):
+        u = RandomStream(11).uniforms("grid", np.arange(20_000), 3)
+        assert np.all((u >= 0.0) & (u < 1.0))
+        scaled = u * 2.0**53
+        np.testing.assert_array_equal(scaled, np.floor(scaled))
+
+    def test_uniformity_smoke(self):
+        n = 100_000
+        u = RandomStream(12).uniforms("smoke", np.arange(n) % 100, np.arange(n) // 100)
+        counts = np.bincount((u * 10).astype(int), minlength=10)
+        chi2 = float(np.sum((counts - n / 10) ** 2 / (n / 10)))
+        assert chi2 < 30.0  # 9 degrees of freedom: P(chi2 > 30) < 0.001
+        assert u.mean() == pytest.approx(0.5, abs=5 * math.sqrt(1 / 12 / n))
+        # neighbouring counters are not correlated
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 5 / math.sqrt(n)
 
 
 class TestRecords:

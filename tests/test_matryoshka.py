@@ -19,6 +19,7 @@ from probboost.matryoshka import (
 from probboost.persist import load_model, save_model
 from probboost.ptree import (
     TreeModel,
+    TreeNode,
     attach_node,
     exact_tree_bound,
     grow_tree,
@@ -47,12 +48,19 @@ def _single_split_tree(epsilon=0.2, labels=(1, -1)):
     return tree, ds
 
 
+def _composite_draws(composite, x, n, seed):
+    """n draws of a composite's output on row x, made as ``predict_tree``
+    makes them: a walk through a tree whose root is the composite."""
+    outer = TreeModel(nodes={"": TreeNode(composite, None, 1.0, 1.0, 0.5, 0.5)})
+    _, leaves = predict_tree(outer, np.asarray(x)[None], RandomStream(seed), "composite", n)
+    return np.where(leaves[:, 0] == "+", 1, -1)
+
+
 class TestCompositeNode:
     def test_root_only_always_plus(self):
         composite = collect_leaves(TreeModel())
-        rng = np.random.default_rng(0)
         x = np.array([0.0])
-        assert all(composite.sample(x, rng) == 1 for _ in range(10))
+        assert np.all(_composite_draws(composite, x, 10, seed=0) == 1)
         assert composite.q_plus(x) == 1.0
         reach, scores = composite.outcomes(np.zeros((3, 1)))  # one row per input
         assert reach.tolist() == [[1.0], [1.0], [1.0]] and scores.tolist() == [0.0]
@@ -65,10 +73,9 @@ class TestCompositeNode:
             config=TrainConfig(exact_q=True),
         )
         composite = collect_leaves(inner)
-        rng = np.random.default_rng(1)
         for x, y in zip(tiny_dataset.features, tiny_dataset.labels):
             assert composite.q_plus(x) in (0.0, 1.0)
-            assert composite.sample(x, rng) == y
+            assert np.all(_composite_draws(composite, x, 10, seed=1) == y)
 
     def test_single_split_q(self):
         # the + leaf has H = alpha_+ > 0, the - leaf H = -alpha_- < 0, so
@@ -100,11 +107,10 @@ class TestCompositeNode:
             config=TrainConfig(exact_q=True),
         )
         composite = collect_leaves(inner)
-        rng = np.random.default_rng(5)
         n = 20_000
         for x in small_dataset.features[:3]:
             q = composite.q_plus(x)
-            freq = sum(composite.sample(x, rng) == 1 for _ in range(n)) / n
+            freq = np.mean(_composite_draws(composite, x, n, seed=5) == 1)
             se = math.sqrt(max(q * (1.0 - q), 1e-12) / n)
             assert freq == pytest.approx(q, abs=max(4 * se, 1e-3))
 
@@ -133,13 +139,12 @@ class TestCompositeNode:
             isinstance(node.classifier, CompositeNode) for node in composite.inner.nodes.values()
         )
         reach, scores = composite.leaf_table
-        rng = np.random.default_rng(8)
         n = 4000
         for index in range(3):
             x = small_dataset.features[index]
             q = composite.q_plus(x)
             assert q == pytest.approx(reach[index, scores >= 0.0].sum(), abs=1e-12)
-            freq = sum(composite.sample(x, rng) == 1 for _ in range(n)) / n
+            freq = np.mean(_composite_draws(composite, x, n, seed=8) == 1)
             se = math.sqrt(max(q * (1.0 - q), 1e-12) / n)
             assert freq == pytest.approx(q, abs=max(4 * se, 1e-3))
 
@@ -157,8 +162,8 @@ class TestCompositeNode:
 
     def test_inner_classifier_without_exact_q(self):
         class SampleOnly(ProbClassifier):
-            def sample(self, x, rng):
-                return 1
+            def sample_batch(self, X, u):
+                return np.where(u < 0.9, 1.0, -1.0)
 
             def to_record(self):
                 return {"kind": "sample-only"}
@@ -171,6 +176,9 @@ class TestCompositeNode:
             composite.q_plus(ds.features[0])
         with pytest.raises(NotImplementedError):
             composite.outcomes(ds.features)
+        # a walk draws from the inner classifier itself, so it still samples
+        draws = _composite_draws(composite, ds.features[0], 4000, seed=3)
+        assert np.mean(draws == 1) == pytest.approx(0.9, abs=0.03)
 
     def test_older_record_with_composite_q_loads(self, small_dataset):
         # files written before composites stopped storing q still load
@@ -268,11 +276,11 @@ class TestFixedTwoMatryoshka:
             small_dataset, builtin_constant_edge_oracle(0.3), 3, TrainConfig(exact_q=True)
         )
         reach, scores = walk_table(tree)
-        rng = np.random.default_rng(2)
         n = 3000
         for index in (0, 15):
             x, y = small_dataset.features[index], small_dataset.labels[index]
-            losses = np.array([math.exp(-y * predict_tree(tree, x, rng)[0]) for _ in range(n)])
+            sampled, _ = predict_tree(tree, x[None], RandomStream(2), "check", n)
+            losses = np.exp(-y * sampled[:, 0])
             expected = float(np.sum(reach[index] * np.exp(-scores * y)))
             se = losses.std(ddof=1) / math.sqrt(n)
             assert losses.mean() == pytest.approx(expected, abs=4 * se)

@@ -359,9 +359,9 @@ class TestExactTreeBound:
 class TestPredictTree:
     def test_root_only(self):
         tree = TreeModel()
-        score, path = predict_tree(tree, np.array([0.0]), np.random.default_rng(0))
-        assert score == 0.0
-        assert path == ""
+        scores, leaves = predict_tree(tree, np.zeros((3, 1)), RandomStream(0), "p", 2)
+        assert scores.tolist() == [[0.0] * 3] * 2
+        assert leaves.tolist() == [[""] * 3] * 2
 
     def test_deterministic_nodes_follow_fixed_path(self, tiny_dataset):
         tree = grow_tree(
@@ -370,12 +370,10 @@ class TestPredictTree:
             max_nodes=2,
             config=TrainConfig(exact_q=True),
         )
-        x = tiny_dataset.features[3]
-        rng = np.random.default_rng(1)
-        results = {predict_tree(tree, x, rng) for _ in range(20)}
-        assert len(results) == 1
-        score, path = results.pop()
-        assert score == pytest.approx(leaf_value(tree, path))
+        scores, leaves = predict_tree(tree, tiny_dataset.features, RandomStream(1), "p", 20)
+        for n in range(tiny_dataset.n_examples):
+            assert len(set(leaves[:, n])) == 1 and len(set(scores[:, n])) == 1
+            assert scores[0, n] == pytest.approx(leaf_value(tree, leaves[0, n]))
 
     def test_leaf_frequencies_match_reach_probabilities(self, small_dataset):
         tree = grow_tree(
@@ -386,10 +384,9 @@ class TestPredictTree:
         )
         x = small_dataset.features[0]
         n = 20_000
-        rng = np.random.default_rng(8)
+        _, leaves = predict_tree(tree, x[None], RandomStream(8), "p", n)
         counts: dict[str, int] = {}
-        for _ in range(n):
-            _, path = predict_tree(tree, x, rng)
+        for path in leaves[:, 0]:
             counts[path] = counts.get(path, 0) + 1
         for leaf in tree.leaves():
             reach = 1.0
@@ -409,7 +406,26 @@ class TestPredictTree:
             config=TrainConfig(exact_q=True),
         )
         with pytest.raises(ValueError):
-            predict_tree(tree, np.array([1.0, 2.0, 3.0]), np.random.default_rng(0))
+            predict_tree(tree, np.array([[1.0, 2.0, 3.0]]), RandomStream(0), "p", 1)
+
+    def test_walks_are_keyed_by_row_and_trial(self, small_dataset):
+        # each walk's draws are keyed by (row, trial, draw index), so the
+        # same stream gives the same walks, and fewer trials the first ones
+        tree = grow_tree(
+            small_dataset,
+            builtin_noisy_stump(0.2),
+            max_nodes=7,
+            config=TrainConfig(exact_q=True),
+        )
+        X = small_dataset.features
+        scores, leaves = predict_tree(tree, X, RandomStream(4), "p", 30)
+        again, _ = predict_tree(tree, X, RandomStream(4), "p", 30)
+        np.testing.assert_array_equal(scores, again)
+        first, first_leaves = predict_tree(tree, X, RandomStream(4), "p", 10)
+        np.testing.assert_array_equal(first, scores[:10])
+        np.testing.assert_array_equal(first_leaves, leaves[:10])
+        other, _ = predict_tree(tree, X, RandomStream(4), "other", 30)
+        assert not np.array_equal(other, scores)
 
 
 class TestTreeSerialization:

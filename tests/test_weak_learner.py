@@ -218,22 +218,41 @@ class TestConstantEdgeOracle:
     def test_empirical_rate(self, tiny_dataset):
         eps = 0.124
         clf = builtin_constant_edge_oracle(eps).train(tiny_dataset, tiny_dataset.weights, None)
-        rng = np.random.default_rng(3)
         x, y = tiny_dataset.features[2], tiny_dataset.labels[2]
         n = 100_000
-        correct = sum(clf.sample(x, rng) == y for _ in range(n)) / n
+        u = RandomStream(3).uniforms("rate", 2, np.arange(n))
+        correct = np.mean(clf.sample_batch(np.repeat(x[None], n, axis=0), u) == y)
         assert correct == pytest.approx(0.5 + eps, abs=0.01)
 
     def test_unknown_input_rejected(self, tiny_dataset):
         clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights, None)
-        with pytest.raises(LookupError):
+        with pytest.raises(ValueError, match="only knows its training examples"):
             clf.q_plus(np.array([99.0]))
+        with pytest.raises(ValueError, match="only knows its training examples"):
+            clf.outcomes(np.array([[1.0], [99.0]]))
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights, None)
         clone = classifier_from_record(clf.to_record())
         assert isinstance(clone, ConstantEdgeClassifier)
         assert clone.q_plus(tiny_dataset.features[0]) == clf.q_plus(tiny_dataset.features[0])
+
+
+    def test_array_outcomes_match_a_row_lookup(self):
+        # reference: the per-row dict the oracle used to keep; a repeated row
+        # takes its last label, and -0.0 is the same row as 0.0
+        features = np.array([[0.5, 1.0], [-0.0, 2.0], [0.5, 1.0], [3.0, -1.0]])
+        labels = np.array([1, -1, -1, 1])
+        clf = ConstantEdgeClassifier(0.2, features, labels)
+        lookup = {tuple(row): lab for row, lab in zip(features, labels)}
+        X = np.array([[3.0, -1.0], [0.0, 2.0], [0.5, 1.0], [-0.0, 2.0]])
+        expected = [0.5 + 0.2 if lookup[tuple(x)] == 1 else 0.5 - 0.2 for x in X]
+        reach, scores = clf.outcomes(X)
+        np.testing.assert_array_equal(reach[:, 0], expected)
+        np.testing.assert_array_equal(reach[:, 1], 1.0 - np.array(expected))
+        np.testing.assert_array_equal(scores, [1.0, -1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            clf.outcomes(np.zeros((2, 3)))
 
 
 class TestNoisyStump:
@@ -268,6 +287,23 @@ class TestNoisyStump:
         clf = builtin_noisy_stump(0.0).train(ds, ds.weights, None)
         assert clf.constant == 1
         assert clf.decision(np.array([1.0])) == 1
+
+    @pytest.mark.parametrize("constant", [None, -1])
+    def test_array_outcomes_match_the_row_rule(self, small_dataset, constant):
+        clf = StumpClassifier(1, 0.1, -1, 0.15, constant)
+        reach, _ = clf.outcomes(small_dataset.features)
+        for x, q in zip(small_dataset.features, reach[:, 0]):
+            decision = constant if constant is not None else (1 if x[1] >= 0.1 else -1) * -1
+            assert q == (1.0 - 0.15 if decision == 1 else 0.15)
+            assert clf.q_plus(x) == q
+
+    def test_sample_batch_draws_plus_below_q(self, small_dataset):
+        clf = StumpClassifier(0, 0.0, 1, 0.3)
+        q = clf.outcomes(small_dataset.features)[0][:, 0]
+        u = RandomStream(1).uniforms("u", np.arange(small_dataset.n_examples), 0)
+        u[:2] = q[:2]  # u == q draws -1
+        drawn = clf.sample_batch(small_dataset.features, u)
+        np.testing.assert_array_equal(drawn, np.where(u < q, 1.0, -1.0))
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights, None)
