@@ -23,7 +23,6 @@ from ._zstats import (
     z_value,
 )
 from .core import Dataset, RandomStream
-from .ptree import node_q
 from .weak_learner import (
     R_MAX_DEFAULT,
     OracleEstimate,
@@ -32,8 +31,10 @@ from .weak_learner import (
     WeakLearner,
     _log_rate,
     _sample_round,
+    _train_step,
     classifier_from_record,
     map_z_estimate,
+    node_q,
 )
 
 __all__ = [
@@ -138,13 +139,6 @@ def _make_stage(
     return stage, next_weights
 
 
-def _train_round(learner: WeakLearner, dataset: Dataset, weights, rng, t: int) -> ProbClassifier:
-    try:
-        return learner.train(dataset, weights, rng)
-    except Exception as exc:
-        raise RuntimeError(f"weak learner failed at round {t}") from exc
-
-
 def train_adaboost(
     dataset: Dataset,
     learner: WeakLearner,
@@ -162,7 +156,7 @@ def train_adaboost(
     weights = dataset.weights.copy()
     stages: list[StageRecord] = []
     for t in range(1, T + 1):
-        classifier = _train_round(learner, dataset, weights, stream.generator("train", 0, t), t)
+        classifier = _train_step(learner, dataset, weights, f"round {t}")
         q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
         stage, weights = _make_stage(classifier, q, weights, dataset.labels)
         stages.append(stage)
@@ -186,7 +180,7 @@ def _train_strategy_B(
     h_t, whichever decreases the bound faster per pass."""
     labels = dataset.labels
     weights = dataset.weights.copy()
-    classifier = _train_round(learner, dataset, weights, stream.generator("train", 0, 1), 1)
+    classifier = _train_step(learner, dataset, weights, "round 1")
     estimate = OracleEstimate.empty(dataset.n_examples)
     estimate.observe(_sample_round(classifier, dataset, stream, "q-est-1", 1))
     z, _ = map_z_estimate(estimate, weights, labels, config.estimator)
@@ -195,8 +189,7 @@ def _train_strategy_B(
     while t < T and looks <= R_MAX_DEFAULT * T:
         looks += 1
         stage, next_weights = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
-        rng = stream.generator("strategy-B-train", 0, t + 1)
-        candidate = _train_round(learner, dataset, next_weights, rng, t + 1)
+        candidate = _train_step(learner, dataset, next_weights, f"round {t + 1}")
         cand_estimate = OracleEstimate.empty(dataset.n_examples)
         cand_estimate.observe(_sample_round(candidate, dataset, stream, f"strategy-B-cand-{t + 1}", 1))
         z_next, _ = map_z_estimate(cand_estimate, next_weights, labels, config.estimator)

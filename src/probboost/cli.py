@@ -62,6 +62,7 @@ def _input_errors(command):
     "name", type=click.Choice(["adaboost-vs-tree-vs-m2", "tree-of-trees", "nesting-levels"])
 )
 @click.option("--out", required=True, type=click.Path(), help="output CSV path")
+@_input_errors
 def cmd_bounds_figure(name: str, out: str) -> None:
     """Emit the data behind one of the analytic bound figures."""
     if name == "adaboost-vs-tree-vs-m2":
@@ -108,6 +109,7 @@ def cmd_bounds_figure(name: str, out: str) -> None:
 @click.option("--rho", type=float, default=0.5, show_default=True)
 @click.option("--t-max", type=int, default=32, show_default=True)
 @click.option("--out", required=True, type=click.Path())
+@_input_errors
 def cmd_rates_report(rho: float, t_max: int, out: str) -> None:
     """Compare the discrete and analytic bound decrease rates along C = F(T, rho)."""
     rows = []

@@ -225,8 +225,8 @@ class RandomStream:
         return float(self.uniforms(purpose, example, counter))
 
     def generator(self, purpose: str, example: int = 0, counter: int = 0) -> np.random.Generator:
-        """A numpy Generator for one (purpose, example, counter); for code
-        that takes an ``rng``, such as ``WeakLearner.train``."""
+        """A numpy Generator for one (purpose, example, counter).  The library
+        draws only with ``uniforms``; this stays for the benchmark's tracer."""
         tag = int.from_bytes(hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big")
         return np.random.default_rng(np.random.SeedSequence([self.seed, tag, int(example), int(counter)]))
 

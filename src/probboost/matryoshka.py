@@ -17,16 +17,17 @@ decrease rate beats the observed one.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
-from .core import Dataset, RandomStream
+from .core import Dataset
 from .ptree import TreeModel, _leaf_weights, attach_node, grow_tree, walk_table
-from .weak_learner import ProbClassifier, WeakLearner, register_classifier_kind
+from .weak_learner import ProbClassifier, TrainConfig, WeakLearner, register_classifier_kind
 
 __all__ = [
     "CompositeNode",
@@ -57,7 +58,9 @@ class CompositeNode(ProbClassifier):
         return walk_table(self.inner, X)
 
     def to_record(self) -> dict[str, Any]:
-        return {"kind": "composite", "inner": self.inner.to_record()}
+        # the inner nodes only: walk tables and bounds read nothing else
+        nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
+        return {"kind": "composite", "inner": {"nodes": nodes}}
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "CompositeNode":
@@ -88,32 +91,36 @@ class CountingLearner(WeakLearner):
         self.base = base
         self.calls = 0
 
-    def train(self, dataset, weights, rng) -> ProbClassifier:
+    def train(self, dataset, weights) -> ProbClassifier:
         self.calls += 1
-        return self.base.train(dataset, weights, rng)
+        return self.base.train(dataset, weights)
+
+
+def _unit_seed(seed: int, k: int) -> int:
+    """The seed of the k-th unit trained under ``seed``: a 63-bit hash of
+    both, so that no two units sample alike."""
+    digest = hashlib.blake2s(f"{seed}\x00unit-{k}".encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") >> 1
 
 
 class _UnitLearner(WeakLearner):
-    """Level-k unit: a two-node tree of level-(k-1) units, collected."""
+    """Level-k unit: a two-node tree of level-(k-1) units, collected.  The
+    k-th unit it builds samples q with the seed ``_unit_seed(seed, k)``."""
 
-    def __init__(self, level: int, base: WeakLearner, config):
+    def __init__(self, level: int, base: WeakLearner, config: TrainConfig):
         self.level = level
         self.base = base
         self.config = config
+        self.units = 0
 
-    def train(self, dataset: Dataset, weights, rng) -> ProbClassifier:
+    def train(self, dataset: Dataset, weights) -> ProbClassifier:
         if self.level == 0:
-            return self.base.train(dataset, weights, rng)
+            return self.base.train(dataset, weights)
+        config = replace(self.config, seed=_unit_seed(self.config.seed, self.units))
+        self.units += 1
         positioned = Dataset(dataset.features, dataset.labels, np.asarray(weights, float))
-        inner_stream = RandomStream(int(rng.integers(0, 2**63)))
-        subtree = grow_tree(
-            positioned,
-            _UnitLearner(self.level - 1, self.base, self.config),
-            max_nodes=2,
-            config=self.config,
-            stream=inner_stream,
-        )
-        return collect_leaves(subtree)
+        unit = _UnitLearner(self.level - 1, self.base, config)
+        return collect_leaves(grow_tree(positioned, unit, max_nodes=2, config=config))
 
 
 def build_fixed_2_matryoshka(
@@ -128,6 +135,7 @@ def build_fixed_2_matryoshka(
     """
     if L < 1:
         raise ValueError("L must be >= 1")
+    config = config or TrainConfig()
     tree = grow_tree(dataset, _UnitLearner(L - 1, learner, config), max_nodes=2, config=config)
     tree.metadata["kind"] = "matryoshka"
     tree.metadata["mode"] = "fixed-2"
@@ -215,7 +223,7 @@ def _subtree_size(tree: TreeModel, p: str) -> int:
 def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
     """Replace the subtree rooted at ``p`` by one composite node."""
     inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
-    composite = collect_leaves(TreeModel(nodes=inner, metadata={"kind": "ptree", "collected_from": p}))
+    composite = collect_leaves(TreeModel(nodes=inner))
     # a composite's edges come from its walk table; nothing is sampled
     attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.labels)
     # attach_node's incremental update assumed plain growth; restate C exactly

@@ -32,7 +32,7 @@ import numpy as np
 from ._zstats import optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, path_last, path_parent, validate_path
 from .weak_learner import PLAIN_SCORES, ProbClassifier, TrainConfig, WeakLearner
-from .weak_learner import classifier_from_record, estimate_q_strategy_A
+from .weak_learner import _train_step, classifier_from_record, node_q
 
 __all__ = [
     "DEAD_BRANCH_THRESHOLD",
@@ -41,7 +41,6 @@ __all__ = [
     "node_alphas",
     "children_weights",
     "walk_table",
-    "node_q",
     "leaf_value",
     "select_growth_leaf",
     "grow_tree",
@@ -360,7 +359,6 @@ def grow_tree(
     max_nodes: int | None = None,
     target_bound: float | None = None,
     config=None,
-    stream: RandomStream | None = None,
     on_grow=None,
 ) -> TreeModel:
     """Greedy bound-reducing growth, one weak classifier per step.
@@ -368,7 +366,8 @@ def grow_tree(
     Stops after ``max_nodes`` growth steps (weak-learner calls) or once
     C(T) <= ``target_bound``.  ``on_grow(tree, leaf)`` is invoked after
     every step and may rewrite the tree (the greedy matryoshka builder
-    collects subtrees there).  Tree nodes sample q with strategy A only.
+    collects subtrees there).  Tree nodes sample q with strategy A only,
+    from the stream seeded by ``config.seed``.
     """
     if max_nodes is None and target_bound is None:
         raise ValueError("either max_nodes or target_bound must be given")
@@ -377,7 +376,7 @@ def grow_tree(
     config = config or TrainConfig()
     if config.strategy == "B":
         raise ValueError("strategy B is for AdaBoost; trees sample q with strategy A")
-    stream = stream or RandomStream(config.seed)
+    stream = RandomStream(config.seed)
     tree = TreeModel(trajectory=[1.0], metadata=_metadata(config, max_nodes, target_bound))
     tree.metadata["dimension"] = dataset.dimension
     step = 0
@@ -389,7 +388,10 @@ def grow_tree(
         except ValueError:
             break
         step += 1
-        grow_at_leaf(tree, leaf, dataset, learner, config, stream, step)
+        weights = _leaf_weights(tree, leaf, dataset)
+        classifier = _train_step(learner, dataset, weights, f"node {leaf!r} (step {step})")
+        q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
+        attach_node(tree, leaf, classifier, q, weights, dataset.labels)
         if on_grow is not None:
             on_grow(tree, leaf)
     return tree
@@ -401,26 +403,6 @@ def _leaf_weights(tree: TreeModel, leaf: str, dataset: Dataset) -> np.ndarray:
     if leaf == "":
         return dataset.weights.copy()
     return tree.nodes[path_parent(leaf)].child_weights(path_last(leaf))
-
-
-def grow_at_leaf(
-    tree: TreeModel,
-    leaf: str,
-    dataset: Dataset,
-    learner: WeakLearner,
-    config,
-    stream: RandomStream,
-    step: int,
-) -> TreeNode:
-    """Train a classifier at ``leaf`` and turn it into an inner node."""
-    weights = _leaf_weights(tree, leaf, dataset)
-    try:
-        classifier = learner.train(dataset, weights, stream.generator("tree-train", 0, step))
-    except Exception as exc:
-        raise RuntimeError(f"weak learner failed at node {leaf!r} (step {step})") from exc
-    q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
-    attach_node(tree, leaf, classifier, q, weights, dataset.labels)
-    return tree.nodes[leaf]
 
 
 def attach_node(
@@ -456,21 +438,6 @@ def attach_node(
     prefix_product = tree.leaf_product(leaf)  # product above the grown leaf
     c_prev = tree.trajectory[-1]
     tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
-
-
-def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray | None:
-    """Per-example q(+) of a new node or boosting stage: exact, or estimated
-    by sampling the stream tagged ``purpose``.  None for a composite, whose
-    outcomes on the training set are its ``leaf_table``."""
-    if classifier.leaf_table is not None:
-        return None
-    if config.exact_q:
-        reach, scores = classifier.outcomes(dataset.features)
-        return reach[:, _side(scores, 1)].sum(axis=1)
-    q, _ = estimate_q_strategy_A(
-        classifier, dataset, weights, stream, purpose=purpose, estimator=config.estimator
-    )
-    return q
 
 
 def _metadata(config, max_nodes, target_bound) -> dict[str, Any]:

@@ -28,6 +28,7 @@ __all__ = [
     "OracleEstimate",
     "map_z_estimate",
     "estimate_q_strategy_A",
+    "node_q",
     "builtin_constant_edge_oracle",
     "builtin_noisy_stump",
     "ConstantEdgeClassifier",
@@ -95,10 +96,21 @@ class ProbClassifier(ABC):
 
 
 class WeakLearner(ABC):
+    """Example weights to a classifier whose draws are random; nothing else."""
+
     @abstractmethod
-    def train(
-        self, dataset: Dataset, weights: np.ndarray, rng: np.random.Generator
-    ) -> ProbClassifier: ...
+    def train(self, dataset: Dataset, weights: np.ndarray) -> ProbClassifier: ...
+
+
+def _train_step(learner: WeakLearner, dataset: Dataset, weights, where: str) -> ProbClassifier:
+    """One weak-learner call.  A ValueError (bad input) passes through; any
+    other failure is the learner's, at ``where`` ("round 2", "node '+' (step 3)")."""
+    try:
+        return learner.train(dataset, weights)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"weak learner failed at {where}") from exc
 
 
 @dataclass
@@ -174,6 +186,18 @@ def estimate_q_strategy_A(
             return prev_q, r
         prev_z, prev_q = z, q
     return prev_q, estimate.rounds
+
+
+def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray | None:
+    """Per-example q(+) of a new node or boosting stage: exact, or estimated
+    by sampling the stream tagged ``purpose``.  None for a composite, whose
+    outcomes on the training set are its ``leaf_table``."""
+    if classifier.leaf_table is not None:
+        return None
+    if config.exact_q:
+        reach, scores = classifier.outcomes(dataset.features)
+        return reach[:, scores >= 0.0].sum(axis=1)
+    return estimate_q_strategy_A(classifier, dataset, weights, stream, purpose, config.estimator)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +280,7 @@ class ConstantEdgeLearner(WeakLearner):
             raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
         self.epsilon = epsilon
 
-    def train(self, dataset: Dataset, weights, rng) -> ConstantEdgeClassifier:
+    def train(self, dataset: Dataset, weights) -> ConstantEdgeClassifier:
         return ConstantEdgeClassifier(self.epsilon, dataset.features, dataset.labels)
 
 
@@ -324,7 +348,7 @@ class NoisyStumpLearner(WeakLearner):
             raise ValueError(f"p_flip must be in [0, 0.5), got {p_flip}")
         self.p_flip = p_flip
 
-    def train(self, dataset: Dataset, weights, rng) -> StumpClassifier:
+    def train(self, dataset: Dataset, weights) -> StumpClassifier:
         weights = np.asarray(weights, dtype=float)
         y = dataset.labels
         best: tuple[float, int, float, int] | None = None  # (err, feature, thr, pol)

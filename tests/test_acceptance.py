@@ -311,7 +311,7 @@ def test_criterion_11_estimation_behavior():
     ds = Dataset.from_arrays(
         [[float(i)] for i in range(6)], [1, 1, 1, -1, -1, -1]
     )
-    clf = builtin_constant_edge_oracle(0.2).train(ds, ds.weights, None)
+    clf = builtin_constant_edge_oracle(0.2).train(ds, ds.weights)
     for seed in range(1000):
         _, rounds = estimate_q_strategy_A(
             clf, ds, ds.weights, RandomStream(seed), purpose="acceptance"

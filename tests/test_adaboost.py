@@ -22,7 +22,9 @@ from probboost.adaboost import (
     z_value,
 )
 from probboost.core import Dataset, RandomStream, make_synthetic_dataset
+from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import save_model
+from probboost.ptree import grow_tree
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
 
@@ -171,9 +173,10 @@ class TestTrainAdaboost:
         for stage in model.stages:
             assert stage.z <= 0.8 + 0.02
 
-    def test_one_generator_per_stage(self, small_dataset, monkeypatch):
-        # a Generator is built only for the rng each weak-learner call takes;
-        # every sampling round and the Monte-Carlo loss draw Philox arrays
+    def test_training_builds_no_generator(self, small_dataset, monkeypatch):
+        # a training step takes only the dataset and the weights, and every
+        # sampling round and the Monte-Carlo loss draw Philox arrays, so no
+        # trainer builds a numpy Generator
         calls = []
         generator = RandomStream.generator
 
@@ -182,10 +185,14 @@ class TestTrainAdaboost:
             return generator(stream, purpose, example, counter)
 
         monkeypatch.setattr(RandomStream, "generator", counted)
-        model = train_adaboost(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=4))
-        assert calls == ["train"] * 3
+        stump = builtin_noisy_stump(0.1)
+        model = train_adaboost(small_dataset, stump, 3, TrainConfig(seed=4))
         mc_misclassification(model, small_dataset, 50, seed=1)
-        assert len(calls) == 3
+        train_adaboost(small_dataset, stump, 3, TrainConfig(seed=4, strategy="B"))
+        grow_tree(small_dataset, stump, max_nodes=4, config=TrainConfig(seed=4))
+        build_fixed_2_matryoshka(small_dataset, stump, 3, TrainConfig(seed=4))
+        build_greedy_matryoshka(small_dataset, stump, 8, config=TrainConfig(seed=4))
+        assert calls == []
 
     def test_w_sums_to_one_per_stage(self, small_dataset):
         model = train_adaboost(
@@ -219,18 +226,18 @@ class TestTrainAdaboost:
 
     def test_learner_failure_reports_round(self, small_dataset):
         class Boom:
-            def train(self, dataset, weights, rng):
+            def train(self, dataset, weights):
                 raise RuntimeError("nope")
 
         class FailsSecond:
             def __init__(self):
                 self.calls = 0
 
-            def train(self, dataset, weights, rng):
+            def train(self, dataset, weights):
                 self.calls += 1
                 if self.calls > 1:
                     raise KeyError("nope")
-                return builtin_constant_edge_oracle(0.3).train(dataset, weights, rng)
+                return builtin_constant_edge_oracle(0.3).train(dataset, weights)
 
         for strategy in ("A", "B"):
             config = TrainConfig(strategy=strategy)

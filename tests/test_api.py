@@ -1,5 +1,6 @@
-"""Every public name resolves, no module imports a name it never uses, and
-every import sits at module level."""
+"""Every public name resolves, no module imports a name it never uses,
+every import sits at module level, and no module builds a numpy Generator
+through ``RandomStream.generator``."""
 
 import ast
 import importlib
@@ -41,3 +42,17 @@ def test_imports_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert nested == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_generator_calls(path):
+    # every draw is a Philox array from RandomStream.uniforms
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "generator"
+    ]
+    assert calls == []

@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from probboost import bounds
+from probboost import bounds, ptree
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import _tree_mc_loss, main
 from probboost.core import RandomStream, make_synthetic_dataset
@@ -296,7 +296,7 @@ class TestInputErrors:
     def files(self, tmp_path):
         data = make_synthetic_dataset(seed=0)
         paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
-                 "edge": tmp_path / "edge.json",
+                 "edge": tmp_path / "edge.json", "out": tmp_path / "r.csv",
                  "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv"}
         save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
         save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
@@ -320,6 +320,8 @@ class TestInputErrors:
             ("eval --model {tree} --trials 0", "trials must be >= 1"),
             # seed 4 makes other examples than the oracle was trained on
             ("eval --model {edge} --seed 4", "only knows its training examples"),
+            ("rates-report --rho 1.5 --out {out}", "rho must be in [0, 1), got 1.5"),
+            ("rates-report --rho 0 --out {out}", "C must be in (0, 1], got 0.0"),
         ],
     )
     def test_one_line_error(self, runner, files, args, message):
@@ -328,6 +330,17 @@ class TestInputErrors:
         assert isinstance(result.exception, SystemExit)  # reported, not raised
         assert result.output.startswith("Error: ") and message in result.output
         assert "Traceback" not in result.output
+
+    def test_nesting_too_deep(self, runner, monkeypatch):
+        # the walk-table cap is reported as bad input, not as the learner's
+        # failure; a low cap keeps the case small
+        monkeypatch.setattr(ptree, "MAX_WALK_ENTRIES", 200)
+        for mode in (["--mode", "fixed2", "--L", "3"], ["--mode", "greedy", "--T", "12"]):
+            result = runner.invoke(main, ["train", "--algo", "matryoshka", *mode, "--oracle",
+                                          "constant-edge", "--epsilon", "0.3", "--exact-q"])
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: walk table exceeds 200 entries; nesting too deep")
+            assert "Traceback" not in result.output
 
     def test_trees_reject_strategy_b(self, runner):
         for algo in (["ptree", "--T", "2"], ["matryoshka", "--L", "2"],

@@ -48,6 +48,22 @@ def _single_split_tree(epsilon=0.2, labels=(1, -1)):
     return tree, ds
 
 
+def _composites(tree):
+    """Every composite in the tree, nested ones included."""
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            yield node.classifier
+            yield from _composites(node.classifier.inner)
+
+
+def _composite_records(record):
+    """Every composite record under a tree record, nested ones included."""
+    for node in record["nodes"].values():
+        if node["classifier"]["kind"] == "composite":
+            yield node["classifier"]
+            yield from _composite_records(node["classifier"]["inner"])
+
+
 def _composite_draws(composite, x, n, seed):
     """n draws of a composite's output on row x, made as ``predict_tree``
     makes them: a walk through a tree whose root is the composite."""
@@ -195,6 +211,29 @@ class TestCompositeNode:
         assert old.to_record() == tree.to_record()
         assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
 
+    def test_record_holds_only_inner_nodes(self, small_dataset):
+        fixed = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1))
+        greedy, _ = build_greedy_matryoshka(
+            small_dataset, builtin_constant_edge_oracle(0.3), 12, config=TrainConfig(exact_q=True)
+        )
+        for tree in (fixed, greedy):
+            records = list(_composite_records(tree.to_record()))
+            assert records
+            for record in records:
+                assert sorted(record) == ["inner", "kind"]
+                assert sorted(record["inner"]) == ["nodes"]
+
+    def test_older_record_with_inner_metadata_loads(self, small_dataset):
+        # files written before composites held only their inner nodes
+        tree = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1))
+        record = tree.to_record()
+        for composite in _composite_records(record):
+            composite["inner"].update(kind="ptree", metadata={"seed": 5, "max_nodes": 2},
+                                      trajectory=[1.0, 0.9, 0.8])
+        old = TreeModel.from_record(record)
+        assert old.to_record() == tree.to_record()
+        assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
+
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("exact", [True, False])
     def test_z_sum_at_most_inner_c(self, small_dataset, levels, exact):
@@ -245,7 +284,6 @@ class TestFixedTwoMatryoshka:
             builtin_constant_edge_oracle(0.3),
             max_nodes=2,
             config=cfg,
-            stream=RandomStream(cfg.seed),
         )
         assert matry.recorded_bound() == pytest.approx(plain.recorded_bound(), abs=1e-12)
         assert sorted(matry.nodes) == sorted(plain.nodes)
@@ -294,6 +332,21 @@ class TestFixedTwoMatryoshka:
         assert exact_tree_bound(loaded, small_dataset) == pytest.approx(
             tree.recorded_bound(), abs=1e-10
         )
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**62])
+    def test_units_sample_with_their_own_seeds(self, small_dataset, tmp_path, seed):
+        # every raw classifier of the constant-edge oracle is the same, so
+        # only the seed of its unit tells the sampled q of two units apart
+        oracle = builtin_constant_edge_oracle(0.3)
+        tree = build_fixed_2_matryoshka(small_dataset, oracle, 3, TrainConfig(seed=seed))
+        units = [c.inner for c in _composites(tree) if not any(_composites(c.inner))]
+        assert len(units) == 4
+        stored = [tuple(node.q_plus) for unit in units for node in unit.nodes.values()]
+        assert len(stored) == 8 and len(set(stored)) == 8
+        save_model(tree, tmp_path / "a.json")
+        save_model(build_fixed_2_matryoshka(small_dataset, oracle, 3, TrainConfig(seed=seed)),
+                   tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(seed=6, exact_q=True)

@@ -132,7 +132,7 @@ class TestNodeAlphas:
 
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.43])
     def test_constant_edge_z_sum_below_rho(self, small_dataset, eps):
-        clf = builtin_constant_edge_oracle(eps).train(small_dataset, small_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(eps).train(small_dataset, small_dataset.weights)
         q = np.array([clf.q_plus(x) for x in small_dataset.features])
         rng = np.random.default_rng(0)
         rho = math.sqrt(1.0 - 4.0 * eps * eps)
@@ -288,6 +288,25 @@ class TestGrowTree:
         with pytest.raises(ValueError, match="strategy B"):
             grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=2,
                       config=TrainConfig(strategy="B"))
+
+    def test_learner_failure_reports_node(self, small_dataset):
+        class FailsAt:
+            def __init__(self, call, exc):
+                self.call, self.exc, self.calls = call, exc, 0
+
+            def train(self, dataset, weights):
+                self.calls += 1
+                if self.calls == self.call:
+                    raise self.exc
+                return builtin_constant_edge_oracle(0.3).train(dataset, weights)
+
+        with pytest.raises(RuntimeError, match=r"node '' \(step 1\)"):
+            grow_tree(small_dataset, FailsAt(1, KeyError("nope")), max_nodes=3)
+        with pytest.raises(RuntimeError, match=r"node '[+-]' \(step 2\)"):
+            grow_tree(small_dataset, FailsAt(2, KeyError("nope")), max_nodes=3)
+        # bad input is the caller's to report, not the learner's failure
+        with pytest.raises(ValueError, match="^nope$"):
+            grow_tree(small_dataset, FailsAt(2, ValueError("nope")), max_nodes=3)
 
     def test_determinism(self, small_dataset):
         cfg = TrainConfig(seed=13)

@@ -8,10 +8,13 @@ import pytest
 from probboost import weak_learner
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.core import Dataset, RandomStream
+from probboost.matryoshka import build_fixed_2_matryoshka
+from probboost.ptree import grow_tree
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     OracleEstimate,
     StumpClassifier,
+    WeakLearner,
     _log_rate,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
@@ -87,7 +90,7 @@ class TestMapBias:
 class TestStrategyA:
     def test_r_max_one_returns_single_round_map(self, tiny_dataset, monkeypatch):
         learner = builtin_constant_edge_oracle(0.3)
-        clf = learner.train(tiny_dataset, tiny_dataset.weights, None)
+        clf = learner.train(tiny_dataset, tiny_dataset.weights)
         stream = RandomStream(0)
         monkeypatch.setattr(weak_learner, "R_MAX_DEFAULT", 1)
         q, rounds = estimate_q_strategy_A(clf, tiny_dataset, tiny_dataset.weights, stream)
@@ -97,7 +100,7 @@ class TestStrategyA:
 
     def test_terminates_and_returns_valid_estimates(self, small_dataset):
         learner = builtin_constant_edge_oracle(0.2)
-        clf = learner.train(small_dataset, small_dataset.weights, None)
+        clf = learner.train(small_dataset, small_dataset.weights)
         q, rounds = estimate_q_strategy_A(
             clf, small_dataset, small_dataset.weights, RandomStream(42)
         )
@@ -107,7 +110,7 @@ class TestStrategyA:
     def test_deterministic_classifier_accuracy(self, tiny_dataset, monkeypatch):
         # noiseless stump: q is exactly 0/1, so the MAP estimate after R
         # rounds sits exactly 1/(R+2) away from the truth
-        clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights)
         monkeypatch.setattr(weak_learner, "R_MAX_DEFAULT", 50)
         q, rounds = estimate_q_strategy_A(clf, tiny_dataset, tiny_dataset.weights, RandomStream(5))
         true_q = np.array([clf.q_plus(x) for x in tiny_dataset.features])
@@ -166,9 +169,9 @@ class TestStrategyB:
             calls = []
 
             class Counting:
-                def train(self, dataset, weights, rng):
+                def train(self, dataset, weights):
                     calls.append(1)
-                    return builtin_constant_edge_oracle(0.3).train(dataset, weights, rng)
+                    return builtin_constant_edge_oracle(0.3).train(dataset, weights)
 
             model = train_adaboost(small_dataset, Counting(), T, TrainConfig(seed=seed, strategy="B"))
             rounds = [_stage_rounds(stage.q_plus) for stage in model.stages]
@@ -190,16 +193,37 @@ class TestStrategyB:
         assert max(rounds) > 1
 
 
+class TestUserLearner:
+    def test_trains_from_dataset_and_weights(self, small_dataset):
+        class Edge(WeakLearner):
+            def __init__(self):
+                self.calls = 0
+
+            def train(self, dataset, weights):
+                self.calls += 1
+                return ConstantEdgeClassifier(0.3, dataset.features, dataset.labels)
+
+        for strategy in ("A", "B"):
+            model = train_adaboost(small_dataset, Edge(), 3, TrainConfig(seed=1, strategy=strategy))
+            assert model.n_stages == 3
+        learner = Edge()
+        assert grow_tree(small_dataset, learner, max_nodes=3, config=TrainConfig(seed=1)).n_nodes == 3
+        assert learner.calls == 3
+        learner = Edge()
+        tree = build_fixed_2_matryoshka(small_dataset, learner, 2, TrainConfig(seed=1))
+        assert tree.n_nodes == 2 and learner.calls == 4
+
+
 class TestConstantEdgeOracle:
     def test_exact_q(self, tiny_dataset):
-        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
         q = np.array([clf.q_plus(x) for x in tiny_dataset.features])
         expected = np.where(tiny_dataset.labels == 1, 0.7, 0.3)
         np.testing.assert_allclose(q, expected)
 
     def test_weighted_error_exact(self, small_dataset):
         eps = 0.17
-        clf = builtin_constant_edge_oracle(eps).train(small_dataset, small_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(eps).train(small_dataset, small_dataset.weights)
         rng = np.random.default_rng(1)
         for _ in range(5):
             w = rng.random(small_dataset.n_examples)
@@ -211,13 +235,13 @@ class TestConstantEdgeOracle:
             assert err == pytest.approx(0.5 - eps, abs=1e-12)
 
     def test_perfect_at_half(self, tiny_dataset):
-        clf = builtin_constant_edge_oracle(0.5).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(0.5).train(tiny_dataset, tiny_dataset.weights)
         for x, y in zip(tiny_dataset.features, tiny_dataset.labels):
             assert clf.q_plus(x) == (1.0 if y == 1 else 0.0)
 
     def test_empirical_rate(self, tiny_dataset):
         eps = 0.124
-        clf = builtin_constant_edge_oracle(eps).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(eps).train(tiny_dataset, tiny_dataset.weights)
         x, y = tiny_dataset.features[2], tiny_dataset.labels[2]
         n = 100_000
         u = RandomStream(3).uniforms("rate", 2, np.arange(n))
@@ -225,14 +249,14 @@ class TestConstantEdgeOracle:
         assert correct == pytest.approx(0.5 + eps, abs=0.01)
 
     def test_unknown_input_rejected(self, tiny_dataset):
-        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
         with pytest.raises(ValueError, match="only knows its training examples"):
             clf.q_plus(np.array([99.0]))
         with pytest.raises(ValueError, match="only knows its training examples"):
             clf.outcomes(np.array([[1.0], [99.0]]))
 
     def test_record_round_trip(self, tiny_dataset):
-        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
         clone = classifier_from_record(clf.to_record())
         assert isinstance(clone, ConstantEdgeClassifier)
         assert clone.q_plus(tiny_dataset.features[0]) == clf.q_plus(tiny_dataset.features[0])
@@ -257,7 +281,7 @@ class TestConstantEdgeOracle:
 
 class TestNoisyStump:
     def test_separable_noiseless(self, tiny_dataset):
-        clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights)
         err = sum(
             w for w, x, y in zip(tiny_dataset.weights, tiny_dataset.features, tiny_dataset.labels)
             if clf.decision(x) != y
@@ -265,7 +289,7 @@ class TestNoisyStump:
         assert err == 0.0
 
     def test_flip_probability_sets_q(self, tiny_dataset):
-        clf = builtin_noisy_stump(0.1).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_noisy_stump(0.1).train(tiny_dataset, tiny_dataset.weights)
         for x, y in zip(tiny_dataset.features, tiny_dataset.labels):
             q_correct = clf.q_plus(x) if y == 1 else 1.0 - clf.q_plus(x)
             assert q_correct == pytest.approx(0.9)
@@ -273,7 +297,7 @@ class TestNoisyStump:
     def test_xor_error(self, xor_dataset):
         # no single axis-aligned threshold beats chance on the XOR corners:
         # every split leaves exactly two of the four points misclassified
-        clf = builtin_noisy_stump(0.0).train(xor_dataset, xor_dataset.weights, None)
+        clf = builtin_noisy_stump(0.0).train(xor_dataset, xor_dataset.weights)
         err = sum(
             w for w, x, y in zip(xor_dataset.weights, xor_dataset.features, xor_dataset.labels)
             if clf.decision(x) != y
@@ -284,7 +308,7 @@ class TestNoisyStump:
         ds = Dataset.from_arrays(
             [[1.0], [1.0], [1.0]], [1, 1, -1], weights=[0.4, 0.4, 0.2]
         )
-        clf = builtin_noisy_stump(0.0).train(ds, ds.weights, None)
+        clf = builtin_noisy_stump(0.0).train(ds, ds.weights)
         assert clf.constant == 1
         assert clf.decision(np.array([1.0])) == 1
 
@@ -306,7 +330,7 @@ class TestNoisyStump:
         np.testing.assert_array_equal(drawn, np.where(u < q, 1.0, -1.0))
 
     def test_record_round_trip(self, tiny_dataset):
-        clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights, None)
+        clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights)
         clone = classifier_from_record(clf.to_record())
         assert isinstance(clone, StumpClassifier)
         assert (clone.feature, clone.threshold, clone.polarity, clone.p_flip) == (
