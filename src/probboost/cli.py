@@ -126,6 +126,8 @@ def cmd_rates_report(rho: float, t_max: int, out: str) -> None:
 def _load_dataset(data: str | None, seed: int) -> Dataset:
     if data is not None:
         return load_csv(data)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0 for a synthetic dataset (no --data), got {seed}")
     return make_synthetic_dataset(seed=seed)
 
 

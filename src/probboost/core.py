@@ -232,13 +232,15 @@ class RandomStream:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: models serialize to JSON documents with stable key order and
-# an explicit version field, so identical runs produce identical bytes.
+# Persistence: models serialize to one-line JSON documents with stable key
+# order and an explicit version field, so identical runs produce identical
+# bytes.  Without indentation ``json`` uses its C encoder; older indented
+# files load the same.
 
 def save_record(record: dict[str, Any], path: str | Path) -> None:
     record = dict(record)
     record["format_version"] = MODEL_FORMAT_VERSION
-    text = json.dumps(record, sort_keys=True, indent=1)
+    text = json.dumps(record, sort_keys=True, separators=(",", ": "))
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

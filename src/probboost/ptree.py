@@ -23,6 +23,7 @@ composites expanded into their inner walks.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -336,21 +337,32 @@ def leaf_value(tree: TreeModel, leaf: str) -> float:
     return value
 
 
+def _growth_key(leaf: str, product: float) -> tuple[float, int, str]:
+    """Growth order: the largest Z product first, ties to the first leaf in
+    breadth-first order (shorter paths first; '+' sorts before '-')."""
+    return (-product, len(leaf), leaf)
+
+
+def _frontier(tree: TreeModel) -> list[tuple[float, int, str]]:
+    """Heap of the live leaves by ``_growth_key``, from one pass over the
+    tree.  A leaf is dead when its last edge's Z is below
+    ``DEAD_BRANCH_THRESHOLD``."""
+    frontier = [
+        _growth_key(leaf, product)
+        for leaf, product in tree.leaf_products().items()
+        if not leaf or tree.nodes[leaf[:-1]].z(1 if leaf[-1] == "+" else -1) >= DEAD_BRANCH_THRESHOLD
+    ]
+    heapq.heapify(frontier)
+    return frontier
+
+
 def select_growth_leaf(tree: TreeModel) -> str:
     """Live leaf with the largest Z product; ties go to the first leaf in
-    breadth-first order.  A leaf is dead when its last edge's Z is below
-    ``DEAD_BRANCH_THRESHOLD``."""
-    best, best_product = None, 0.0
-    for leaf, product in tree.leaf_products().items():
-        if leaf:
-            parent = tree.nodes[leaf[:-1]]
-            if (parent.z_plus if leaf[-1] == "+" else parent.z_minus) < DEAD_BRANCH_THRESHOLD:
-                continue
-        if best is None or product > best_product:
-            best, best_product = leaf, product
-    if best is None:
+    breadth-first order."""
+    frontier = _frontier(tree)
+    if not frontier:
         raise ValueError("all leaves are dead; growth cannot continue")
-    return best
+    return frontier[0][2]
 
 
 def grow_tree(
@@ -363,11 +375,14 @@ def grow_tree(
 ) -> TreeModel:
     """Greedy bound-reducing growth, one weak classifier per step.
 
-    Stops after ``max_nodes`` growth steps (weak-learner calls) or once
-    C(T) <= ``target_bound``.  ``on_grow(tree, leaf)`` is invoked after
-    every step and may rewrite the tree (the greedy matryoshka builder
-    collects subtrees there).  Tree nodes sample q with strategy A only,
-    from the stream seeded by ``config.seed``.
+    Stops after ``max_nodes`` growth steps (weak-learner calls), once
+    C(T) <= ``target_bound``, or when every leaf is dead.  The leaf grown
+    at each step is the one ``select_growth_leaf`` picks, taken from a heap
+    of the live leaves that each step extends by the grown leaf's two
+    children.  ``on_grow(tree, leaf)`` is invoked after every step and may
+    rewrite the tree (the greedy matryoshka builder collects subtrees
+    there); the heap is rebuilt after it.  Tree nodes sample q with
+    strategy A only, from the stream seeded by ``config.seed``.
     """
     if max_nodes is None and target_bound is None:
         raise ValueError("either max_nodes or target_bound must be given")
@@ -379,21 +394,24 @@ def grow_tree(
     stream = RandomStream(config.seed)
     tree = TreeModel(trajectory=[1.0], metadata=_metadata(config, max_nodes, target_bound))
     tree.metadata["dimension"] = dataset.dimension
+    frontier = [_growth_key("", 1.0)]
     step = 0
-    while max_nodes is None or step < max_nodes:
+    while frontier and (max_nodes is None or step < max_nodes):
         if target_bound is not None and tree.recorded_bound() <= target_bound:
             break
-        try:
-            leaf = select_growth_leaf(tree)
-        except ValueError:
-            break
+        negated_product, _, leaf = heapq.heappop(frontier)
         step += 1
         weights = _leaf_weights(tree, leaf, dataset)
         classifier = _train_step(learner, dataset, weights, f"node {leaf!r} (step {step})")
         q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
         attach_node(tree, leaf, classifier, q, weights, dataset.labels)
+        node = tree.nodes[leaf]
+        for child, z in ((leaf + "+", node.z_plus), (leaf + "-", node.z_minus)):
+            if z >= DEAD_BRANCH_THRESHOLD:  # the same product as leaf_product(child)
+                heapq.heappush(frontier, _growth_key(child, -negated_product * z))
         if on_grow is not None:
             on_grow(tree, leaf)
+            frontier = _frontier(tree)
     return tree
 
 

@@ -322,6 +322,9 @@ class TestInputErrors:
             ("eval --model {edge} --seed 4", "only knows its training examples"),
             ("rates-report --rho 1.5 --out {out}", "rho must be in [0, 1), got 1.5"),
             ("rates-report --rho 0 --out {out}", "C must be in (0, 1], got 0.0"),
+            # a synthetic dataset needs a seed >= 0; training seeds may be negative
+            ("train --algo matryoshka --L 2 --seed -1", "--seed must be >= 0 for a synthetic dataset"),
+            ("eval --model {tree} --seed -3", "--seed must be >= 0 for a synthetic dataset"),
         ],
     )
     def test_one_line_error(self, runner, files, args, message):

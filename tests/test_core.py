@@ -1,12 +1,16 @@
 """Dataset handling, path indices, random streams, persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probboost.adaboost import TrainConfig, train_adaboost
+from probboost.cli import main
 from probboost.core import (
     Dataset,
     RandomStream,
@@ -20,6 +24,10 @@ from probboost.core import (
     validate_path,
 )
 from probboost.core import _philox4x32
+from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
+from probboost.persist import save_model
+from probboost.ptree import grow_tree
+from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
 
 class TestNormalizeWeights:
@@ -233,6 +241,38 @@ class TestRecords:
         save_record(record, p1)
         save_record(record, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_one_line_sorted(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_record({"kind": "demo", "b": {"y": 2, "x": [1.5, -0.125]}, "a": None}, path)
+        assert path.read_text(encoding="utf-8") == (
+            '{"a": null,"b": {"x": [1.5,-0.125],"y": 2},"format_version": 1,"kind": "demo"}\n'
+        )
+
+    def test_indented_models_evaluate_alike(self, tmp_path):
+        # files written before models became one line are indented
+        data = make_synthetic_dataset(seed=0)
+        edge = builtin_constant_edge_oracle(0.3)
+        exact = TrainConfig(exact_q=True)
+        models = {
+            "adaboost": train_adaboost(data, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1)),
+            "ptree": grow_tree(data, edge, max_nodes=8, config=exact),
+            "fixed-2": build_fixed_2_matryoshka(data, builtin_noisy_stump(0.1), 3, exact),
+            "greedy": build_greedy_matryoshka(data, edge, 10, config=exact)[0],
+        }
+        runner = CliRunner()
+        for kind, model in models.items():
+            line, indented = tmp_path / f"{kind}.json", tmp_path / f"{kind}-indented.json"
+            save_model(model, line)
+            record = json.loads(line.read_text(encoding="utf-8"))
+            indented.write_text(json.dumps(record, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+            assert load_record(indented) == load_record(line)
+            outputs = [
+                runner.invoke(main, ["eval", "--model", str(path), "--trials", "50"])
+                for path in (line, indented)
+            ]
+            assert all(result.exit_code == 0 for result in outputs), kind
+            assert outputs[0].output == outputs[1].output, kind
 
     def test_version_checked(self, tmp_path):
         p = tmp_path / "m.json"

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from probboost import ptree
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import Dataset, RandomStream
+from probboost.matryoshka import build_greedy_matryoshka
 from probboost.ptree import (
+    DEAD_BRANCH_THRESHOLD,
     TreeModel,
     TreeNode,
     attach_node,
@@ -313,6 +316,71 @@ class TestGrowTree:
         a = grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=5, config=cfg)
         b = grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=5, config=cfg)
         assert a.to_record() == b.to_record()
+
+
+class TestGrowthFrontier:
+    """grow_tree keeps a heap of live leaves instead of walking the tree at
+    every step; at every step it must grow the leaf a full walk picks."""
+
+    @staticmethod
+    def _picks(monkeypatch):
+        """(grown leaf, leaf select_growth_leaf picks) for every growth step."""
+        picks, ties = [], []
+        attach = ptree.attach_node
+
+        def checked(tree, leaf, *args):
+            products = sorted(tree.leaf_products().values())
+            ties.append(len(products) > 1 and products[-1] == products[-2])
+            picks.append((leaf, select_growth_leaf(tree)))
+            return attach(tree, leaf, *args)
+
+        monkeypatch.setattr(ptree, "attach_node", checked)
+        return picks, ties
+
+    def test_exact_ties(self, small_dataset, monkeypatch):
+        picks, ties = self._picks(monkeypatch)
+        grow_tree(small_dataset, builtin_constant_edge_oracle(0.3), max_nodes=64,
+                  config=TrainConfig(exact_q=True))
+        assert len(picks) == 64 and sum(ties) > 10  # constant-edge Z products tie exactly
+        assert all(grown == picked for grown, picked in picks)
+
+    def test_dead_leaves(self, tiny_dataset, monkeypatch):
+        picks, _ = self._picks(monkeypatch)
+        tree = grow_tree(tiny_dataset, builtin_noisy_stump(0.0), max_nodes=16,
+                         config=TrainConfig(exact_q=True))
+        dead = [z for node in tree.nodes.values() for z in (node.z_plus, node.z_minus)
+                if z < DEAD_BRANCH_THRESHOLD]
+        assert len(picks) == 16 and dead
+        assert all(grown == picked for grown, picked in picks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_q(self, small_dataset, monkeypatch, seed):
+        picks, _ = self._picks(monkeypatch)
+        grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=24,
+                  config=TrainConfig(seed=seed))
+        assert len(picks) == 24
+        assert all(grown == picked for grown, picked in picks)
+
+    def test_greedy_collects(self, small_dataset, monkeypatch):
+        picks, _ = self._picks(monkeypatch)
+        _, log = build_greedy_matryoshka(small_dataset, builtin_constant_edge_oracle(0.3), 16,
+                                         config=TrainConfig(exact_q=True))
+        assert sum(entry.action == "collect" for entry in log) >= 3
+        assert len(picks) == 16
+        assert all(grown == picked for grown, picked in picks)
+
+    def test_plain_growth_walks_no_tree(self, small_dataset, monkeypatch):
+        calls = []
+        leaf_products = TreeModel.leaf_products
+
+        def counted(tree, root=""):
+            calls.append(root)
+            return leaf_products(tree, root)
+
+        monkeypatch.setattr(TreeModel, "leaf_products", counted)
+        grow_tree(small_dataset, builtin_constant_edge_oracle(0.3), max_nodes=64,
+                  config=TrainConfig(exact_q=True))
+        assert calls == []
 
 
 class TestExactTreeBound:
