@@ -18,9 +18,6 @@ class WStats(NamedTuple):
     mp: float
     mm: float
 
-    def total(self) -> float:
-        return self.pp + self.pm + self.mp + self.mm
-
 
 def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray) -> WStats:
     weights = np.asarray(weights, dtype=float)

@@ -160,7 +160,7 @@ def train_adaboost(
         q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
         stage, weights = _make_stage(classifier, q, weights, dataset.labels)
         stages.append(stage)
-    return AdaboostModel(stages, metadata=_metadata(config, T))
+    return AdaboostModel(stages, metadata=_metadata(config, T, dataset))
 
 
 # Strategy B's option costs in passes over the training set (see the
@@ -207,12 +207,13 @@ def _train_strategy_B(
             estimate, z = refreshed, z_prime
     stage, _ = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
     stages.append(stage)
-    return AdaboostModel(stages, metadata=_metadata(config, T))
+    return AdaboostModel(stages, metadata=_metadata(config, T, dataset))
 
 
-def _metadata(config: TrainConfig, T: int) -> dict[str, Any]:
+def _metadata(config: TrainConfig, T: int, dataset: Dataset) -> dict[str, Any]:
     return {
         "T": T,
+        "dimension": dataset.dimension,
         "seed": config.seed,
         "exact_q": config.exact_q,
         "estimator": config.estimator,

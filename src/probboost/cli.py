@@ -239,16 +239,16 @@ def cmd_eval(model_path, data, trials, seed) -> None:
     """Evaluate a stored model: Monte-Carlo loss, exact bound, recorded bound."""
     model = load_model(model_path)
     dataset = _load_dataset(data, seed)
+    expected_dim = model.metadata.get("dimension")  # older AdaBoost files lack it
+    if expected_dim is not None and expected_dim != dataset.dimension:
+        raise click.ClickException(
+            f"dataset dimension {dataset.dimension} does not match model ({expected_dim})"
+        )
     # the exact bounds come first: they refuse data of another size
     if isinstance(model, AdaboostModel):
         exact = exact_expected_bound(model, dataset)
         loss, se = mc_misclassification(model, dataset, trials, seed=seed)
     else:
-        expected_dim = model.metadata.get("dimension")
-        if expected_dim is not None and expected_dim != dataset.dimension:
-            raise click.ClickException(
-                f"dataset dimension {dataset.dimension} does not match model ({expected_dim})"
-            )
         exact = exact_tree_bound(model, dataset)
         loss, se = _tree_mc_loss(model, dataset, trials, seed)
     recorded = model.recorded_bound()

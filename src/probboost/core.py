@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -15,8 +16,6 @@ __all__ = [
     "Dataset",
     "normalize_weights",
     "load_csv",
-    "path_parent",
-    "path_last",
     "validate_path",
     "RandomStream",
     "save_record",
@@ -34,6 +33,8 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise ValueError("weights must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("weights must be finite")
     if np.any(raw < 0.0):
         raise ValueError("weights must be nonnegative")
     top = raw.max()
@@ -67,13 +68,15 @@ class Dataset:
         weights = np.asarray(self.weights, dtype=float)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError("features must be a non-empty (N, d) array")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features must be finite")
         n = features.shape[0]
         if labels.shape != (n,) or weights.shape != (n,):
             raise ValueError("labels/weights must match the number of examples")
         if not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be -1 or +1")
-        if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not np.all(weights >= 0.0) or abs(weights.sum() - 1.0) > 1e-12:  # nan fails >= 0, inf the sum
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
@@ -128,6 +131,8 @@ def load_csv(path: str | Path) -> Dataset:
                 values = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}: row {row_no}: non-numeric value") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {row_no}: non-finite value")
             label = values[dim]
             if label not in (-1.0, 1.0):
                 raise ValueError(f"{path}: row {row_no}: label must be -1 or +1, got {label}")
@@ -148,22 +153,6 @@ def validate_path(s: str) -> str:
     if any(c not in _SIGNS for c in s):
         raise ValueError(f"path index must consist of '+'/'-', got {s!r}")
     return s
-
-
-def path_parent(s: str) -> str:
-    """Drop the final sign; error on the root."""
-    validate_path(s)
-    if not s:
-        raise ValueError("the root path has no parent")
-    return s[:-1]
-
-
-def path_last(s: str) -> int:
-    """Final sign of a non-root path, as +1/-1."""
-    validate_path(s)
-    if not s:
-        raise ValueError("the root path has no last edge")
-    return 1 if s[-1] == "+" else -1
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -221,9 +210,6 @@ class RandomStream:
         )
         return ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
 
-    def uniform(self, purpose: str, example: int, counter: int) -> float:
-        return float(self.uniforms(purpose, example, counter))
-
     def generator(self, purpose: str, example: int = 0, counter: int = 0) -> np.random.Generator:
         """A numpy Generator for one (purpose, example, counter).  The library
         draws only with ``uniforms``; this stays for the benchmark's tracer."""
@@ -246,6 +232,8 @@ def save_record(record: dict[str, Any], path: str | Path) -> None:
 
 def load_record(path: str | Path) -> dict[str, Any]:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: a model file holds one JSON object")
     version = record.pop("format_version", None)
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version}")

@@ -174,22 +174,22 @@ def build_greedy_matryoshka(
     def collect_if_faster(tree: TreeModel, leaf: str) -> None:
         nonlocal step
         step += 1
-        for prefix_len in range(len(leaf) + 1):
-            p = leaf[:prefix_len]
-            history.setdefault(p, []).append(tree.leaf_sum(p))
         log.append(
             _BuildLogEntry(step, leaf, "grow", tree.recorded_bound(), tree.n_nodes,
                            math.nan, math.nan)
         )
-        # scan enclosing subtrees starting from the top
+        # scan enclosing subtrees starting from the top; a collect drops the
+        # history below it, so deeper subtrees need no C this step
         for prefix_len in range(len(leaf) + 1):
             p = leaf[:prefix_len]
-            t_sub = _subtree_size(tree, p)
-            if t_sub < 2 or len(history.get(p, [])) < 2:
-                continue
-            c_values = history[p]
-            c_now = c_values[-1]
-            if not 0.0 < c_now <= 1.0:
+            products = tree.leaf_products(p)
+            t_sub = len(products) - 1  # a binary tree has one node fewer than leaves
+            c_now = 0.0
+            for product in products.values():  # summed as ``leaf_sum`` sums
+                c_now += product
+            c_values = history.setdefault(p, [])
+            c_values.append(c_now)
+            if t_sub < 2 or len(c_values) < 2 or not 0.0 < c_now <= 1.0:
                 continue
             if len(c_values) >= 3:
                 simple = rate_simple(c_values[-3], c_values[-1])
@@ -214,10 +214,6 @@ def build_greedy_matryoshka(
     tree.metadata["kind"] = "matryoshka"
     tree.metadata["mode"] = "greedy"
     return tree, log
-
-
-def _subtree_size(tree: TreeModel, p: str) -> int:
-    return sum(1 for path in tree.nodes if path.startswith(p))
 
 
 def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:

@@ -18,8 +18,9 @@ def save_model(model, path: str | Path) -> None:
 def load_model(path: str | Path):
     record = load_record(path)
     kind = record.get("kind")
-    if kind == "adaboost":
-        return AdaboostModel.from_record(record)
-    if kind in ("ptree", "matryoshka"):
-        return TreeModel.from_record(record)
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in ("adaboost", "ptree", "matryoshka"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    try:
+        return (AdaboostModel if kind == "adaboost" else TreeModel).from_record(record)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed {kind} record ({type(exc).__name__}: {exc})") from None

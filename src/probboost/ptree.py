@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import optimal_alphas, w_statistics
-from .core import Dataset, RandomStream, path_last, path_parent, validate_path
+from .core import Dataset, RandomStream, validate_path
 from .weak_learner import PLAIN_SCORES, ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import _train_step, classifier_from_record, node_q
 
@@ -39,10 +39,8 @@ __all__ = [
     "DEAD_BRANCH_THRESHOLD",
     "TreeNode",
     "TreeModel",
-    "node_alphas",
     "children_weights",
     "walk_table",
-    "leaf_value",
     "select_growth_leaf",
     "grow_tree",
     "exact_tree_bound",
@@ -54,14 +52,6 @@ SCALE_SEARCH_STEPS = 100
 # Walks multiply at every nesting level (about K -> K^2 / 2 per fixed-2
 # level), so walk tables are capped in (rows x walks) entries.
 MAX_WALK_ENTRIES = 2**22
-
-
-def node_alphas(
-    weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray
-) -> tuple[float, float]:
-    """Children alphas (alpha_{s+}, alpha_{s-}) from the node's weights."""
-    w = w_statistics(weights, q_plus, labels)
-    return optimal_alphas(w)
 
 
 def children_weights(
@@ -86,6 +76,11 @@ def children_weights(
     d_plus = mass_plus / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights)
     d_minus = mass_minus / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights)
     return d_plus, z_plus, d_minus, z_minus
+
+
+def _sign(edge: str) -> int:
+    """The sign of an edge of a path: +1 for '+', -1 for '-'."""
+    return 1 if edge == "+" else -1
 
 
 def _side(scores: np.ndarray, sign: int) -> np.ndarray:
@@ -228,16 +223,11 @@ class TreeModel:
                 queue.append((path + "-", product * node.z_minus))
         return products
 
-    def leaves(self) -> list[str]:
-        return list(self.leaf_products())
-
     def leaf_product(self, leaf: str) -> float:
-        """Product of Z_s over the prefixes of the leaf."""
+        """Product of Z_s over the edges of the path to the leaf."""
         product = 1.0
-        for depth in range(1, len(leaf) + 1):
-            prefix = leaf[:depth]
-            parent = self.nodes[prefix[:-1]]
-            product *= parent.z(path_last(prefix))
+        for depth, edge in enumerate(leaf):
+            product *= self.nodes[leaf[:depth]].z(_sign(edge))
         return product
 
     def leaf_sum(self, root: str = "") -> float:
@@ -313,30 +303,6 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
     return np.hstack(walks_reach), np.concatenate(walks_score)
 
 
-def leaf_value(tree: TreeModel, leaf: str) -> float:
-    """Signed alpha sum H_l along the path from the root to the leaf.
-
-    Only plain trees have one H per leaf; a composite's edge adds
-    alpha * H_inner, which depends on the inner walk (see ``walk_table``).
-    """
-    validate_path(leaf)
-    if any(node.classifier.leaf_table is not None for node in tree.nodes.values()):
-        raise ValueError("leaf values are undefined in a tree with composite nodes")
-    if leaf != "" and leaf not in tree.nodes:
-        parent = path_parent(leaf)
-        if parent not in tree.nodes:
-            raise ValueError(f"unknown path {leaf!r}")
-    value = 0.0
-    for depth in range(1, len(leaf) + 1):
-        prefix = leaf[:depth]
-        parent_node = tree.nodes.get(prefix[:-1])
-        if parent_node is None:
-            raise ValueError(f"unknown path {leaf!r}")
-        sign = path_last(prefix)
-        value += sign * parent_node.alpha(sign)
-    return value
-
-
 def _growth_key(leaf: str, product: float) -> tuple[float, int, str]:
     """Growth order: the largest Z product first, ties to the first leaf in
     breadth-first order (shorter paths first; '+' sorts before '-')."""
@@ -350,7 +316,7 @@ def _frontier(tree: TreeModel) -> list[tuple[float, int, str]]:
     frontier = [
         _growth_key(leaf, product)
         for leaf, product in tree.leaf_products().items()
-        if not leaf or tree.nodes[leaf[:-1]].z(1 if leaf[-1] == "+" else -1) >= DEAD_BRANCH_THRESHOLD
+        if not leaf or tree.nodes[leaf[:-1]].z(_sign(leaf[-1])) >= DEAD_BRANCH_THRESHOLD
     ]
     heapq.heapify(frontier)
     return frontier
@@ -420,7 +386,7 @@ def _leaf_weights(tree: TreeModel, leaf: str, dataset: Dataset) -> np.ndarray:
     parent's weights for that edge."""
     if leaf == "":
         return dataset.weights.copy()
-    return tree.nodes[path_parent(leaf)].child_weights(path_last(leaf))
+    return tree.nodes[leaf[:-1]].child_weights(_sign(leaf[-1]))
 
 
 def attach_node(
@@ -437,7 +403,7 @@ def attach_node(
         raise ValueError(f"{leaf!r} is already an inner node")
     if classifier.leaf_table is None:
         q = np.asarray(q, dtype=float)
-        a_plus, a_minus = node_alphas(weights, q, labels)
+        a_plus, a_minus = optimal_alphas(w_statistics(weights, q, labels))
         d_plus, z_plus, d_minus, z_minus = children_weights(weights, q, labels, a_plus, a_minus)
     else:
         a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _scored_children(

@@ -312,9 +312,6 @@ class StumpClassifier(ProbClassifier):
             return np.full(len(X), self.constant)
         return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
-    def decision(self, x: np.ndarray) -> int:
-        return int(self.decisions(np.asarray(x, dtype=float)[None])[0])
-
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip)
         return np.column_stack([q, 1.0 - q]), PLAIN_SCORES

@@ -47,7 +47,7 @@ class TestWStatistics:
         assert w.mp == pytest.approx(0.20)
         assert w.pm == pytest.approx(0.075)
         assert w.mm == pytest.approx(0.175)
-        assert w.total() == pytest.approx(1.0, abs=1e-12)
+        assert sum(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_q_domain(self):
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestTrainAdaboost:
         weights = small_dataset.weights
         for stage in model.stages:
             w = w_statistics(weights, stage.q_plus, small_dataset.labels)
-            assert w.total() == pytest.approx(1.0, abs=1e-10)
+            assert sum(w) == pytest.approx(1.0, abs=1e-10)
             weights, _ = update_weights(
                 weights, stage.q_plus, small_dataset.labels, stage.alpha_plus, stage.alpha_minus
             )

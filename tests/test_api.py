@@ -1,14 +1,18 @@
 """Every public name resolves, no module imports a name it never uses,
-every import sits at module level, and no module builds a numpy Generator
-through ``RandomStream.generator``."""
+every import sits at module level, no module builds a numpy Generator
+through ``RandomStream.generator``, and the benchmark finds every library
+name it imports or wraps."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "probboost").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "probboost").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
@@ -56,3 +60,17 @@ def test_no_generator_calls(path):
         and node.func.attr == "generator"
     ]
     assert calls == []
+
+
+def test_benchmark_finds_the_names_it_uses():
+    # a fresh interpreter, because installing the tracer rewraps the library
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:3]\n"
+        "import checks, selfcheck, sweep, tracing, workloads\n"
+        "tracing.install(tracing.Tracer())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,6 +1,7 @@
 """Command-line surface: figure CSVs, training, evaluation."""
 
 import csv
+import json
 import math
 
 import pytest
@@ -263,6 +264,19 @@ class TestEval:
         assert r.exit_code != 0
         assert "dimension" in r.output
 
+    def test_adaboost_dimension_mismatch(self, runner, tmp_path):
+        # 40 rows, as many as the model's training set, so only the
+        # dimension tells the data apart
+        model = tmp_path / "a.json"
+        data = tmp_path / "d.csv"
+        rows = [f"{n},{-n},{n % 3},{1 if n % 2 else -1}" for n in range(40)]
+        data.write_text("\n".join(["f0,f1,f2,label", *rows]) + "\n")
+        save_model(train_adaboost(make_synthetic_dataset(seed=0), builtin_noisy_stump(0.1), 2), model)
+        assert json.loads(model.read_text())["metadata"]["dimension"] == 2
+        r = runner.invoke(main, ["eval", "--model", str(model), "--data", str(data)])
+        assert r.exit_code == 1
+        assert r.output == "Error: dataset dimension 3 does not match model (2)\n"
+
 
 class TestTreeMcLoss:
     def test_composite_beyond_walk_table_cap(self):
@@ -297,12 +311,14 @@ class TestInputErrors:
         data = make_synthetic_dataset(seed=0)
         paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
                  "edge": tmp_path / "edge.json", "out": tmp_path / "r.csv",
-                 "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv"}
+                 "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv",
+                 "nan": tmp_path / "nan.csv"}
         save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
         save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
         save_model(grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=2), paths["edge"])
         paths["short"].write_text("f0,f1,label\n0.5,0.5,1\n-0.5,-0.5,-1\n-1.0,0.0,-1\n")
         paths["bad"].write_text("f0,f1,label\n0.5,0.5\n")
+        paths["nan"].write_text("f0,f1,label,weight\n0.5,0.5,1,1\n-0.5,-0.5,-1,nan\n")
         return paths
 
     @pytest.mark.parametrize(
@@ -312,6 +328,7 @@ class TestInputErrors:
             ("eval --model {ada} --data {short}", "dataset size does not match"),
             ("train --algo ptree --T 2 --data {bad}", "expected 3 fields"),
             ("eval --model {tree} --data {bad}", "expected 3 fields"),
+            ("train --algo ptree --T 2 --data {nan}", "row 3: non-finite value"),
             ("train --algo adaboost --T 0", "T must be >= 1"),
             ("train --algo ptree --T 0", "max_nodes must be >= 1"),
             ("train --algo matryoshka --L 0", "L must be >= 1"),
@@ -331,6 +348,32 @@ class TestInputErrors:
         result = runner.invoke(main, args.format(**files).split())
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # reported, not raised
+        assert result.output.startswith("Error: ") and message in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "model, key_path, message",
+        [
+            ("tree", ["nodes"], "malformed ptree record (KeyError: 'nodes')"),
+            ("ada", ["stages", 0, "classifier", "feature"],
+             "malformed adaboost record (KeyError: 'feature')"),
+            ("tree", ["nodes", "", "z_minus"], "malformed ptree record (KeyError: 'z_minus')"),
+            ("tree", None, "a model file holds one JSON object"),
+        ],
+        ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list"],
+    )
+    def test_malformed_model_file(self, runner, files, model, key_path, message):
+        record = json.loads(files[model].read_text())
+        if key_path is None:
+            record = [record]  # a JSON list instead of an object
+        else:
+            parent = record
+            for key in key_path[:-1]:
+                parent = parent[key]
+            del parent[key_path[-1]]
+        files[model].write_text(json.dumps(record))
+        result = runner.invoke(main, ["eval", "--model", str(files[model])])
+        assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
         assert "Traceback" not in result.output
 

@@ -18,8 +18,6 @@ from probboost.core import (
     load_record,
     make_synthetic_dataset,
     normalize_weights,
-    path_last,
-    path_parent,
     save_record,
     validate_path,
 )
@@ -58,6 +56,11 @@ class TestNormalizeWeights:
         with pytest.raises(ValueError):
             normalize_weights(np.array([]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            normalize_weights(np.array([1.0, bad, 2.0]))
+
 
 class TestDataset:
     def test_uniform_default_weights(self):
@@ -73,6 +76,19 @@ class TestDataset:
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="features must be finite"):
+            Dataset.from_arrays([[0.0, 1.0], [bad, 2.0]], [1, -1])
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.inf, 0.0], [0.5, math.nan]])
+    def test_non_finite_weights_rejected(self, weights):
+        # a nan sum passes the sum-to-1 test, so nan must be caught on its own
+        with pytest.raises(ValueError, match="finite"):
+            Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array(weights))
+        with pytest.raises(ValueError, match="finite"):
+            Dataset.from_arrays(np.zeros((2, 1)), [1, -1], weights)
 
     def test_synthetic_is_valid(self):
         ds = make_synthetic_dataset(n=11, dim=3, seed=4)
@@ -113,6 +129,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 3"):
             load_csv(p)
 
+    @pytest.mark.parametrize("rows", ["0.5,1,1\n0.7,-1,nan\n", "inf,1,1\n0.7,-1,1\n"])
+    def test_non_finite_value_names_row(self, tmp_path, rows):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,label,weight\n" + rows)
+        with pytest.raises(ValueError, match="row [23]: non-finite value"):
+            load_csv(p)
+
     def test_wrong_field_count(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("f0,f1,label\n0.5,1\n")
@@ -133,22 +156,6 @@ class TestLoadCsv:
 
 
 class TestPaths:
-    def test_parent_and_last(self):
-        assert path_parent("++-") == "++"
-        assert path_last("++-") == -1
-        assert path_parent("+") == ""
-        assert path_last("+") == 1
-
-    def test_recompose(self):
-        for s in ("+", "-", "+-", "--+", "++-+"):
-            assert path_parent(s) + ("+" if path_last(s) == 1 else "-") == s
-
-    def test_root_errors(self):
-        with pytest.raises(ValueError):
-            path_parent("")
-        with pytest.raises(ValueError):
-            path_last("")
-
     def test_validate(self):
         assert validate_path("") == ""
         with pytest.raises(ValueError):
@@ -164,18 +171,18 @@ class TestRandomStream:
     def test_streams_differ(self):
         s = RandomStream(7)
         draws = {
-            s.uniform("p", 0, 0),
-            s.uniform("p", 1, 0),
-            s.uniform("p", 0, 1),
-            s.uniform("q", 0, 0),
-            RandomStream(8).uniform("p", 0, 0),
+            float(s.uniforms("p", 0, 0)),
+            float(s.uniforms("p", 1, 0)),
+            float(s.uniforms("p", 0, 1)),
+            float(s.uniforms("q", 0, 0)),
+            float(RandomStream(8).uniforms("p", 0, 0)),
         }
         assert len(draws) == 5
 
     def test_order_independent(self):
         s = RandomStream(3)
-        forward = [s.uniform("t", n, 0) for n in range(4)]
-        backward = [RandomStream(3).uniform("t", n, 0) for n in reversed(range(4))]
+        forward = [float(s.uniforms("t", n, 0)) for n in range(4)]
+        backward = [float(RandomStream(3).uniforms("t", n, 0)) for n in reversed(range(4))]
         assert forward == list(reversed(backward))
 
     @pytest.mark.parametrize(
@@ -201,14 +208,14 @@ class TestRandomStream:
         assert grid.shape == (2, 3)
         for i in (1, 0):  # any order
             for j in (2, 0, 1):
-                assert grid[i, j] == s.uniform("p", int(examples[i, j]), int(counters[i, j]))
+                assert grid[i, j] == s.uniforms("p", int(examples[i, j]), int(counters[i, j]))
         # any layout: transposed, broadcast and scalar arguments
         np.testing.assert_array_equal(s.uniforms("p", examples.T, counters.T), grid.T)
         row = s.uniforms("p", np.arange(4)[:, None], np.arange(3)[None, :])
         assert row.shape == (4, 3)
-        assert row[2, 1] == s.uniform("p", 2, 1)
+        assert row[2, 1] == s.uniforms("p", 2, 1)
         np.testing.assert_array_equal(s.uniforms("p", 3, np.arange(3)), row[3])
-        assert RandomStream(-5).uniform("p", 0, 0) != RandomStream(5).uniform("p", 0, 0)
+        assert RandomStream(-5).uniforms("p", 0, 0) != RandomStream(5).uniforms("p", 0, 0)
 
     def test_unit_interval_on_a_grid(self):
         u = RandomStream(11).uniforms("grid", np.arange(20_000), 3)

@@ -23,7 +23,6 @@ from probboost.ptree import (
     attach_node,
     exact_tree_bound,
     grow_tree,
-    leaf_value,
     node_q,
     predict_tree,
     walk_table,
@@ -264,13 +263,6 @@ class TestCompositeNode:
         monkeypatch.setattr(ptree, "MAX_WALK_ENTRIES", reach.size - 1)
         with pytest.raises(ValueError, match="walk table"):
             walk_table(tree)
-
-    def test_leaf_value_refuses_composites(self, small_dataset):
-        tree = build_fixed_2_matryoshka(
-            small_dataset, builtin_constant_edge_oracle(0.3), 2, TrainConfig(exact_q=True)
-        )
-        with pytest.raises(ValueError):
-            leaf_value(tree, "-")
 
 
 class TestFixedTwoMatryoshka:

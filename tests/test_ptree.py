@@ -1,5 +1,5 @@
-"""Probabilistic decision trees: children weights, leaf values, greedy
-growth, and the leaf-sum loss identity."""
+"""Probabilistic decision trees: children weights, leaf values (walk
+scores), greedy growth, and the leaf-sum loss identity."""
 
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from probboost import ptree
+from probboost._zstats import optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import Dataset, RandomStream
@@ -19,10 +20,9 @@ from probboost.ptree import (
     children_weights,
     exact_tree_bound,
     grow_tree,
-    leaf_value,
-    node_alphas,
     predict_tree,
     select_growth_leaf,
+    walk_table,
 )
 from probboost.weak_learner import (
     StumpClassifier,
@@ -44,10 +44,16 @@ def _manual_node(alpha_plus, alpha_minus, z_plus=0.5, z_minus=0.5, n=2, q=0.5):
     )
 
 
+def _leaf_values(tree):
+    """H_l of each leaf of a plain tree: its walk's score, walks in sorted
+    leaf order ('+' sorts before '-', as walk_table expands)."""
+    return dict(zip(sorted(tree.leaf_products()), walk_table(tree)[1].tolist()))
+
+
 class TestLeafValue:
     def test_root(self):
         tree = TreeModel()
-        assert leaf_value(tree, "") == 0.0
+        assert _leaf_values(tree) == {"": 0.0}
 
     def test_signed_path(self):
         tree = TreeModel(
@@ -58,16 +64,28 @@ class TestLeafValue:
             }
         )
         # path (+, +, -): 0.1 + 0.2 - 0.7
-        assert leaf_value(tree, "++-") == pytest.approx(0.1 + 0.2 - 0.7)
+        assert _leaf_values(tree)["++-"] == pytest.approx(0.1 + 0.2 - 0.7)
 
     def test_depth_one_minus(self):
         tree = TreeModel(nodes={"": _manual_node(0.3, 0.7)})
-        assert leaf_value(tree, "-") == pytest.approx(-0.7)
+        assert _leaf_values(tree)["-"] == pytest.approx(-0.7)
 
     def test_unknown_path(self):
         tree = TreeModel(nodes={"": _manual_node(0.1, 0.1)})
-        with pytest.raises(ValueError):
-            leaf_value(tree, "++-")
+        assert set(_leaf_values(tree)) == {"+", "-"}  # no walk ends at "++-"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_walk_scores_are_signed_alpha_sums(self, small_dataset, seed):
+        # H_l = sum over the path's edges of sign * alpha_sign, bit for bit
+        learner = builtin_noisy_stump(0.1) if seed % 2 else builtin_constant_edge_oracle(0.3)
+        tree = grow_tree(small_dataset, learner, max_nodes=3 + seed,
+                         config=TrainConfig(seed=seed, exact_q=seed < 5))
+        for leaf, value in _leaf_values(tree).items():
+            expected = 0.0
+            for depth, edge in enumerate(leaf):
+                sign = 1 if edge == "+" else -1
+                expected += sign * tree.nodes[leaf[:depth]].alpha(sign)
+            assert value == expected
 
 
 class TestChildrenWeights:
@@ -128,7 +146,7 @@ class TestNodeAlphas:
         weights = np.array([0.5, 0.5])
         labels = np.array([1, -1])
         q = np.array([0.5, 0.5])
-        a_plus, a_minus = node_alphas(weights, q, labels)
+        a_plus, a_minus = optimal_alphas(w_statistics(weights, q, labels))
         assert a_plus == pytest.approx(0.0, abs=1e-7)
         _, z_plus, _, z_minus = children_weights(weights, q, labels, a_plus, a_minus)
         assert z_plus + z_minus == pytest.approx(1.0, abs=1e-7)
@@ -142,7 +160,7 @@ class TestNodeAlphas:
         for _ in range(5):
             w = rng.random(small_dataset.n_examples)
             w /= w.sum()
-            a_plus, a_minus = node_alphas(w, q, small_dataset.labels)
+            a_plus, a_minus = optimal_alphas(w_statistics(w, q, small_dataset.labels))
             _, z_plus, _, z_minus = children_weights(
                 w, q, small_dataset.labels, a_plus, a_minus
             )
@@ -391,7 +409,7 @@ class TestExactTreeBound:
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
         weights = ds.weights.copy()
         q = np.array([0.9, 0.2])
-        a_plus, a_minus = node_alphas(weights, q, ds.labels)
+        a_plus, a_minus = optimal_alphas(w_statistics(weights, q, ds.labels))
         tree = TreeModel(trajectory=[1.0])
         attach_node(tree, "", StumpClassifier(0, 0.5, 1, 0.1), q, weights, ds.labels)
         node = tree.nodes[""]
@@ -433,7 +451,7 @@ class TestExactTreeBound:
         )
         for x in small_dataset.features[:5]:
             total = 0.0
-            for leaf in tree.leaves():
+            for leaf in tree.leaf_products():
                 reach = 1.0
                 for depth in range(1, len(leaf) + 1):
                     node = tree.nodes[leaf[: depth - 1]]
@@ -460,7 +478,7 @@ class TestPredictTree:
         scores, leaves = predict_tree(tree, tiny_dataset.features, RandomStream(1), "p", 20)
         for n in range(tiny_dataset.n_examples):
             assert len(set(leaves[:, n])) == 1 and len(set(scores[:, n])) == 1
-            assert scores[0, n] == pytest.approx(leaf_value(tree, leaves[0, n]))
+            assert scores[0, n] == pytest.approx(_leaf_values(tree)[leaves[0, n]])
 
     def test_leaf_frequencies_match_reach_probabilities(self, small_dataset):
         tree = grow_tree(
@@ -475,7 +493,7 @@ class TestPredictTree:
         counts: dict[str, int] = {}
         for path in leaves[:, 0]:
             counts[path] = counts.get(path, 0) + 1
-        for leaf in tree.leaves():
+        for leaf in tree.leaf_products():
             reach = 1.0
             for depth in range(1, len(leaf) + 1):
                 node = tree.nodes[leaf[: depth - 1]]
@@ -526,7 +544,7 @@ class TestTreeSerialization:
         record = tree.to_record()
         clone = TreeModel.from_record(record)
         assert clone.to_record() == record
-        assert clone.leaves() == tree.leaves()
+        assert list(clone.leaf_products()) == list(tree.leaf_products())
         assert clone.recorded_bound() == tree.recorded_bound()
         # a node record holds no training weights
         for node in record["nodes"].values():

@@ -282,10 +282,7 @@ class TestConstantEdgeOracle:
 class TestNoisyStump:
     def test_separable_noiseless(self, tiny_dataset):
         clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights)
-        err = sum(
-            w for w, x, y in zip(tiny_dataset.weights, tiny_dataset.features, tiny_dataset.labels)
-            if clf.decision(x) != y
-        )
+        err = tiny_dataset.weights @ (clf.decisions(tiny_dataset.features) != tiny_dataset.labels)
         assert err == 0.0
 
     def test_flip_probability_sets_q(self, tiny_dataset):
@@ -298,10 +295,7 @@ class TestNoisyStump:
         # no single axis-aligned threshold beats chance on the XOR corners:
         # every split leaves exactly two of the four points misclassified
         clf = builtin_noisy_stump(0.0).train(xor_dataset, xor_dataset.weights)
-        err = sum(
-            w for w, x, y in zip(xor_dataset.weights, xor_dataset.features, xor_dataset.labels)
-            if clf.decision(x) != y
-        )
+        err = xor_dataset.weights @ (clf.decisions(xor_dataset.features) != xor_dataset.labels)
         assert err == pytest.approx(0.5)
 
     def test_degenerate_features_fall_back_to_majority(self):
@@ -310,7 +304,7 @@ class TestNoisyStump:
         )
         clf = builtin_noisy_stump(0.0).train(ds, ds.weights)
         assert clf.constant == 1
-        assert clf.decision(np.array([1.0])) == 1
+        assert clf.decisions(np.array([[1.0]])).tolist() == [1]
 
     @pytest.mark.parametrize("constant", [None, -1])
     def test_array_outcomes_match_the_row_rule(self, small_dataset, constant):
