@@ -30,8 +30,10 @@ from .weak_learner import (
     TrainConfig,
     WeakLearner,
     _log_rate,
+    _read_training_sets,
     _sample_round,
     _train_step,
+    _write_training_sets,
     classifier_from_record,
     map_z_estimate,
     node_q,
@@ -87,9 +89,9 @@ class StageRecord:
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "StageRecord":
+    def from_record(cls, record: dict[str, Any], training_sets) -> "StageRecord":
         return cls(
-            classifier=classifier_from_record(record["classifier"]),
+            classifier=classifier_from_record(record["classifier"], training_sets),
             q_plus=np.array(record["q_plus"], dtype=float),
             alpha_plus=record["alpha_plus"],
             alpha_minus=record["alpha_minus"],
@@ -110,19 +112,26 @@ class AdaboostModel:
         return math.prod(stage.z for stage in self.stages)
 
     def to_record(self) -> dict[str, Any]:
-        return {
+        """The model's record; each constant-edge training set is written
+        once, in ``training_sets``."""
+        record = {
             "kind": "adaboost",
             "metadata": self.metadata,
             "stages": [stage.to_record() for stage in self.stages],
         }
+        return _write_training_sets(record, (stage.classifier for stage in self.stages))
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "AdaboostModel":
         if record.get("kind") != "adaboost":
             raise ValueError("not an adaboost model record")
+        metadata = record.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError("metadata must be a JSON object")
+        training_sets = _read_training_sets(record)
         return cls(
-            stages=[StageRecord.from_record(s) for s in record["stages"]],
-            metadata=record.get("metadata", {}),
+            stages=[StageRecord.from_record(s, training_sets) for s in record["stages"]],
+            metadata=metadata,
         )
 
 

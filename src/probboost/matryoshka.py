@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset
-from .ptree import TreeModel, _leaf_weights, attach_node, grow_tree, walk_table
+from .ptree import TreeModel, _leaf_weights, _nodes_from_record, attach_node, grow_tree, walk_table
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner, register_classifier_kind
 
 __all__ = [
@@ -57,14 +57,19 @@ class CompositeNode(ProbClassifier):
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
 
+    def training_sets(self):
+        for node in self.inner.nodes.values():
+            yield from node.classifier.training_sets()
+
     def to_record(self) -> dict[str, Any]:
-        # the inner nodes only: walk tables and bounds read nothing else
+        # the inner nodes only: walk tables and bounds read nothing else;
+        # their training sets go in the table of the model record
         nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
         return {"kind": "composite", "inner": {"nodes": nodes}}
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "CompositeNode":
-        return cls(TreeModel.from_record(record["inner"]))
+    def from_record(cls, record: dict[str, Any], training_sets) -> "CompositeNode":
+        return cls(TreeModel(nodes=_nodes_from_record(record["inner"]["nodes"], training_sets)))
 
 
 register_classifier_kind("composite", CompositeNode)
@@ -221,6 +226,7 @@ def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
     inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
     composite = collect_leaves(TreeModel(nodes=inner))
     # a composite's edges come from its walk table; nothing is sampled
-    attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.labels)
+    attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.labels,
+                tree.leaf_product(p))
     # attach_node's incremental update assumed plain growth; restate C exactly
     tree.trajectory[-1] = tree.leaf_sum()

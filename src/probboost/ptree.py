@@ -33,7 +33,13 @@ import numpy as np
 from ._zstats import optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, validate_path
 from .weak_learner import PLAIN_SCORES, ProbClassifier, TrainConfig, WeakLearner
-from .weak_learner import _train_step, classifier_from_record, node_q
+from .weak_learner import (
+    _read_training_sets,
+    _train_step,
+    _write_training_sets,
+    classifier_from_record,
+    node_q,
+)
 
 __all__ = [
     "DEAD_BRANCH_THRESHOLD",
@@ -88,34 +94,49 @@ def _side(scores: np.ndarray, sign: int) -> np.ndarray:
     return scores >= 0.0 if sign == 1 else scores < 0.0
 
 
+def _label_index(y: np.ndarray, k: int) -> np.ndarray:
+    """(len(y), k) positions of exp(-a * y_n * h_k) in ``_exp_table(a, h)``:
+    k where y_n = +1, k + K where y_n = -1."""
+    return np.arange(k) + k * (y < 0.0)[:, None]
+
+
+def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
+    """exp(-alpha * y * h_k) for y = +1, then for y = -1.  Labels are +/-1,
+    so these 2K values are every exp(-alpha * y_n * h_k), bit for bit."""
+    return np.exp(np.concatenate((-alpha * h, alpha * h)))
+
+
 def _edge_factor(
     reach: np.ndarray, scores: np.ndarray, labels: np.ndarray, sign: int, alpha: float
 ) -> np.ndarray:
     """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
     side = _side(scores, sign)
-    y = np.asarray(labels, dtype=float)
-    return np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, scores[side])), axis=1)
+    h = scores[side]
+    index = _label_index(np.asarray(labels, dtype=float), len(h))
+    return np.sum(reach[:, side] * _exp_table(alpha, h)[index], axis=1)
 
 
-def _fit_edge_scale(mass: np.ndarray, margins: np.ndarray) -> float:
-    """Descend Z(a) = sum mass * exp(-a * margins) from a = 1.
+def _fit_edge_scale(mass: np.ndarray, margins: np.ndarray, h: np.ndarray, index: np.ndarray) -> float:
+    """Descend Z(a) = sum mass * exp(-a * margins) from a = 1, where
+    margins = y_n * h_k and ``index`` is ``_label_index(y, len(h))``.
 
     Z is convex in a; damped Newton steps are taken only when they lower Z,
     so the result never has a larger Z than a = 1.
     """
     alpha = 1.0
-    z = float(np.sum(mass * np.exp(-margins)))
+    terms = mass * _exp_table(alpha, h)[index]
+    z = float(np.sum(terms))
     for _ in range(SCALE_SEARCH_STEPS):
-        terms = mass * np.exp(-alpha * margins)
         slope = -float(np.sum(terms * margins))
         curvature = float(np.sum(terms * margins * margins))
         if not curvature > 0.0:
             break
         step = -slope / curvature
         while abs(step) > 1e-12 * max(1.0, abs(alpha)):
-            z_next = float(np.sum(mass * np.exp(-(alpha + step) * margins)))
+            trial = mass * _exp_table(alpha + step, h)[index]
+            z_next = float(np.sum(trial))
             if z_next < z:
-                alpha, z = alpha + step, z_next
+                alpha, z, terms = alpha + step, z_next, trial
                 break
             step *= 0.5
         else:
@@ -137,8 +158,10 @@ def _scored_children(
     edges = []
     for sign in (1, -1):
         side = _side(scores, sign)
-        alpha = _fit_edge_scale(weights[:, None] * reach[:, side], np.outer(y, scores[side]))
-        mass = weights * _edge_factor(reach, scores, y, sign, alpha)
+        h = scores[side]
+        index = _label_index(y, len(h))
+        alpha = _fit_edge_scale(weights[:, None] * reach[:, side], np.outer(y, h), h, index)
+        mass = weights * np.sum(reach[:, side] * _exp_table(alpha, h)[index], axis=1)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
     (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
@@ -181,8 +204,8 @@ class TreeNode:
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "TreeNode":
-        classifier = classifier_from_record(record["classifier"])
+    def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
+        classifier = classifier_from_record(record["classifier"], training_sets)
         plain = classifier.leaf_table is None  # older files store a composite's q too
         return cls(
             classifier=classifier,
@@ -238,27 +261,36 @@ class TreeModel:
         return total
 
     def to_record(self) -> dict[str, Any]:
-        return {
+        """The model's record; each constant-edge training set, composites'
+        inner nodes included, is written once, in ``training_sets``."""
+        record = {
             "kind": self.metadata.get("kind", "ptree"),
             "metadata": self.metadata,
             "trajectory": list(self.trajectory),
             "nodes": {path: node.to_record() for path, node in self.nodes.items()},
         }
+        return _write_training_sets(record, (node.classifier for node in self.nodes.values()))
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "TreeModel":
-        nodes = {
-            validate_path(path): TreeNode.from_record(node)
-            for path, node in record["nodes"].items()
-        }
-        for path in nodes:
-            if path and path[:-1] not in nodes:
-                raise ValueError(f"node {path!r} has no parent in the record")
+        metadata = record.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError("metadata must be a JSON object")
         return cls(
-            nodes=nodes,
+            nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
             trajectory=list(record.get("trajectory", [])),
-            metadata=record.get("metadata", {}),
+            metadata=metadata,
         )
+
+
+def _nodes_from_record(nodes: dict[str, Any], training_sets) -> dict[str, TreeNode]:
+    """A tree's nodes from their records; ``training_sets`` is the model's
+    table that constant-edge classifiers name."""
+    nodes = {validate_path(path): TreeNode.from_record(node, training_sets) for path, node in nodes.items()}
+    for path in nodes:
+        if path and path[:-1] not in nodes:
+            raise ValueError(f"node {path!r} has no parent in the record")
+    return nodes
 
 
 def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +402,7 @@ def grow_tree(
         weights = _leaf_weights(tree, leaf, dataset)
         classifier = _train_step(learner, dataset, weights, f"node {leaf!r} (step {step})")
         q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
-        attach_node(tree, leaf, classifier, q, weights, dataset.labels)
+        attach_node(tree, leaf, classifier, q, weights, dataset.labels, -negated_product)
         node = tree.nodes[leaf]
         for child, z in ((leaf + "+", node.z_plus), (leaf + "-", node.z_minus)):
             if z >= DEAD_BRANCH_THRESHOLD:  # the same product as leaf_product(child)
@@ -396,9 +428,11 @@ def attach_node(
     q: np.ndarray | None,
     weights: np.ndarray,
     labels: np.ndarray,
+    prefix_product: float,
 ) -> None:
     """Install a trained classifier at a leaf and update the C trajectory.
-    ``q`` is the plain classifier's per-example q(+); None for a composite."""
+    ``q`` is the plain classifier's per-example q(+); None for a composite.
+    ``prefix_product`` is the leaf's product of Z, ``tree.leaf_product(leaf)``."""
     if leaf in tree.nodes:
         raise ValueError(f"{leaf!r} is already an inner node")
     if classifier.leaf_table is None:
@@ -419,7 +453,6 @@ def attach_node(
         weights_plus=d_plus,
         weights_minus=d_minus,
     )
-    prefix_product = tree.leaf_product(leaf)  # product above the grown leaf
     c_prev = tree.trajectory[-1]
     tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
 

@@ -12,6 +12,7 @@ options with ``_log_rate``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "builtin_constant_edge_oracle",
     "builtin_noisy_stump",
     "ConstantEdgeClassifier",
+    "TrainingSet",
     "StumpClassifier",
     "classifier_from_record",
 ]
@@ -90,6 +92,11 @@ class ProbClassifier(ABC):
         reach, scores = self.outcomes(X)
         picked = np.sum(np.cumsum(reach, axis=1) <= np.asarray(u)[:, None], axis=1)
         return scores[np.minimum(picked, len(scores) - 1)]
+
+    def training_sets(self):
+        """The ``TrainingSet`` lookups the classifier holds; a model file
+        stores each one once."""
+        return ()
 
     @abstractmethod
     def to_record(self) -> dict[str, Any]: ...
@@ -232,44 +239,112 @@ def _row_keys(X: np.ndarray) -> np.ndarray:
     return X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
 
 
-class ConstantEdgeClassifier(ProbClassifier):
-    """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
+class TrainingSet:
+    """The examples a constant-edge oracle knows, shared by every classifier
+    trained on them: their rows sorted by bytes for binary search, the labels
+    of the rows themselves, and the fingerprint that names them in a model
+    file (a blake2s digest of the shape, the row bytes with -0.0 stored as
+    0.0, and the labels)."""
 
-    def __init__(self, epsilon: float, features: np.ndarray, labels: np.ndarray):
-        self.epsilon = float(epsilon)
-        self._features = np.asarray(features, dtype=float)
-        self._labels = np.asarray(labels, dtype=int)
-        # training rows sorted by their bytes, so that rows of X are found by
-        # binary search; a repeated row takes the label of its last copy
-        keys = _row_keys(self._features)
+    def __init__(self, features, labels):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=int)
+        if self.features.ndim != 2 or self.labels.shape != (len(self.features),):
+            raise ValueError(
+                f"malformed training set: features of shape {self.features.shape}, "
+                f"labels of shape {self.labels.shape}"
+            )
+        digest = hashlib.blake2s(digest_size=16)
+        digest.update("{},{}\x00".format(*self.features.shape).encode("ascii"))
+        digest.update((self.features + 0.0).astype("<f8").tobytes())
+        digest.update(self.labels.astype("<i8").tobytes())
+        self.fingerprint = digest.hexdigest()
+        keys = _row_keys(self.features)
+        # a repeated row takes the label of its last copy
         self._order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._order]
+        self._own_labels = self._search(keys)
 
-    def _true_labels(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self._features.shape[1]:
-            raise ValueError(f"expected rows of dimension {self._features.shape[1]}, got shape {X.shape}")
-        keys = _row_keys(X)
+    def _search(self, keys: np.ndarray) -> np.ndarray:
         at = np.searchsorted(self._sorted_keys, keys, side="right") - 1
         if np.any(at < 0) or np.any(self._sorted_keys[at] != keys):
             raise ValueError("constant-edge oracle only knows its training examples")
-        return self._labels[self._order[at]]
+        return self.labels[self._order[at]]
+
+    def labels_of(self, X: np.ndarray) -> np.ndarray:
+        """The label of each row of X; the training rows' own labels are
+        looked up once, when the set is built."""
+        if X is self.features:
+            return self._own_labels
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.features.shape[1]:
+            raise ValueError(f"expected rows of dimension {self.features.shape[1]}, got shape {X.shape}")
+        return self._search(_row_keys(X))
+
+
+def _write_training_sets(record: dict[str, Any], classifiers) -> dict[str, Any]:
+    """``record`` with its ``training_sets`` table: the rows and labels of
+    each training set the classifiers (and any inner ones) name, once each,
+    by fingerprint.  A record whose classifiers name none gets no table."""
+    table = {}
+    for classifier in classifiers:
+        for training_set in classifier.training_sets():
+            if training_set.fingerprint not in table:
+                table[training_set.fingerprint] = {
+                    "features": training_set.features.tolist(),
+                    "labels": training_set.labels.tolist(),
+                }
+    if table:
+        record["training_sets"] = table
+    return record
+
+
+def _read_training_sets(record: dict[str, Any]) -> dict[str, TrainingSet]:
+    """The lookups of a model record's ``training_sets`` table, each entry
+    built once; an entry whose rows do not hash to its key is refused."""
+    training_sets = {}
+    for key, entry in record.get("training_sets", {}).items():
+        training_set = TrainingSet(entry["features"], entry["labels"])
+        if training_set.fingerprint != key:
+            raise ValueError(f"malformed training set {key!r}: its rows hash to {training_set.fingerprint!r}")
+        training_sets[key] = training_set
+    return training_sets
+
+
+class ConstantEdgeClassifier(ProbClassifier):
+    """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
+
+    def __init__(self, epsilon: float, training_set: TrainingSet):
+        self.epsilon = float(epsilon)
+        self.training_set = training_set
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.where(self._true_labels(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
+        q = np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
         return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
+
+    def training_sets(self) -> tuple[TrainingSet, ...]:
+        return (self.training_set,)
 
     def to_record(self) -> dict[str, Any]:
         return {
             "kind": "constant-edge",
             "epsilon": self.epsilon,
-            "features": self._features.tolist(),
-            "labels": self._labels.tolist(),
+            "training_set": self.training_set.fingerprint,
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "ConstantEdgeClassifier":
-        return cls(record["epsilon"], np.array(record["features"]), np.array(record["labels"]))
+    def from_record(cls, record: dict[str, Any], training_sets: dict[str, TrainingSet]):
+        if "training_set" not in record:  # older files carry the rows in every record
+            training_set = TrainingSet(record["features"], record["labels"])
+            training_set = training_sets.setdefault(training_set.fingerprint, training_set)
+        elif record["training_set"] in training_sets:
+            training_set = training_sets[record["training_set"]]
+        else:
+            raise ValueError(
+                f"malformed constant-edge record: training set {record['training_set']!r} "
+                "is not in the model's training_sets table"
+            )
+        return cls(record["epsilon"], training_set)
 
 
 class ConstantEdgeLearner(WeakLearner):
@@ -279,9 +354,13 @@ class ConstantEdgeLearner(WeakLearner):
         if not 0.0 < epsilon <= 0.5:
             raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
         self.epsilon = epsilon
+        self._training_set: TrainingSet | None = None  # of the last dataset trained on
 
     def train(self, dataset: Dataset, weights) -> ConstantEdgeClassifier:
-        return ConstantEdgeClassifier(self.epsilon, dataset.features, dataset.labels)
+        known = self._training_set
+        if known is None or known.features is not dataset.features or known.labels is not dataset.labels:
+            known = self._training_set = TrainingSet(dataset.features, dataset.labels)
+        return ConstantEdgeClassifier(self.epsilon, known)
 
 
 def builtin_constant_edge_oracle(epsilon: float) -> ConstantEdgeLearner:
@@ -327,7 +406,7 @@ class StumpClassifier(ProbClassifier):
         }
 
     @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "StumpClassifier":
+    def from_record(cls, record: dict[str, Any], training_sets) -> "StumpClassifier":
         return cls(
             record["feature"],
             record["threshold"],
@@ -390,8 +469,12 @@ def register_classifier_kind(kind: str, cls) -> None:
     _CLASSIFIER_KINDS[kind] = cls
 
 
-def classifier_from_record(record: dict[str, Any]) -> ProbClassifier:
+def classifier_from_record(
+    record: dict[str, Any], training_sets: dict[str, TrainingSet]
+) -> ProbClassifier:
+    """A classifier from its record; ``training_sets`` is the model's
+    table, by fingerprint, that constant-edge records name."""
     kind = record.get("kind")
     if kind not in _CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return _CLASSIFIER_KINDS[kind].from_record(record)
+    return _CLASSIFIER_KINDS[kind].from_record(record, training_sets)

@@ -351,30 +351,48 @@ class TestInputErrors:
         assert result.output.startswith("Error: ") and message in result.output
         assert "Traceback" not in result.output
 
-    @pytest.mark.parametrize(
-        "model, key_path, message",
-        [
-            ("tree", ["nodes"], "malformed ptree record (KeyError: 'nodes')"),
-            ("ada", ["stages", 0, "classifier", "feature"],
-             "malformed adaboost record (KeyError: 'feature')"),
-            ("tree", ["nodes", "", "z_minus"], "malformed ptree record (KeyError: 'z_minus')"),
-            ("tree", None, "a model file holds one JSON object"),
-        ],
-        ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list"],
-    )
-    def test_malformed_model_file(self, runner, files, model, key_path, message):
-        record = json.loads(files[model].read_text())
-        if key_path is None:
-            record = [record]  # a JSON list instead of an object
-        else:
+    @staticmethod
+    def _delete(*key_path):
+        def edit(record):
             parent = record
             for key in key_path[:-1]:
                 parent = parent[key]
             del parent[key_path[-1]]
+            return record
+
+        return edit
+
+    @staticmethod
+    def _flip_first_table_label(record):
+        entry = next(iter(record["training_sets"].values()))
+        entry["labels"][0] *= -1
+        return record
+
+    @pytest.mark.parametrize(
+        "model, edit, message",
+        [
+            ("tree", _delete("nodes"), "malformed ptree record (KeyError: 'nodes')"),
+            ("ada", _delete("stages", 0, "classifier", "feature"),
+             "malformed adaboost record (KeyError: 'feature')"),
+            ("tree", _delete("nodes", "", "z_minus"), "malformed ptree record (KeyError: 'z_minus')"),
+            ("tree", lambda record: [record], "a model file holds one JSON object"),
+            ("tree", lambda record: {**record, "metadata": []},
+             "malformed ptree record (TypeError: metadata must be a JSON object)"),
+            ("ada", lambda record: {**record, "metadata": []},
+             "malformed adaboost record (TypeError: metadata must be a JSON object)"),
+            ("edge", _flip_first_table_label, "malformed training set"),
+            ("edge", _delete("training_sets"), "malformed constant-edge record: training set"),
+        ],
+        ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
+             "ada-metadata-list", "fingerprint-mismatch", "missing-training-set"],
+    )
+    def test_malformed_model_file(self, runner, files, model, edit, message):
+        record = edit(json.loads(files[model].read_text()))
         files[model].write_text(json.dumps(record))
         result = runner.invoke(main, ["eval", "--model", str(files[model])])
         assert result.exit_code == 1
         assert result.output.startswith("Error: ") and message in result.output
+        assert len(result.output.splitlines()) == 1
         assert "Traceback" not in result.output
 
     def test_nesting_too_deep(self, runner, monkeypatch):

@@ -30,6 +30,9 @@ from probboost.ptree import (
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     ProbClassifier,
+    TrainingSet,
+    _read_training_sets,
+    _write_training_sets,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
@@ -40,10 +43,10 @@ def _single_split_tree(epsilon=0.2, labels=(1, -1)):
     # constant-edge classifier: q(x) is 1/2 + eps on the +1 example and
     # 1/2 - eps on the -1 example, matching the attached q table exactly
     ds = Dataset.from_arrays([[0.0], [1.0]], list(labels))
-    clf = ConstantEdgeClassifier(epsilon, ds.features, ds.labels)
+    clf = ConstantEdgeClassifier(epsilon, TrainingSet(ds.features, ds.labels))
     q = np.array([clf.q_plus(x) for x in ds.features])
     tree = TreeModel(trajectory=[1.0])
-    attach_node(tree, "", clf, q, ds.weights.copy(), ds.labels)
+    attach_node(tree, "", clf, q, ds.weights.copy(), ds.labels, 1.0)
     return tree, ds
 
 
@@ -137,7 +140,8 @@ class TestCompositeNode:
             config=TrainConfig(exact_q=True),
         )
         composite = collect_leaves(inner)
-        clone = classifier_from_record(composite.to_record())
+        training_sets = _read_training_sets(_write_training_sets({}, [composite]))
+        clone = classifier_from_record(composite.to_record(), training_sets)
         assert isinstance(clone, CompositeNode)
         x = small_dataset.features[0]
         assert clone.q_plus(x) == composite.q_plus(x)
@@ -185,7 +189,7 @@ class TestCompositeNode:
 
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
         inner = TreeModel(trajectory=[1.0])
-        attach_node(inner, "", SampleOnly(), np.array([0.9, 0.2]), ds.weights.copy(), ds.labels)
+        attach_node(inner, "", SampleOnly(), np.array([0.9, 0.2]), ds.weights.copy(), ds.labels, 1.0)
         composite = collect_leaves(inner)
         with pytest.raises(NotImplementedError):
             composite.q_plus(ds.features[0])
@@ -248,7 +252,7 @@ class TestCompositeNode:
         composite = collect_leaves(inner)
         outer = TreeModel(trajectory=[1.0])
         q = node_q(composite, ds, ds.weights, config, RandomStream(0), "tree-q-est-1")
-        attach_node(outer, "", composite, q, ds.weights, ds.labels)
+        attach_node(outer, "", composite, q, ds.weights, ds.labels, 1.0)
         node = outer.nodes[""]
         assert node.z_plus + node.z_minus <= inner.recorded_bound() + 1e-12
         assert outer.recorded_bound() == pytest.approx(exact_tree_bound(outer, ds), abs=1e-12)

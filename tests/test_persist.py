@@ -1,0 +1,156 @@
+"""Model files: one training-set table per file, and files from earlier versions."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from probboost.adaboost import TrainConfig
+from probboost.cli import main
+from probboost.core import make_synthetic_dataset
+from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
+from probboost.persist import load_model, save_model
+from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Constant-edge models written before training sets were stored once per
+# file, each constant-edge record carrying its rows, trained on
+# data/edge_data.csv (a -0.0 feature and a repeated row with the other
+# label included), with what that version's `eval --data edge_data.csv
+# --trials 200 --seed 5` printed.
+OLDER_FILES = {
+    "edge_ptree.json": [
+        "mc loss: 0.243182 +/- 0.006818 (200 trials)",
+        "exact exponential bound: 0.7779619143981403",
+        "recorded training bound: 0.7779619143981404",
+    ],
+    "edge_fixed2.json": [
+        "mc loss: 0.154545 +/- 0.005430 (200 trials)",
+        "exact exponential bound: 0.6692643028984434",
+        "recorded training bound: 0.6692643028984433",
+    ],
+    "edge_greedy.json": [
+        "mc loss: 0.254545 +/- 0.009045 (200 trials)",
+        "exact exponential bound: 0.6984409332227847",
+        "recorded training bound: 0.6984409332227848",
+    ],
+    "edge_adaboost.json": [
+        "mc loss: 0.275000 +/- 0.008239 (200 trials)",
+        "exact exponential bound: 0.8787348472677988",
+        "recorded training bound: 0.8787348472677989",
+    ],
+}
+
+
+def _eval_lines(model, data=DATA / "edge_data.csv"):
+    result = CliRunner().invoke(
+        main, ["eval", "--model", str(model), "--data", str(data), "--trials", "200", "--seed", "5"]
+    )
+    return result.exit_code, result.output.splitlines()
+
+
+def _constant_edge_classifiers(model):
+    """Every constant-edge classifier of a model, inside composites too."""
+    stack = [s.classifier for s in model.stages] if hasattr(model, "stages") else \
+        [n.classifier for n in model.nodes.values()]
+    while stack:
+        classifier = stack.pop()
+        if isinstance(classifier, ConstantEdgeClassifier):
+            yield classifier
+        elif hasattr(classifier, "inner"):
+            stack.extend(n.classifier for n in classifier.inner.nodes.values())
+
+
+class TestOlderFiles:
+    @pytest.mark.parametrize("name", sorted(OLDER_FILES))
+    def test_evaluates_as_before(self, name):
+        record = json.loads((DATA / name).read_text())
+        assert "training_sets" not in record
+        assert '"features": ' in (DATA / name).read_text()
+        assert _eval_lines(DATA / name) == (0, OLDER_FILES[name])
+
+    @pytest.mark.parametrize("name", sorted(OLDER_FILES))
+    def test_one_lookup_per_training_set(self, name, tmp_path):
+        model = load_model(DATA / name)
+        lookups = {id(c.training_set) for c in _constant_edge_classifiers(model)}
+        assert len(lookups) == 1
+        # saved again, the rows are written once and the file evaluates alike
+        save_model(model, tmp_path / name)
+        assert len(json.loads((tmp_path / name).read_text())["training_sets"]) == 1
+        assert _eval_lines(tmp_path / name) == (0, OLDER_FILES[name])
+
+
+class TestTrainingSetTable:
+    def test_one_entry_per_file(self, tmp_path):
+        data = make_synthetic_dataset(20, seed=1)
+        config = TrainConfig(exact_q=True)
+        fixed = build_fixed_2_matryoshka(data, builtin_constant_edge_oracle(0.3), 4, config)
+        greedy, log = build_greedy_matryoshka(data, builtin_constant_edge_oracle(0.3), 12, config=config)
+        assert any(entry.action == "collect" for entry in log)
+        for model, raw_nodes in ((fixed, 16), (greedy, 12)):
+            save_model(model, tmp_path / "m.json")
+            record = json.loads((tmp_path / "m.json").read_text())
+            (key, entry), = record["training_sets"].items()
+            assert entry == {"features": data.features.tolist(), "labels": data.labels.tolist()}
+            text = json.dumps(record["nodes"])
+            assert '"features"' not in text and text.count(f'"training_set": "{key}"') == raw_nodes
+            assert load_model(tmp_path / "m.json").to_record() == model.to_record()
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("train --algo ptree --T 8 --seed 3",
+             "d06e7f62d82a0884e2261bc2f2540e02cb1d46fd537046ae0ca7d85f85ab0473"),
+            ("train --algo adaboost --T 4 --seed 3",
+             "d3606e98a1ed241be833021ddfd59b58653a5bf4a78b9cea786e165268907820"),
+        ],
+        ids=["ptree", "adaboost"],
+    )
+    def test_stump_files_unchanged(self, tmp_path, args, digest):
+        # noisy-stump files have no table, and their bytes are those that
+        # versions before the table wrote
+        out = tmp_path / "m.json"
+        result = CliRunner().invoke(main, [*args.split(), "--trials", "50", "--out", str(out)])
+        assert result.exit_code == 0
+        assert "training_sets" not in json.loads(out.read_text())
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_foreign_rows_are_one_error_line(self, tmp_path):
+        # as many rows as the training set, each moved off its training row
+        header, *rows = (DATA / "edge_data.csv").read_text().splitlines()
+        foreign = tmp_path / "other.csv"
+        moved = [f"{float(row.split(',')[0]) + 0.5!r},{row.split(',', 1)[1]}" for row in rows]
+        foreign.write_text("\n".join([header, *moved]) + "\n")
+        # (AdaBoost's eval reads the stored q, not the rows it is given)
+        for name in ("edge_ptree.json", "edge_fixed2.json", "edge_greedy.json"):
+            save_model(load_model(DATA / name), tmp_path / name)  # and as a table
+            for path in (DATA / name, tmp_path / name):
+                code, lines = _eval_lines(path, foreign)
+                assert code == 1
+                assert lines == ["Error: constant-edge oracle only knows its training examples"]
+
+
+def test_train_and_eval_in_separate_processes(tmp_path):
+    # no state of the training process is needed to evaluate its file
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    cli = [sys.executable, "-m", "probboost.cli"]
+    model = tmp_path / "m.json"
+    train = subprocess.run(
+        [*cli, "train", "--algo", "matryoshka", "--mode", "fixed2", "--L", "3", "--oracle",
+         "constant-edge", "--exact-q", "--trials", "200", "--out", str(model)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    evaluated = subprocess.run(
+        [*cli, "eval", "--model", str(model), "--trials", "200"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    recorded = next(line for line in train.stdout.splitlines() if line.startswith("recorded bound: "))
+    assert f"recorded training bound: {recorded.split(': ')[1]}" in evaluated.stdout.splitlines()
+    assert len(json.loads(model.read_text())["training_sets"]) == 1

@@ -231,7 +231,9 @@ class TestGrowTree:
             max_nodes=64,
             config=TrainConfig(exact_q=True),
         )
-        assert len(calls) == 64
+        # each step's prefix product comes off the growth heap, so plain
+        # growth asks the tree for none
+        assert calls == []
 
     def test_single_node_bound(self, small_dataset):
         eps = 0.3
@@ -411,7 +413,7 @@ class TestExactTreeBound:
         q = np.array([0.9, 0.2])
         a_plus, a_minus = optimal_alphas(w_statistics(weights, q, ds.labels))
         tree = TreeModel(trajectory=[1.0])
-        attach_node(tree, "", StumpClassifier(0, 0.5, 1, 0.1), q, weights, ds.labels)
+        attach_node(tree, "", StumpClassifier(0, 0.5, 1, 0.1), q, weights, ds.labels, 1.0)
         node = tree.nodes[""]
         # but evaluate with the q actually stored in the tree
         assert exact_tree_bound(tree, ds) == pytest.approx(
@@ -459,6 +461,48 @@ class TestExactTreeBound:
                     reach *= q if leaf[depth - 1] == "+" else 1.0 - q
                 total += reach
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCompositeEdgeFit:
+    @staticmethod
+    def _outer_fit(mass, margins):
+        """The edge fit written with one exp per (example, outcome) and
+        every Newton step's terms recomputed."""
+        alpha, z = 1.0, float(np.sum(mass * np.exp(-margins)))
+        for _ in range(ptree.SCALE_SEARCH_STEPS):
+            terms = mass * np.exp(-alpha * margins)
+            slope, curvature = -float(np.sum(terms * margins)), float(np.sum(terms * margins * margins))
+            if not curvature > 0.0:
+                break
+            step = -slope / curvature
+            while abs(step) > 1e-12 * max(1.0, abs(alpha)):
+                z_next = float(np.sum(mass * np.exp(-(alpha + step) * margins)))
+                if z_next < z:
+                    alpha, z = alpha + step, z_next
+                    break
+                step *= 0.5
+            else:
+                break
+        return alpha
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exp_table_is_the_outer_product_form(self, seed):
+        # labels are +/-1, so a 2K-entry table gives every exp(-a y_n h_k),
+        # and the fit and the edge factor match the outer-product form bit for bit
+        rng = np.random.default_rng(seed)
+        n, k = 12, 1 + seed * 3
+        y = rng.choice([-1.0, 1.0], n)
+        h = rng.normal(0.0, 2.0, k)
+        reach = rng.dirichlet(np.ones(k), n)
+        mass = rng.uniform(0.0, 1.0, n)[:, None] * reach
+        index = ptree._label_index(y, k)
+        np.testing.assert_array_equal(ptree._exp_table(0.7, h)[index], np.exp(-0.7 * np.outer(y, h)))
+        alpha = ptree._fit_edge_scale(mass, np.outer(y, h), h, index)
+        assert alpha == self._outer_fit(mass, np.outer(y, h))
+        for sign in (1, -1):
+            side = ptree._side(h, sign)
+            expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
+            np.testing.assert_array_equal(ptree._edge_factor(reach, h, y, sign, alpha), expected)
 
 
 class TestPredictTree:

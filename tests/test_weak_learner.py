@@ -14,8 +14,11 @@ from probboost.weak_learner import (
     ConstantEdgeClassifier,
     OracleEstimate,
     StumpClassifier,
+    TrainingSet,
     WeakLearner,
     _log_rate,
+    _read_training_sets,
+    _write_training_sets,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
@@ -201,7 +204,7 @@ class TestUserLearner:
 
             def train(self, dataset, weights):
                 self.calls += 1
-                return ConstantEdgeClassifier(0.3, dataset.features, dataset.labels)
+                return ConstantEdgeClassifier(0.3, TrainingSet(dataset.features, dataset.labels))
 
         for strategy in ("A", "B"):
             model = train_adaboost(small_dataset, Edge(), 3, TrainConfig(seed=1, strategy=strategy))
@@ -257,7 +260,8 @@ class TestConstantEdgeOracle:
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
-        clone = classifier_from_record(clf.to_record())
+        training_sets = _read_training_sets(_write_training_sets({}, [clf]))
+        clone = classifier_from_record(clf.to_record(), training_sets)
         assert isinstance(clone, ConstantEdgeClassifier)
         assert clone.q_plus(tiny_dataset.features[0]) == clf.q_plus(tiny_dataset.features[0])
 
@@ -267,7 +271,7 @@ class TestConstantEdgeOracle:
         # takes its last label, and -0.0 is the same row as 0.0
         features = np.array([[0.5, 1.0], [-0.0, 2.0], [0.5, 1.0], [3.0, -1.0]])
         labels = np.array([1, -1, -1, 1])
-        clf = ConstantEdgeClassifier(0.2, features, labels)
+        clf = ConstantEdgeClassifier(0.2, TrainingSet(features, labels))
         lookup = {tuple(row): lab for row, lab in zip(features, labels)}
         X = np.array([[3.0, -1.0], [0.0, 2.0], [0.5, 1.0], [-0.0, 2.0]])
         expected = [0.5 + 0.2 if lookup[tuple(x)] == 1 else 0.5 - 0.2 for x in X]
@@ -277,6 +281,29 @@ class TestConstantEdgeOracle:
         np.testing.assert_array_equal(scores, [1.0, -1.0])
         with pytest.raises(ValueError, match="dimension"):
             clf.outcomes(np.zeros((2, 3)))
+
+    def test_training_rows_read_the_search_result(self):
+        # the labels of the training array itself are looked up once; they
+        # equal what the search gives a copy, repeated rows and -0.0 included
+        features = np.array([[0.5, 1.0], [-0.0, 2.0], [0.5, 1.0], [0.0, 2.0], [3.0, -1.0]])
+        labels = np.array([1, -1, -1, 1, 1])
+        training_set = TrainingSet(features, labels)
+        own = training_set.labels_of(features)
+        np.testing.assert_array_equal(own, training_set.labels_of(features.copy()))
+        np.testing.assert_array_equal(own, [-1, 1, -1, 1, 1])
+        assert TrainingSet(features.copy(), labels.copy()).fingerprint == training_set.fingerprint
+        assert TrainingSet(features + 0.0, labels).fingerprint == training_set.fingerprint
+        assert TrainingSet(features, -labels).fingerprint != training_set.fingerprint
+
+    def test_one_lookup_per_training_set(self, small_dataset, tiny_dataset):
+        learner = builtin_constant_edge_oracle(0.2)
+        first = learner.train(small_dataset, small_dataset.weights)
+        # a dataset with the same arrays and other weights is the same training set
+        reweighted = Dataset(small_dataset.features, small_dataset.labels, small_dataset.weights[::-1].copy())
+        assert learner.train(reweighted, reweighted.weights).training_set is first.training_set
+        other = learner.train(tiny_dataset, tiny_dataset.weights)
+        assert other.training_set is not first.training_set
+        assert other.training_set.fingerprint != first.training_set.fingerprint
 
 
 class TestNoisyStump:
@@ -325,7 +352,7 @@ class TestNoisyStump:
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights)
-        clone = classifier_from_record(clf.to_record())
+        clone = classifier_from_record(clf.to_record(), {})
         assert isinstance(clone, StumpClassifier)
         assert (clone.feature, clone.threshold, clone.polarity, clone.p_flip) == (
             clf.feature, clf.threshold, clf.polarity, clf.p_flip,
