@@ -22,7 +22,7 @@ from ._zstats import (
     z_min,
     z_value,
 )
-from .core import Dataset, RandomStream
+from .core import Dataset, RandomStream, _mc_summary
 from .weak_learner import (
     R_MAX_DEFAULT,
     OracleEstimate,
@@ -30,6 +30,8 @@ from .weak_learner import (
     TrainConfig,
     WeakLearner,
     _log_rate,
+    _model_metadata,
+    _read_metadata,
     _read_training_sets,
     _sample_round,
     _train_step,
@@ -55,6 +57,11 @@ __all__ = [
 ]
 
 
+def _stage_factors(q_plus: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
+    """Each example's factor of one stage: q e^{-alpha+ y} + (1 - q) e^{alpha- y}."""
+    return q_plus * np.exp(-alpha_plus * y) + (1.0 - q_plus) * np.exp(alpha_minus * y)
+
+
 def update_weights(
     weights: np.ndarray,
     q_plus: np.ndarray,
@@ -66,7 +73,7 @@ def update_weights(
     weights = np.asarray(weights, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     y = np.asarray(labels, dtype=float)
-    factors = q_plus * np.exp(-alpha_plus * y) + (1.0 - q_plus) * np.exp(alpha_minus * y)
+    factors = _stage_factors(q_plus, y, alpha_plus, alpha_minus)
     z = float(np.sum(weights * factors))
     return weights * factors / z, z
 
@@ -125,9 +132,7 @@ class AdaboostModel:
     def from_record(cls, record: dict[str, Any]) -> "AdaboostModel":
         if record.get("kind") != "adaboost":
             raise ValueError("not an adaboost model record")
-        metadata = record.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise TypeError("metadata must be a JSON object")
+        metadata = _read_metadata(record)
         training_sets = _read_training_sets(record)
         return cls(
             stages=[StageRecord.from_record(s, training_sets) for s in record["stages"]],
@@ -160,16 +165,16 @@ def train_adaboost(
     config = config or TrainConfig()
     stream = RandomStream(config.seed)
     if config.strategy == "B":
-        return _train_strategy_B(dataset, learner, T, config, stream)
-
-    weights = dataset.weights.copy()
-    stages: list[StageRecord] = []
-    for t in range(1, T + 1):
-        classifier = _train_step(learner, dataset, weights, f"round {t}")
-        q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
-        stage, weights = _make_stage(classifier, q, weights, dataset.labels)
-        stages.append(stage)
-    return AdaboostModel(stages, metadata=_metadata(config, T, dataset))
+        stages = _train_strategy_B(dataset, learner, T, config, stream)
+    else:
+        weights = dataset.weights.copy()
+        stages = []
+        for t in range(1, T + 1):
+            classifier = _train_step(learner, dataset, weights, f"round {t}")
+            q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
+            stage, weights = _make_stage(classifier, q, weights, dataset.labels)
+            stages.append(stage)
+    return AdaboostModel(stages, metadata=_model_metadata(config, dataset, T=T, strategy=config.strategy))
 
 
 # Strategy B's option costs in passes over the training set (see the
@@ -184,7 +189,7 @@ def _train_strategy_B(
     T: int,
     config: TrainConfig,
     stream: RandomStream,
-) -> AdaboostModel:
+) -> list[StageRecord]:
     """Look ahead each iteration: advance to a candidate h_{t+1} or resample
     h_t, whichever decreases the bound faster per pass."""
     labels = dataset.labels
@@ -216,18 +221,7 @@ def _train_strategy_B(
             estimate, z = refreshed, z_prime
     stage, _ = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
     stages.append(stage)
-    return AdaboostModel(stages, metadata=_metadata(config, T, dataset))
-
-
-def _metadata(config: TrainConfig, T: int, dataset: Dataset) -> dict[str, Any]:
-    return {
-        "T": T,
-        "dimension": dataset.dimension,
-        "seed": config.seed,
-        "exact_q": config.exact_q,
-        "estimator": config.estimator,
-        "strategy": config.strategy,
-    }
+    return stages
 
 
 def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
@@ -241,7 +235,7 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
         q = stage.q_plus
         if len(q) != len(y):
             raise ValueError("dataset size does not match the stored model")
-        factors *= q * np.exp(-stage.alpha_plus * y) + (1.0 - q) * np.exp(stage.alpha_minus * y)
+        factors *= _stage_factors(q, y, stage.alpha_plus, stage.alpha_minus)
     return float(np.sum(dataset.weights * factors))
 
 
@@ -263,8 +257,4 @@ def mc_misclassification(
     for t, stage in enumerate(model.stages, start=1):
         plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.q_plus
         H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
-    wrong = (H * dataset.labels[None, :]) <= 0.0
-    per_trial = wrong @ dataset.weights
-    mean = float(per_trial.mean())
-    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return mean, se
+    return _mc_summary(H, dataset)

@@ -17,7 +17,7 @@ from .adaboost import (
     mc_misclassification,
     train_adaboost,
 )
-from .core import Dataset, RandomStream, load_csv, make_synthetic_dataset
+from .core import Dataset, RandomStream, _mc_summary, load_csv, make_synthetic_dataset
 from .matryoshka import (
     CountingLearner,
     MatryoshkaPolicy,
@@ -112,6 +112,8 @@ def cmd_bounds_figure(name: str, out: str) -> None:
 @_input_errors
 def cmd_rates_report(rho: float, t_max: int, out: str) -> None:
     """Compare the discrete and analytic bound decrease rates along C = F(T, rho)."""
+    if t_max < 1:
+        raise ValueError(f"--t-max must be >= 1, got {t_max}")
     rows = []
     for T in range(1, t_max + 1):
         c = bounds.bound_F(T, rho)
@@ -151,7 +153,7 @@ def _make_learner(oracle: str, epsilon: float, p_flip: float):
               help="sampled-q AdaBoost: A samples each stage until its Z estimate rises; B "
                    "advances or resamples, whichever lowers the bound more per pass over the data")
 @click.option("--exact-q", is_flag=True, help="use the synthetic oracle's exact q")
-@click.option("--seed", type=int, envvar="MATRYOSHKA_SEED", default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="model output path")
 @click.option("--log", "log_path", type=click.Path(), default=None, help="per-step CSV log path")
 @click.option("--trials", type=int, default=2000, show_default=True, help="Monte-Carlo trials for the reported training error")
@@ -159,6 +161,8 @@ def _make_learner(oracle: str, epsilon: float, p_flip: float):
 def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimator,
               strategy, exact_q, seed, out, log_path, trials) -> None:
     """Train a model and report its recorded bound and training error."""
+    if trials < 1:  # before training, which the report would otherwise throw away
+        raise ValueError("trials must be >= 1")
     dataset = _load_dataset(data, seed)
     learner = CountingLearner(_make_learner(oracle, epsilon, p_flip))
     config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
@@ -167,49 +171,43 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
         if t_stop is None:
             raise click.ClickException("--T is required for adaboost")
         model = train_adaboost(dataset, learner, t_stop, config)
-        recorded = model.recorded_bound()
         if log_path:
             rows, running = [], 1.0
             for i, stage in enumerate(model.stages, start=1):
                 running *= stage.z
                 rows.append([i, stage.z, stage.alpha_plus, stage.alpha_minus, running])
             _write_csv(log_path, ["round", "Z", "alpha_plus", "alpha_minus", "bound_so_far"], rows)
-        loss, se = mc_misclassification(model, dataset, trials, seed=seed + 1)
     elif algo == "ptree":
         if t_stop is None:
             raise click.ClickException("--T is required for ptree")
         model = grow_tree(dataset, learner, max_nodes=t_stop, config=config)
-        recorded = model.recorded_bound()
         if log_path:
             _write_tree_log(log_path, model)
-        loss, se = _tree_mc_loss(model, dataset, trials, seed + 1)
-    else:  # matryoshka
-        if mode == "fixed2":
-            if levels is None:
-                raise click.ClickException("--L is required for fixed-2 matryoshka")
-            model = build_fixed_2_matryoshka(dataset, learner, levels, config)
-            if log_path:
-                _write_tree_log(log_path, model)
-        else:
-            if t_stop is None:
-                raise click.ClickException("--T is required for greedy matryoshka")
-            model, build_log = build_greedy_matryoshka(
-                dataset, learner, t_stop, MatryoshkaPolicy(mode="greedy"), config=config
+    elif mode == "fixed2":
+        if levels is None:
+            raise click.ClickException("--L is required for fixed-2 matryoshka")
+        model = build_fixed_2_matryoshka(dataset, learner, levels, config)
+        if log_path:
+            _write_tree_log(log_path, model)
+    else:
+        if t_stop is None:
+            raise click.ClickException("--T is required for greedy matryoshka")
+        model, build_log = build_greedy_matryoshka(
+            dataset, learner, t_stop, MatryoshkaPolicy(mode="greedy"), config=config
+        )
+        if log_path:
+            _write_csv(
+                log_path,
+                ["step", "subtree", "action", "C", "T", "rate_simple", "rate_matryoshka"],
+                [[e.step, e.subtree or "root", e.action, e.C, e.T, e.rate_simple, e.rate_matryoshka] for e in build_log],
             )
-            if log_path:
-                _write_csv(
-                    log_path,
-                    ["step", "subtree", "action", "C", "T", "rate_simple", "rate_matryoshka"],
-                    [[e.step, e.subtree or "root", e.action, e.C, e.T, e.rate_simple, e.rate_matryoshka] for e in build_log],
-                )
-        recorded = model.recorded_bound()
-        loss, se = _tree_mc_loss(model, dataset, trials, seed + 1)
+    loss, se = _mc_loss(model, dataset, trials, seed + 1)
+    if algo == "matryoshka":
         click.echo(f"weak-learner budget: {learner.calls} calls")
-
     if out:
         save_model(model, out)
         click.echo(f"model written to {out}")
-    click.echo(f"recorded bound: {recorded!r}")
+    click.echo(f"recorded bound: {model.recorded_bound()!r}")
     click.echo(f"mc training error: {loss:.6f} +/- {se:.6f} ({trials} trials)")
 
 
@@ -222,18 +220,19 @@ def _write_tree_log(path: str, tree: TreeModel) -> None:
     _write_csv(path, ["step", "leaf", "Z_plus", "Z_minus", "C"], rows)
 
 
-def _tree_mc_loss(tree: TreeModel, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:
-    scores, _ = predict_tree(tree, dataset.features, RandomStream(seed), "tree-mc", trials)
-    per_trial = (scores * dataset.labels <= 0.0) @ dataset.weights
-    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
-    return float(per_trial.mean()), se
+def _mc_loss(model, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo weighted 0/1 loss of a model on the dataset: (mean, standard error)."""
+    if isinstance(model, AdaboostModel):
+        return mc_misclassification(model, dataset, trials, seed=seed)
+    scores, _ = predict_tree(model, dataset.features, RandomStream(seed), "tree-mc", trials)
+    return _mc_summary(scores, dataset)
 
 
 @main.command("eval")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--data", type=click.Path(exists=True), default=None)
 @click.option("--trials", type=int, default=2000, show_default=True)
-@click.option("--seed", type=int, envvar="MATRYOSHKA_SEED", default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True)
 @_input_errors
 def cmd_eval(model_path, data, trials, seed) -> None:
     """Evaluate a stored model: Monte-Carlo loss, exact bound, recorded bound."""
@@ -244,17 +243,12 @@ def cmd_eval(model_path, data, trials, seed) -> None:
         raise click.ClickException(
             f"dataset dimension {dataset.dimension} does not match model ({expected_dim})"
         )
-    # the exact bounds come first: they refuse data of another size
-    if isinstance(model, AdaboostModel):
-        exact = exact_expected_bound(model, dataset)
-        loss, se = mc_misclassification(model, dataset, trials, seed=seed)
-    else:
-        exact = exact_tree_bound(model, dataset)
-        loss, se = _tree_mc_loss(model, dataset, trials, seed)
-    recorded = model.recorded_bound()
+    # the exact bound comes first: it refuses data of another size
+    exact = (exact_expected_bound if isinstance(model, AdaboostModel) else exact_tree_bound)(model, dataset)
+    loss, se = _mc_loss(model, dataset, trials, seed)
     click.echo(f"mc loss: {loss:.6f} +/- {se:.6f} ({trials} trials)")
     click.echo(f"exact exponential bound: {exact!r}")
-    click.echo(f"recorded training bound: {recorded!r}")
+    click.echo(f"recorded training bound: {model.recorded_bound()!r}")
 
 
 if __name__ == "__main__":

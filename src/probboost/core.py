@@ -100,6 +100,16 @@ class Dataset:
         return cls(features, labels, weights)
 
 
+def _mc_summary(scores: np.ndarray, dataset: Dataset) -> tuple[float, float]:
+    """Monte-Carlo weighted 0/1 loss of sampled scores H, one row per trial
+    and one column per example, ties H = 0 counted as errors: the mean over
+    trials and its standard error (inf for one trial)."""
+    per_trial = (scores * dataset.labels <= 0.0) @ dataset.weights
+    trials = len(per_trial)
+    se = float(per_trial.std(ddof=1) / math.sqrt(trials)) if trials > 1 else float("inf")
+    return float(per_trial.mean()), se
+
+
 def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from a CSV with header ``f0..f{d-1},label[,weight]``;
     the header decides whether there is a weight column."""

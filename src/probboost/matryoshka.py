@@ -20,59 +20,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Any
 
 import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset
-from .ptree import TreeModel, _leaf_weights, _nodes_from_record, attach_node, grow_tree, walk_table
-from .weak_learner import ProbClassifier, TrainConfig, WeakLearner, register_classifier_kind
+from .ptree import CompositeNode, TreeModel, _leaf_weights, attach_node, grow_tree
+from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 
 __all__ = [
-    "CompositeNode",
     "MatryoshkaPolicy",
     "CountingLearner",
     "collect_leaves",
     "build_fixed_2_matryoshka",
     "build_greedy_matryoshka",
 ]
-
-
-class CompositeNode(ProbClassifier):
-    """A collected subtree acting as a single two-branch node.
-
-    A draw's score is H_inner of one walk through the inner tree, nested
-    composites included; its output is sign(H_inner) with ties to +1.  Its
-    outcomes on rows X are the inner walks: their probabilities on each row
-    and their H_inner.  ``leaf_table`` holds them for the training
-    examples, built once from what the inner nodes stored so that it agrees
-    with the inner tree's recorded C.
-    """
-
-    def __init__(self, inner: TreeModel):
-        self.inner = inner
-        self.leaf_table = walk_table(inner)
-
-    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return walk_table(self.inner, X)
-
-    def training_sets(self):
-        for node in self.inner.nodes.values():
-            yield from node.classifier.training_sets()
-
-    def to_record(self) -> dict[str, Any]:
-        # the inner nodes only: walk tables and bounds read nothing else;
-        # their training sets go in the table of the model record
-        nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
-        return {"kind": "composite", "inner": {"nodes": nodes}}
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets) -> "CompositeNode":
-        return cls(TreeModel(nodes=_nodes_from_record(record["inner"]["nodes"], training_sets)))
-
-
-register_classifier_kind("composite", CompositeNode)
 
 
 def collect_leaves(subtree: TreeModel) -> CompositeNode:
@@ -142,9 +104,7 @@ def build_fixed_2_matryoshka(
         raise ValueError("L must be >= 1")
     config = config or TrainConfig()
     tree = grow_tree(dataset, _UnitLearner(L - 1, learner, config), max_nodes=2, config=config)
-    tree.metadata["kind"] = "matryoshka"
-    tree.metadata["mode"] = "fixed-2"
-    tree.metadata["levels"] = L
+    tree.metadata.update(kind="matryoshka", mode="fixed-2", levels=L)
     return tree
 
 
@@ -187,11 +147,8 @@ def build_greedy_matryoshka(
         # history below it, so deeper subtrees need no C this step
         for prefix_len in range(len(leaf) + 1):
             p = leaf[:prefix_len]
-            products = tree.leaf_products(p)
-            t_sub = len(products) - 1  # a binary tree has one node fewer than leaves
-            c_now = 0.0
-            for product in products.values():  # summed as ``leaf_sum`` sums
-                c_now += product
+            t_sub = sum(path.startswith(p) for path in tree.nodes)
+            c_now = tree.leaf_sum(p)
             c_values = history.setdefault(p, [])
             c_values.append(c_now)
             if t_sub < 2 or len(c_values) < 2 or not 0.0 < c_now <= 1.0:
@@ -216,8 +173,7 @@ def build_greedy_matryoshka(
 
     tree = grow_tree(dataset, learner, max_nodes=max_raw_nodes, config=config,
                      on_grow=collect_if_faster)
-    tree.metadata["kind"] = "matryoshka"
-    tree.metadata["mode"] = "greedy"
+    tree.metadata.update(kind="matryoshka", mode="greedy")
     return tree, log
 
 

@@ -13,9 +13,10 @@ exp(+alpha_{s-} y).  This is the form under which the leaf-sum identity
 C(T) = sum_leaves prod Z holds together with the signed leaf values
 H_l = sum sign * alpha.
 
-A node whose classifier is a collected subtree (a composite, see
-``matryoshka``) draws a real score h, the H of one walk through its inner
-tree; it branches on sign(h), ties to +, and its edge s adds alpha_s * h.
+A node whose classifier is a collected subtree (a ``CompositeNode``, which
+the ``matryoshka`` builders make) draws a real score h, the H of one walk
+through its inner tree; it branches on sign(h), ties to +, and its edge s
+adds alpha_s * h.
 Its per-example factor on edge s is the sum over the inner walks w on that
 side of p(w, X) * exp(-alpha_s * h_w * y), so the same identity holds with
 composites expanded into their inner walks.
@@ -32,8 +33,11 @@ import numpy as np
 
 from ._zstats import optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, validate_path
-from .weak_learner import PLAIN_SCORES, ProbClassifier, TrainConfig, WeakLearner
+from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
+    _model_metadata,
+    _plain_outcomes,
+    _read_metadata,
     _read_training_sets,
     _train_step,
     _write_training_sets,
@@ -45,6 +49,7 @@ __all__ = [
     "DEAD_BRANCH_THRESHOLD",
     "TreeNode",
     "TreeModel",
+    "CompositeNode",
     "children_weights",
     "walk_table",
     "select_growth_leaf",
@@ -205,11 +210,11 @@ class TreeNode:
 
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
-        classifier = classifier_from_record(record["classifier"], training_sets)
-        plain = classifier.leaf_table is None  # older files store a composite's q too
+        composite = record["classifier"].get("kind") == "composite"  # older files store its q too
+        decode = CompositeNode.from_record if composite else classifier_from_record
         return cls(
-            classifier=classifier,
-            q_plus=np.array(record["q_plus"], dtype=float) if plain else None,
+            classifier=decode(record["classifier"], training_sets),
+            q_plus=None if composite else np.array(record["q_plus"], dtype=float),
             alpha_plus=record["alpha_plus"],
             alpha_minus=record["alpha_minus"],
             z_plus=record["z_plus"],
@@ -273,13 +278,10 @@ class TreeModel:
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "TreeModel":
-        metadata = record.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise TypeError("metadata must be a JSON object")
         return cls(
+            metadata=_read_metadata(record),
             nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
             trajectory=list(record.get("trajectory", [])),
-            metadata=metadata,
         )
 
 
@@ -293,6 +295,39 @@ def _nodes_from_record(nodes: dict[str, Any], training_sets) -> dict[str, TreeNo
     return nodes
 
 
+class CompositeNode(ProbClassifier):
+    """A collected subtree acting as a single two-branch node.
+
+    A draw's score is H_inner of one walk through the inner tree, nested
+    composites included; its output is sign(H_inner) with ties to +1.  Its
+    outcomes on rows X are the inner walks: their probabilities on each row
+    and their H_inner.  ``leaf_table`` holds them for the training
+    examples, built once from what the inner nodes stored so that it agrees
+    with the inner tree's recorded C.
+    """
+
+    def __init__(self, inner: TreeModel):
+        self.inner = inner
+        self.leaf_table = walk_table(inner)
+
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return walk_table(self.inner, X)
+
+    def training_sets(self):
+        for node in self.inner.nodes.values():
+            yield from node.classifier.training_sets()
+
+    def to_record(self) -> dict[str, Any]:
+        # the inner nodes only: walk tables and bounds read nothing else;
+        # their training sets go in the table of the model record
+        nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
+        return {"kind": "composite", "inner": {"nodes": nodes}}
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any], training_sets) -> "CompositeNode":
+        return cls(TreeModel(nodes=_nodes_from_record(record["inner"]["nodes"], training_sets)))
+
+
 def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(reach, scores) of a node's classifier on the rows X.  Without X the
     rows are the training examples and come from what training stored: a
@@ -302,7 +337,7 @@ def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np
         return node.classifier.outcomes(X)
     if node.classifier.leaf_table is not None:
         return node.classifier.leaf_table
-    return np.column_stack([node.q_plus, 1.0 - node.q_plus]), PLAIN_SCORES
+    return _plain_outcomes(node.q_plus)
 
 
 def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +425,9 @@ def grow_tree(
     if config.strategy == "B":
         raise ValueError("strategy B is for AdaBoost; trees sample q with strategy A")
     stream = RandomStream(config.seed)
-    tree = TreeModel(trajectory=[1.0], metadata=_metadata(config, max_nodes, target_bound))
-    tree.metadata["dimension"] = dataset.dimension
+    metadata = _model_metadata(config, dataset, kind="ptree", max_nodes=max_nodes,
+                               target_bound=target_bound)
+    tree = TreeModel(trajectory=[1.0], metadata=metadata)
     frontier = [_growth_key("", 1.0)]
     step = 0
     while frontier and (max_nodes is None or step < max_nodes):
@@ -455,17 +491,6 @@ def attach_node(
     )
     c_prev = tree.trajectory[-1]
     tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
-
-
-def _metadata(config, max_nodes, target_bound) -> dict[str, Any]:
-    return {
-        "kind": "ptree",
-        "seed": config.seed,
-        "exact_q": config.exact_q,
-        "estimator": config.estimator,
-        "max_nodes": max_nodes,
-        "target_bound": target_bound,
-    }
 
 
 def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:

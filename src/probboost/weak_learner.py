@@ -64,6 +64,26 @@ class TrainConfig:
             raise ValueError("strategy B samples q; it cannot run with exact q")
 
 
+def _model_metadata(config: TrainConfig, dataset: Dataset, **fields) -> dict[str, Any]:
+    """A model's metadata: the training choices every model records, the
+    dimension of its training data, and the model's own ``fields``."""
+    return {
+        "seed": config.seed,
+        "exact_q": config.exact_q,
+        "estimator": config.estimator,
+        "dimension": dataset.dimension,
+        **fields,
+    }
+
+
+def _read_metadata(record: dict[str, Any]) -> dict[str, Any]:
+    """The ``metadata`` object of a model record, {} when there is none."""
+    metadata = record.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TypeError("metadata must be a JSON object")
+    return metadata
+
+
 class ProbClassifier(ABC):
     """A per-input Bernoulli oracle over {-1, +1}."""
 
@@ -76,7 +96,7 @@ class ProbClassifier(ABC):
         """(reach (len(X), K), scores (K,)): the probability of each outcome
         the classifier can draw on each row of X, and that outcome's score.
         A plain classifier draws +1 with its exact q(+, x), else -1
-        (``PLAIN_SCORES``).  Only a classifier whose q is known has them."""
+        (``_plain_outcomes``).  Only a classifier whose q is known has them."""
         raise NotImplementedError("exact q unavailable; sample instead")
 
     def q_plus(self, x: np.ndarray) -> float:
@@ -100,6 +120,12 @@ class ProbClassifier(ABC):
 
     @abstractmethod
     def to_record(self) -> dict[str, Any]: ...
+
+
+def _plain_outcomes(q_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome table of a plain classifier that draws +1 with
+    probability ``q_plus`` on each row: (reach, ``PLAIN_SCORES``)."""
+    return np.column_stack([q_plus, 1.0 - q_plus]), PLAIN_SCORES
 
 
 class WeakLearner(ABC):
@@ -320,7 +346,7 @@ class ConstantEdgeClassifier(ProbClassifier):
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
-        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
+        return _plain_outcomes(q)
 
     def training_sets(self) -> tuple[TrainingSet, ...]:
         return (self.training_set,)
@@ -392,8 +418,7 @@ class StumpClassifier(ProbClassifier):
         return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip)
-        return np.column_stack([q, 1.0 - q]), PLAIN_SCORES
+        return _plain_outcomes(np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip))
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -459,22 +484,16 @@ def builtin_noisy_stump(p_flip: float = 0.1) -> NoisyStumpLearner:
     return NoisyStumpLearner(p_flip)
 
 
-_CLASSIFIER_KINDS: dict[str, Any] = {
-    "constant-edge": ConstantEdgeClassifier,
-    "stump": StumpClassifier,
-}
-
-
-def register_classifier_kind(kind: str, cls) -> None:
-    _CLASSIFIER_KINDS[kind] = cls
+_PLAIN_KINDS = {"constant-edge": ConstantEdgeClassifier, "stump": StumpClassifier}
 
 
 def classifier_from_record(
     record: dict[str, Any], training_sets: dict[str, TrainingSet]
 ) -> ProbClassifier:
-    """A classifier from its record; ``training_sets`` is the model's
-    table, by fingerprint, that constant-edge records name."""
+    """A plain classifier from its record (``ptree.TreeNode`` decodes
+    composites); ``training_sets`` is the model's table, by fingerprint,
+    that constant-edge records name."""
     kind = record.get("kind")
-    if kind not in _CLASSIFIER_KINDS:
+    if kind not in _PLAIN_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
-    return _CLASSIFIER_KINDS[kind].from_record(record, training_sets)
+    return _PLAIN_KINDS[kind].from_record(record, training_sets)

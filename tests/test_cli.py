@@ -7,9 +7,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from probboost import bounds, ptree
+from probboost import bounds, cli, ptree
 from probboost.adaboost import TrainConfig, train_adaboost
-from probboost.cli import _tree_mc_loss, main
+from probboost.cli import _mc_loss, main
 from probboost.core import RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka
 from probboost.persist import save_model
@@ -194,18 +194,6 @@ class TestTrain:
         assert result.exit_code == 1
         assert "Error: strategy B samples q" in result.output
 
-    def test_seed_env_var(self, runner, tmp_path, monkeypatch):
-        f1, f2 = tmp_path / "env.json", tmp_path / "flag.json"
-        monkeypatch.setenv("MATRYOSHKA_SEED", "123")
-        r = runner.invoke(main, ["train", "--algo", "adaboost", "--T", "3", "--out", str(f1)])
-        assert r.exit_code == 0, r.output
-        monkeypatch.delenv("MATRYOSHKA_SEED")
-        r = runner.invoke(
-            main, ["train", "--algo", "adaboost", "--T", "3", "--seed", "123", "--out", str(f2)]
-        )
-        assert r.exit_code == 0, r.output
-        assert f1.read_bytes() == f2.read_bytes()
-
 
 class TestEval:
     def test_round_trip_adaboost(self, runner, tmp_path):
@@ -286,7 +274,7 @@ class TestTreeMcLoss:
             make_synthetic_dataset(40, seed=0), builtin_noisy_stump(0.1), 6, TrainConfig(exact_q=True)
         )
         assert model.nodes[""].classifier.leaf_table[0].shape == (40, 69_065)
-        loss, se = _tree_mc_loss(model, make_synthetic_dataset(200, seed=5), 2, 1)
+        loss, se = _mc_loss(model, make_synthetic_dataset(200, seed=5), 2, 1)
         assert 0.0 <= loss <= 1.0 and math.isfinite(se)
 
     def test_no_generator_per_draw(self, monkeypatch):
@@ -301,7 +289,7 @@ class TestTreeMcLoss:
         data = make_synthetic_dataset(seed=0)
         tree = build_fixed_2_matryoshka(data, builtin_noisy_stump(0.1), 2, TrainConfig(exact_q=True))
         calls.clear()
-        _tree_mc_loss(tree, data, 50, 3)
+        _mc_loss(tree, data, 50, 3)
         assert calls == []
 
 
@@ -339,6 +327,8 @@ class TestInputErrors:
             ("eval --model {edge} --seed 4", "only knows its training examples"),
             ("rates-report --rho 1.5 --out {out}", "rho must be in [0, 1), got 1.5"),
             ("rates-report --rho 0 --out {out}", "C must be in (0, 1], got 0.0"),
+            ("rates-report --t-max 0 --out {out}", "--t-max must be >= 1, got 0"),
+            ("rates-report --t-max -2 --out {out}", "--t-max must be >= 1, got -2"),
             # a synthetic dataset needs a seed >= 0; training seeds may be negative
             ("train --algo matryoshka --L 2 --seed -1", "--seed must be >= 0 for a synthetic dataset"),
             ("eval --model {tree} --seed -3", "--seed must be >= 0 for a synthetic dataset"),
@@ -394,6 +384,20 @@ class TestInputErrors:
         assert result.output.startswith("Error: ") and message in result.output
         assert len(result.output.splitlines()) == 1
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("algo", [["adaboost", "--T", "2"], ["ptree", "--T", "2"],
+                                      ["matryoshka", "--L", "2"]], ids=lambda a: a[0])
+    def test_trials_checked_before_training(self, runner, tmp_path, monkeypatch, algo):
+        def untrained(*args, **kwargs):
+            raise AssertionError("trained before --trials was checked")
+
+        for name in ("train_adaboost", "grow_tree", "build_fixed_2_matryoshka"):
+            monkeypatch.setattr(cli, name, untrained)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["train", "--algo", *algo, "--trials", "0", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "Error: trials must be >= 1\n"
+        assert not out.exists()
 
     def test_nesting_too_deep(self, runner, monkeypatch):
         # the walk-table cap is reported as bad input, not as the learner's

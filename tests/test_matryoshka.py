@@ -9,7 +9,6 @@ from probboost.adaboost import TrainConfig
 from probboost.bounds import rate_matryoshka, rate_simple
 from probboost.core import Dataset, RandomStream
 from probboost.matryoshka import (
-    CompositeNode,
     CountingLearner,
     MatryoshkaPolicy,
     build_fixed_2_matryoshka,
@@ -18,6 +17,7 @@ from probboost.matryoshka import (
 )
 from probboost.persist import load_model, save_model
 from probboost.ptree import (
+    CompositeNode,
     TreeModel,
     TreeNode,
     attach_node,
@@ -35,7 +35,6 @@ from probboost.weak_learner import (
     _write_training_sets,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
-    classifier_from_record,
 )
 
 
@@ -141,7 +140,7 @@ class TestCompositeNode:
         )
         composite = collect_leaves(inner)
         training_sets = _read_training_sets(_write_training_sets({}, [composite]))
-        clone = classifier_from_record(composite.to_record(), training_sets)
+        clone = CompositeNode.from_record(composite.to_record(), training_sets)
         assert isinstance(clone, CompositeNode)
         x = small_dataset.features[0]
         assert clone.q_plus(x) == composite.q_plus(x)

@@ -122,6 +122,28 @@ class TestTrainingSetTable:
         assert "training_sets" not in json.loads(out.read_text())
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ("--mode fixed2 --L 4 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
+             "047ab95323d692003928e5c0e8d29d0f02c8d084b1bfb558839e7f536d5714f9"),
+            ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
+             "a381d007e726d463538bc2caf10f59193ded1e59f2363330b3fe0bb40e453f5f"),
+            ("--mode fixed2 --L 3 --seed 3",
+             "fc09447b4c15e9288ba82faed75951b56f8284fdbd86e56e508ab6e00370c89e"),
+        ],
+        ids=["fixed2-edge", "greedy-edge", "fixed2-stump-sampled"],
+    )
+    def test_matryoshka_files_unchanged(self, tmp_path, args, digest):
+        # composite edges, their walk tables and the greedy collects decide
+        # these bytes; the greedy case collects 12 times
+        out = tmp_path / "m.json"
+        result = CliRunner().invoke(
+            main, ["train", "--algo", "matryoshka", *args.split(), "--trials", "50", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_foreign_rows_are_one_error_line(self, tmp_path):
         # as many rows as the training set, each moved off its training row
         header, *rows = (DATA / "edge_data.csv").read_text().splitlines()
