@@ -22,7 +22,7 @@ from ._zstats import (
     z_min,
     z_value,
 )
-from .core import Dataset, RandomStream, _mc_summary
+from .core import Dataset, RandomStream, _check_trials, _mc_summary
 from .weak_learner import (
     R_MAX_DEFAULT,
     OracleEstimate,
@@ -249,8 +249,7 @@ def mc_misclassification(
 
     Ties H(X) = 0 count as misclassification.  Returns (mean, standard error).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     stream = RandomStream(seed)
     examples, draws = np.arange(dataset.n_examples), np.arange(trials)[:, None]
     H = np.zeros((trials, dataset.n_examples))

@@ -17,7 +17,7 @@ from .adaboost import (
     mc_misclassification,
     train_adaboost,
 )
-from .core import Dataset, RandomStream, _mc_summary, load_csv, make_synthetic_dataset
+from .core import Dataset, RandomStream, _check_trials, _mc_summary, load_csv, make_synthetic_dataset
 from .matryoshka import (
     CountingLearner,
     MatryoshkaPolicy,
@@ -133,12 +133,6 @@ def _load_dataset(data: str | None, seed: int) -> Dataset:
     return make_synthetic_dataset(seed=seed)
 
 
-def _make_learner(oracle: str, epsilon: float, p_flip: float):
-    if oracle == "constant-edge":
-        return builtin_constant_edge_oracle(epsilon)
-    return builtin_noisy_stump(p_flip)
-
-
 @main.command("train")
 @click.option("--algo", type=click.Choice(["adaboost", "ptree", "matryoshka"]), required=True)
 @click.option("--data", type=click.Path(exists=True), default=None, help="CSV dataset; synthetic if omitted")
@@ -161,10 +155,10 @@ def _make_learner(oracle: str, epsilon: float, p_flip: float):
 def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimator,
               strategy, exact_q, seed, out, log_path, trials) -> None:
     """Train a model and report its recorded bound and training error."""
-    if trials < 1:  # before training, which the report would otherwise throw away
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)  # before training, which the report would otherwise throw away
     dataset = _load_dataset(data, seed)
-    learner = CountingLearner(_make_learner(oracle, epsilon, p_flip))
+    base = builtin_constant_edge_oracle(epsilon) if oracle == "constant-edge" else builtin_noisy_stump(p_flip)
+    learner = CountingLearner(base)
     config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
 
     if algo == "adaboost":

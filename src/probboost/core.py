@@ -100,6 +100,12 @@ class Dataset:
         return cls(features, labels, weights)
 
 
+def _check_trials(trials: int) -> None:
+    """Monte-Carlo trials: below 2^32, the width of a tree walk's trial key."""
+    if not 1 <= trials < 2**32:
+        raise ValueError(f"trials must be >= 1 and below 2^32, got {trials}")
+
+
 def _mc_summary(scores: np.ndarray, dataset: Dataset) -> tuple[float, float]:
     """Monte-Carlo weighted 0/1 loss of sampled scores H, one row per trial
     and one column per example, ties H = 0 counted as errors: the mean over

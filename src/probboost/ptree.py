@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import optimal_alphas, w_statistics
-from .core import Dataset, RandomStream, validate_path
+from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
     _model_metadata,
@@ -121,25 +121,27 @@ def _edge_factor(
     return np.sum(reach[:, side] * _exp_table(alpha, h)[index], axis=1)
 
 
-def _fit_edge_scale(mass: np.ndarray, margins: np.ndarray, h: np.ndarray, index: np.ndarray) -> float:
-    """Descend Z(a) = sum mass * exp(-a * margins) from a = 1, where
-    margins = y_n * h_k and ``index`` is ``_label_index(y, len(h))``.
-
-    Z is convex in a; damped Newton steps are taken only when they lower Z,
-    so the result never has a larger Z than a = 1.
+def _fit_edge_scale(label_mass: np.ndarray, h: np.ndarray) -> float:
+    """Descend Z(a) = sum_k M+_k exp(-a h_k) + M-_k exp(a h_k) from a = 1, where
+    ``label_mass`` is (M+, M-): each outcome's weight * reach summed over the
+    +1 examples, then the -1 examples.  Z is convex in a; damped Newton steps
+    are taken only when they lower Z, so the result never has a larger Z than a = 1.
     """
+    margins = np.concatenate((h, -h))
+    slope_mass = label_mass * margins
+    curvature_mass = slope_mass * margins
     alpha = 1.0
-    terms = mass * _exp_table(alpha, h)[index]
-    z = float(np.sum(terms))
+    terms = _exp_table(alpha, h)
+    z = float(np.sum(label_mass * terms))
     for _ in range(SCALE_SEARCH_STEPS):
-        slope = -float(np.sum(terms * margins))
-        curvature = float(np.sum(terms * margins * margins))
+        slope = -float(np.sum(slope_mass * terms))
+        curvature = float(np.sum(curvature_mass * terms))
         if not curvature > 0.0:
             break
         step = -slope / curvature
         while abs(step) > 1e-12 * max(1.0, abs(alpha)):
-            trial = mass * _exp_table(alpha + step, h)[index]
-            z_next = float(np.sum(trial))
+            trial = _exp_table(alpha + step, h)
+            z_next = float(np.sum(label_mass * trial))
             if z_next < z:
                 alpha, z, terms = alpha + step, z_next, trial
                 break
@@ -160,13 +162,14 @@ def _scored_children(
     """
     weights = np.asarray(weights, dtype=float)
     y = np.asarray(labels, dtype=float)
+    # numpy sums here and in the fit; BLAS sum order varies with thread count
+    weighted, positive = weights[:, None] * reach, y > 0.0
+    label_sums = np.stack((weighted[positive].sum(axis=0), weighted[~positive].sum(axis=0)))
     edges = []
     for sign in (1, -1):
         side = _side(scores, sign)
-        h = scores[side]
-        index = _label_index(y, len(h))
-        alpha = _fit_edge_scale(weights[:, None] * reach[:, side], np.outer(y, h), h, index)
-        mass = weights * np.sum(reach[:, side] * _exp_table(alpha, h)[index], axis=1)
+        alpha = _fit_edge_scale(label_sums[:, side].ravel(), scores[side])
+        mass = weights * _edge_factor(reach, scores, y, sign, alpha)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
     (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
@@ -535,10 +538,7 @@ def predict_tree(
     dim = tree.metadata.get("dimension")
     if X.ndim != 2 or (dim is not None and X.shape[1] != dim):
         raise ValueError(f"expected rows of feature dimension {dim}, got shape {X.shape}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials >= 2**32:
-        raise ValueError("trials must be below 2^32")
+    _check_trials(trials)
     trial, row = np.divmod(np.arange(trials * len(X)), len(X))
     draws = np.zeros(len(row), dtype=np.uint64)
     scores, leaves = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose)

@@ -389,3 +389,10 @@ class TestMcMisclassification:
         a = mc_misclassification(model, small_dataset, 500, seed=7)
         b = mc_misclassification(model, small_dataset, 500, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("trials", [0, 2**32])
+    def test_trial_count_checked(self, tiny_dataset, trials):
+        # checked before the (trials, N) score array is allocated
+        model = train_adaboost(tiny_dataset, builtin_noisy_stump(0.0), 1, TrainConfig(exact_q=True))
+        with pytest.raises(ValueError, match="trials must be >= 1 and below 2\\^32"):
+            mc_misclassification(model, tiny_dataset, trials)

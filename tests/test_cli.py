@@ -323,6 +323,7 @@ class TestInputErrors:
             ("train --algo adaboost --T 2 --oracle constant-edge --epsilon 0.7", "epsilon"),
             ("eval --model {ada} --trials 0", "trials must be >= 1"),
             ("eval --model {tree} --trials 0", "trials must be >= 1"),
+            ("eval --model {ada} --trials 4294967296", "trials must be >= 1 and below 2^32"),
             # seed 4 makes other examples than the oracle was trained on
             ("eval --model {edge} --seed 4", "only knows its training examples"),
             ("rates-report --rho 1.5 --out {out}", "rho must be in [0, 1), got 1.5"),
@@ -394,10 +395,11 @@ class TestInputErrors:
         for name in ("train_adaboost", "grow_tree", "build_fixed_2_matryoshka"):
             monkeypatch.setattr(cli, name, untrained)
         out = tmp_path / "m.json"
-        result = runner.invoke(main, ["train", "--algo", *algo, "--trials", "0", "--out", str(out)])
-        assert result.exit_code == 1
-        assert result.output == "Error: trials must be >= 1\n"
-        assert not out.exists()
+        for trials in ("0", str(2**32)):
+            result = runner.invoke(main, ["train", "--algo", *algo, "--trials", trials, "--out", str(out)])
+            assert result.exit_code == 1
+            assert result.output == f"Error: trials must be >= 1 and below 2^32, got {trials}\n"
+            assert not out.exists()
 
     def test_nesting_too_deep(self, runner, monkeypatch):
         # the walk-table cap is reported as bad input, not as the learner's

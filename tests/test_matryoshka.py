@@ -7,7 +7,7 @@ import pytest
 
 from probboost.adaboost import TrainConfig
 from probboost.bounds import rate_matryoshka, rate_simple
-from probboost.core import Dataset, RandomStream
+from probboost.core import Dataset, RandomStream, make_synthetic_dataset
 from probboost.matryoshka import (
     CountingLearner,
     MatryoshkaPolicy,
@@ -49,12 +49,17 @@ def _single_split_tree(epsilon=0.2, labels=(1, -1)):
     return tree, ds
 
 
-def _composites(tree):
-    """Every composite in the tree, nested ones included."""
+def _composite_nodes(tree):
+    """Every node whose classifier is a composite, nested ones included."""
     for node in tree.nodes.values():
         if isinstance(node.classifier, CompositeNode):
-            yield node.classifier
-            yield from _composites(node.classifier.inner)
+            yield node
+            yield from _composite_nodes(node.classifier.inner)
+
+
+def _composites(tree):
+    """Every composite in the tree, nested ones included."""
+    return [node.classifier for node in _composite_nodes(tree)]
 
 
 def _composite_records(record):
@@ -255,6 +260,24 @@ class TestCompositeNode:
         node = outer.nodes[""]
         assert node.z_plus + node.z_minus <= inner.recorded_bound() + 1e-12
         assert outer.recorded_bound() == pytest.approx(exact_tree_bound(outer, ds), abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["fixed2", "greedy"])
+    def test_z_sum_at_most_inner_c_at_benchmark_scale(self, mode):
+        # the nested-trees benchmark's sizes, where the root composite of a
+        # fixed-2 L=6 tree has thousands of walks; the inner C is its leaf
+        # sum, since a greedy collect keeps no trajectory
+        learner, config = builtin_constant_edge_oracle(0.3), TrainConfig(seed=1, exact_q=True)
+        if mode == "fixed2":
+            dataset = make_synthetic_dataset(40, seed=1)
+            tree = build_fixed_2_matryoshka(dataset, learner, 6, config)
+        else:
+            dataset = make_synthetic_dataset(20, seed=1)
+            tree, _ = build_greedy_matryoshka(dataset, learner, 28, config=config)
+        nodes = list(_composite_nodes(tree))
+        assert len(nodes) >= 20
+        for node in nodes:
+            assert node.z_plus + node.z_minus <= node.classifier.inner.leaf_sum() + 1e-12
+        assert exact_tree_bound(tree, dataset) == pytest.approx(tree.recorded_bound(), rel=1e-10)
 
     def test_walk_table_size_is_capped(self, small_dataset, monkeypatch):
         from probboost import ptree

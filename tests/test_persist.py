@@ -126,11 +126,11 @@ class TestTrainingSetTable:
         "args, digest",
         [
             ("--mode fixed2 --L 4 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "047ab95323d692003928e5c0e8d29d0f02c8d084b1bfb558839e7f536d5714f9"),
+             "1ababc3412b0cc21a58013ab7429a6b30cd4338c1546b33c06dd37be0cbbd8e2"),
             ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "a381d007e726d463538bc2caf10f59193ded1e59f2363330b3fe0bb40e453f5f"),
+             "6434ea02ac4fff372b466fa561544cdf1cbc04a3130109fd84439280f5f29630"),
             ("--mode fixed2 --L 3 --seed 3",
-             "fc09447b4c15e9288ba82faed75951b56f8284fdbd86e56e508ab6e00370c89e"),
+             "3e668941a12fd83121c1543de2ec84d5d7a31f01472f2945cd5b8dbe95351f9f"),
         ],
         ids=["fixed2-edge", "greedy-edge", "fixed2-stump-sampled"],
     )

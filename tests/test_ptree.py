@@ -465,6 +465,47 @@ class TestExactTreeBound:
 
 class TestCompositeEdgeFit:
     @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        n, k = 12, 1 + seed * 3
+        y = rng.choice([-1.0, 1.0], n)
+        h = rng.normal(0.0, 2.0, k)
+        reach = rng.dirichlet(np.ones(k), n)
+        return y, h, reach, rng.uniform(0.0, 1.0, n)
+
+    @staticmethod
+    def _label_sum_fit(weights, y, reach, h):
+        """The label-sum fit with each per-outcome sum taken by a loop over
+        the examples and every Newton step's Z, slope and curvature recomputed."""
+        sums = {label: [0.0] * len(h) for label in (1.0, -1.0)}
+        for n in range(len(y)):
+            for k in range(len(h)):
+                sums[y[n]][k] += weights[n] * reach[n, k]
+        mass = np.array(sums[1.0] + sums[-1.0])
+        margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
+
+        def z_at(a):
+            return float(np.sum(mass * np.exp(-a * margins)))
+
+        alpha, z = 1.0, z_at(1.0)
+        for _ in range(ptree.SCALE_SEARCH_STEPS):
+            terms = np.exp(-alpha * margins)
+            slope = -float(np.sum(mass * margins * terms))
+            curvature = float(np.sum(mass * margins * margins * terms))
+            if not curvature > 0.0:
+                break
+            step = -slope / curvature
+            while abs(step) > 1e-12 * max(1.0, abs(alpha)):
+                z_next = z_at(alpha + step)
+                if z_next < z:
+                    alpha, z = alpha + step, z_next
+                    break
+                step *= 0.5
+            else:
+                break
+        return alpha, mass
+
+    @staticmethod
     def _outer_fit(mass, margins):
         """The edge fit written with one exp per (example, outcome) and
         every Newton step's terms recomputed."""
@@ -486,21 +527,32 @@ class TestCompositeEdgeFit:
         return alpha
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_fit_is_the_label_sum_form(self, seed):
+        # labels are +/-1, so per-outcome label sums give Z of every
+        # (example, outcome) pair; the fit matches its naive form bit for bit
+        y, h, reach, weights = self._case(seed)
+        expected, mass = self._label_sum_fit(weights, y, reach, h)
+        assert ptree._fit_edge_scale(mass, h) == expected
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_exp_table_is_the_outer_product_form(self, seed):
-        # labels are +/-1, so a 2K-entry table gives every exp(-a y_n h_k),
-        # and the fit and the edge factor match the outer-product form bit for bit
-        rng = np.random.default_rng(seed)
-        n, k = 12, 1 + seed * 3
-        y = rng.choice([-1.0, 1.0], n)
-        h = rng.normal(0.0, 2.0, k)
-        reach = rng.dirichlet(np.ones(k), n)
-        mass = rng.uniform(0.0, 1.0, n)[:, None] * reach
-        index = ptree._label_index(y, k)
+        # the O(N K) form sums in another order: alpha and Z agree to
+        # rounding, and the edge factor is the outer-product form bit for bit
+        y, h, reach, weights = self._case(seed)
+        index = ptree._label_index(y, len(h))
         np.testing.assert_array_equal(ptree._exp_table(0.7, h)[index], np.exp(-0.7 * np.outer(y, h)))
-        alpha = ptree._fit_edge_scale(mass, np.outer(y, h), h, index)
-        assert alpha == self._outer_fit(mass, np.outer(y, h))
-        for sign in (1, -1):
+        a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, reach, h)
+        for sign, alpha, z in ((1, a_plus, z_plus), (-1, a_minus, z_minus)):
             side = ptree._side(h, sign)
+            margins = np.outer(y, h[side])
+            outer = self._outer_fit(weights[:, None] * reach[:, side], margins)
+            assert alpha == pytest.approx(outer, rel=1e-6)
+
+            def z_at(a):
+                return float(np.sum(weights[:, None] * reach[:, side] * np.exp(-a * margins)))
+
+            assert z == pytest.approx(z_at(outer), rel=1e-12)
+            assert z <= float(np.sum(weights * ptree._edge_factor(reach, h, y, sign, 1.0)))
             expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
             np.testing.assert_array_equal(ptree._edge_factor(reach, h, y, sign, alpha), expected)
 
