@@ -73,7 +73,7 @@ class Dataset:
         n = features.shape[0]
         if labels.shape != (n,) or weights.shape != (n,):
             raise ValueError("labels/weights must match the number of examples")
-        if not np.all(np.isin(labels, (-1, 1))):
+        if not np.all(np.abs(labels) == 1):  # np.isin would sort; builders make many Datasets
             raise ValueError("labels must be -1 or +1")
         if not np.all(weights >= 0.0) or abs(weights.sum() - 1.0) > 1e-12:  # nan fails >= 0, inf the sum
             raise ValueError("weights must be finite, nonnegative and sum to 1")

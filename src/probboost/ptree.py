@@ -99,12 +99,6 @@ def _side(scores: np.ndarray, sign: int) -> np.ndarray:
     return scores >= 0.0 if sign == 1 else scores < 0.0
 
 
-def _label_index(y: np.ndarray, k: int) -> np.ndarray:
-    """(len(y), k) positions of exp(-a * y_n * h_k) in ``_exp_table(a, h)``:
-    k where y_n = +1, k + K where y_n = -1."""
-    return np.arange(k) + k * (y < 0.0)[:, None]
-
-
 def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
     """exp(-alpha * y * h_k) for y = +1, then for y = -1.  Labels are +/-1,
     so these 2K values are every exp(-alpha * y_n * h_k), bit for bit."""
@@ -116,9 +110,14 @@ def _edge_factor(
 ) -> np.ndarray:
     """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
     side = _side(scores, sign)
-    h = scores[side]
-    index = _label_index(np.asarray(labels, dtype=float), len(h))
-    return np.sum(reach[:, side] * _exp_table(alpha, h)[index], axis=1)
+    for_plus, for_minus = np.split(_exp_table(alpha, scores[side]), 2)
+    # a C-ordered copy: each row then sums in the same (pairwise) order as
+    # any C-ordered (N, K) product; a boolean column selection is F-ordered
+    factor = np.compress(side, reach, axis=1)
+    negative = (np.asarray(labels, dtype=float) < 0.0)[:, None]
+    np.multiply(factor, for_plus, out=factor, where=~negative)
+    np.multiply(factor, for_minus, out=factor, where=negative)
+    return factor.sum(axis=1)
 
 
 def _fit_edge_scale(label_mass: np.ndarray, h: np.ndarray) -> float:
@@ -162,9 +161,12 @@ def _scored_children(
     """
     weights = np.asarray(weights, dtype=float)
     y = np.asarray(labels, dtype=float)
-    # numpy sums here and in the fit; BLAS sum order varies with thread count
-    weighted, positive = weights[:, None] * reach, y > 0.0
-    label_sums = np.stack((weighted[positive].sum(axis=0), weighted[~positive].sum(axis=0)))
+    # einsum without ``optimize`` adds the examples in row order and calls no
+    # BLAS, whose sum order varies with the thread count
+    positive = y > 0.0
+    label_sums = np.stack(
+        [np.einsum("n,nk->k", np.where(rows, weights, 0.0), reach) for rows in (positive, ~positive)]
+    )
     edges = []
     for sign in (1, -1):
         side = _side(scores, sign)
@@ -351,26 +353,54 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
     X they are the training examples, read from what training stored.  A tree
     without nodes has one walk, H = 0.
     """
-    walks_reach, walks_score = [], []
-    stack = [("", np.ones((1 if X is None else len(X), 1)), np.zeros(1))]
-    entries = 0
+    root_rows = 1 if X is None else len(X)
+    if "" not in tree.nodes:
+        return np.ones((root_rows, 1)), np.zeros(1)
+    # A walk is its parent's reach (1 at the root) times its edge's outcome
+    # columns, formed when the walk is expanded; a leaf walk is written once,
+    # into its block of the table, when every block's width is known.
+    leaves, stack, entries = [], [("", None, None, np.zeros(1))], 0
     while stack:
-        path, reach, score = stack.pop()
+        path, parent, columns, score = stack.pop()
         node = tree.nodes.get(path)
         if node is None:
-            walks_reach.append(reach)
-            walks_score.append(score)
+            leaves.append((parent, columns, score))
             continue
+        reach = _outer_walks(parent, columns)
+        rows = root_rows if reach is None else len(reach)
         node_reach, node_scores = _node_outcomes(node, X)
         for sign, child in ((-1, "-"), (1, "+")):  # '+' is expanded first
             side = _side(node_scores, sign)
-            entries += max(len(reach), len(node_reach)) * reach.shape[1] * int(side.sum())
+            entries += max(rows, len(node_reach)) * len(score) * int(side.sum())
             if entries > MAX_WALK_ENTRIES:
                 raise ValueError(f"walk table exceeds {MAX_WALK_ENTRIES} entries; nesting too deep")
-            child_reach = reach[:, :, None] * node_reach[:, None, side]
             child_score = score[:, None] + node.alpha(sign) * node_scores[side]
-            stack.append((path + child, child_reach.reshape(len(child_reach), -1), child_score.ravel()))
-    return np.hstack(walks_reach), np.concatenate(walks_score)
+            stack.append((path + child, reach, np.compress(side, node_reach, axis=1), child_score.ravel()))
+    scores = np.concatenate([score for _, _, score in leaves])
+    table = np.empty((len(leaves[0][1]), len(scores)))
+    start = 0
+    for parent, columns, score in leaves:
+        _outer_walks(parent, columns, out=table[:, start : start + len(score)])
+        start += len(score)
+    return table, scores
+
+
+def _outer_walks(
+    parent: np.ndarray | None, columns: np.ndarray | None, out: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Every parent walk's reach times every outcome column, row by row:
+    (rows, K_parent * K_columns), parent-major.  A parent of None is the
+    root's reach, 1, and the root itself has no columns either.  ``out``
+    may be a column block of a larger table."""
+    if parent is None:
+        if out is not None:
+            out[...] = columns
+        return columns
+    if out is None:
+        out = np.empty((max(len(parent), len(columns)), parent.shape[1] * columns.shape[1]))
+    blocks = out.reshape(len(out), parent.shape[1], columns.shape[1])  # a view, also of a column block
+    np.multiply(parent[:, :, None], columns[:, None, :], out=blocks)
+    return out
 
 
 def _growth_key(leaf: str, product: float) -> tuple[float, int, str]:

@@ -73,6 +73,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_arrays([[0.0]], [0])
 
+    @pytest.mark.parametrize("labels", [[1, 0], [2, -1], [1, -2], [1, np.iinfo(np.int64).min]])
+    def test_labels_other_than_plus_minus_one_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            Dataset.from_arrays(np.zeros((2, 1)), labels)
+        assert Dataset.from_arrays(np.zeros((2, 1)), [1, -1]).labels.tolist() == [1, -1]
+
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array([0.6, 0.6]))

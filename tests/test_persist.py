@@ -176,3 +176,26 @@ def test_train_and_eval_in_separate_processes(tmp_path):
     recorded = next(line for line in train.stdout.splitlines() if line.startswith("recorded bound: "))
     assert f"recorded training bound: {recorded.split(': ')[1]}" in evaluated.stdout.splitlines()
     assert len(json.loads(model.read_text())["training_sets"]) == 1
+
+
+def test_trained_file_does_not_depend_on_blas_threads(tmp_path):
+    # the composite kernels call no BLAS, whose sums split over its threads;
+    # at budget 28 the walk tables are long enough for OpenBLAS to split a dot
+    digests = set()
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        model = tmp_path / f"greedy-{threads}.json"
+        subprocess.run(
+            [sys.executable, "-m", "probboost.cli", "train", "--algo", "matryoshka", "--mode", "greedy",
+             "--T", "28", "--oracle", "constant-edge", "--epsilon", "0.3", "--exact-q", "--seed", "3",
+             "--trials", "10", "--out", str(model)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert '"kind": "composite"' in model.read_text()
+        digests.add(hashlib.sha256(model.read_bytes()).hexdigest())
+    assert len(digests) == 1

@@ -11,7 +11,7 @@ from probboost._zstats import optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import Dataset, RandomStream
-from probboost.matryoshka import build_greedy_matryoshka
+from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.ptree import (
     DEAD_BRANCH_THRESHOLD,
     TreeModel,
@@ -539,8 +539,9 @@ class TestCompositeEdgeFit:
         # the O(N K) form sums in another order: alpha and Z agree to
         # rounding, and the edge factor is the outer-product form bit for bit
         y, h, reach, weights = self._case(seed)
-        index = ptree._label_index(y, len(h))
-        np.testing.assert_array_equal(ptree._exp_table(0.7, h)[index], np.exp(-0.7 * np.outer(y, h)))
+        table = ptree._exp_table(0.7, h)
+        by_label = np.where(y[:, None] > 0.0, table[: len(h)], table[len(h) :])
+        np.testing.assert_array_equal(by_label, np.exp(-0.7 * np.outer(y, h)))
         a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, reach, h)
         for sign, alpha, z in ((1, a_plus, z_plus), (-1, a_minus, z_minus)):
             side = ptree._side(h, sign)
@@ -555,6 +556,149 @@ class TestCompositeEdgeFit:
             assert z <= float(np.sum(weights * ptree._edge_factor(reach, h, y, sign, 1.0)))
             expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
             np.testing.assert_array_equal(ptree._edge_factor(reach, h, y, sign, alpha), expected)
+
+
+def _reference_walks(tree, X, path="", reach=None, score=None):
+    """Every walk by recursion, as one (rows, 1) column of ones times each
+    edge's outcome columns, outer products flattened parent-major, the
+    '+' walks first, joined with hstack."""
+    if reach is None:
+        reach, score = np.ones((1 if X is None else len(X), 1)), np.zeros(1)
+    node = tree.nodes.get(path)
+    if node is None:
+        return reach, score
+    node_reach, node_scores = ptree._node_outcomes(node, X)
+    walks = []
+    for sign, child in ((1, "+"), (-1, "-")):
+        side = ptree._side(node_scores, sign)
+        child_reach = reach[:, :, None] * node_reach[:, None, side]
+        child_reach = child_reach.reshape(len(child_reach), -1)
+        child_score = (score[:, None] + node.alpha(sign) * node_scores[side]).ravel()
+        walks.append(_reference_walks(tree, X, path + child, child_reach, child_score))
+    return np.hstack([w[0] for w in walks]), np.concatenate([w[1] for w in walks])
+
+
+def _reference_edge_factor(reach, scores, y, sign, alpha):
+    """The edge factor with the (N, K) exp table gathered by label."""
+    side = ptree._side(scores, sign)
+    h = scores[side]
+    index = np.arange(len(h)) + len(h) * (y < 0.0)[:, None]
+    return np.sum(reach[:, side] * ptree._exp_table(alpha, h)[index], axis=1)
+
+
+def _reference_scored_children(weights, y, reach, scores):
+    """The composite edges with the label sums taken from the (N, K)
+    product weights * reach, one row subset per label."""
+    weighted, positive = weights[:, None] * reach, y > 0.0
+    label_sums = np.stack((weighted[positive].sum(axis=0), weighted[~positive].sum(axis=0)))
+    edges = []
+    for sign in (1, -1):
+        side = ptree._side(scores, sign)
+        alpha = ptree._fit_edge_scale(label_sums[:, side].ravel(), scores[side])
+        mass = weights * _reference_edge_factor(reach, scores, y, sign, alpha)
+        z = float(mass.sum())
+        edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
+    (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
+    return a_plus, a_minus, d_plus, z_plus, d_minus, z_minus
+
+
+class TestWalkKernels:
+    """The walk table, the composite edges and the exact bound equal their
+    naive forms bit for bit, so trained files do not move with them."""
+
+    @staticmethod
+    def _trees(dataset):
+        for learner in (builtin_constant_edge_oracle(0.3), builtin_noisy_stump(0.1)):
+            for L in (2, 3, 4):
+                yield build_fixed_2_matryoshka(dataset, learner, L, TrainConfig(seed=L, exact_q=True))
+
+    def test_walk_table_is_the_outer_product_form(self, small_dataset):
+        rows = small_dataset.features[[3, 0, 0, 17, 9]]
+        for tree in self._trees(small_dataset):
+            inner = [node.classifier.inner for node in tree.nodes.values() if node.classifier.leaf_table is not None]
+            assert inner
+            for model in (tree, *inner):
+                for X in (None, small_dataset.features, rows):
+                    reach, scores = walk_table(model, X)
+                    expected_reach, expected_scores = _reference_walks(model, X)
+                    np.testing.assert_array_equal(reach, expected_reach)
+                    np.testing.assert_array_equal(scores, expected_scores)
+                    # row sums of the edge factor and the label sums add in C order
+                    assert reach.flags.c_contiguous
+
+    def test_walk_table_of_a_tree_without_nodes(self):
+        for X, rows in ((None, 1), (np.zeros((3, 2)), 3)):
+            reach, scores = walk_table(TreeModel(), X)
+            np.testing.assert_array_equal(reach, np.ones((rows, 1)))
+            np.testing.assert_array_equal(scores, np.zeros(1))
+
+    def test_scored_children_are_the_gathered_form(self, small_dataset):
+        y = small_dataset.labels.astype(float)
+        for tree in self._trees(small_dataset):
+            for path, node in tree.nodes.items():
+                if node.classifier.leaf_table is None:
+                    continue
+                weights = ptree._leaf_weights(tree, path, small_dataset)
+                reach, scores = node.classifier.leaf_table
+                got = ptree._scored_children(weights, y, reach, scores)
+                for value, expected in zip(got, _reference_scored_children(weights, y, reach, scores)):
+                    np.testing.assert_array_equal(value, expected)
+                # the fitted edges are the ones training stored
+                assert got[:2] == (node.alpha_plus, node.alpha_minus)
+            assert exact_tree_bound(tree, small_dataset) == self._reference_bound(tree, small_dataset)
+
+    @staticmethod
+    def _reference_bound(tree, dataset):
+        y = dataset.labels.astype(float)
+
+        def below(path):
+            node = tree.nodes.get(path)
+            if node is None:
+                return 1.0
+            reach, scores = ptree._node_outcomes(node, None)
+            return sum(
+                _reference_edge_factor(reach, scores, y, sign, node.alpha(sign)) * below(path + child)
+                for sign, child in ((1, "+"), (-1, "-"))
+            )
+
+        return float(np.sum(dataset.weights * below("")))
+
+    @pytest.mark.parametrize(
+        "case", ["no minus outcomes", "no plus outcomes", "no -1 labels", "no +1 labels", "zero weights"]
+    )
+    def test_scored_children_edge_cases(self, case):
+        # a composite has at least two walks
+        rng = np.random.default_rng(7)
+        n, k = 9, 6
+        y = rng.choice([-1.0, 1.0], n)
+        scores = rng.normal(0.0, 1.0, k)
+        reach = rng.dirichlet(np.ones(k), n)
+        weights = rng.dirichlet(np.ones(n))
+        if case == "no minus outcomes":
+            scores = np.abs(scores)
+            scores[2] = 0.0  # ties go to +
+        elif case == "no plus outcomes":
+            scores = -np.abs(scores) - 0.1
+        elif case == "no -1 labels":
+            y[:] = 1.0
+        elif case == "no +1 labels":
+            y[:] = -1.0
+        else:
+            weights[[1, 4]] = 0.0
+        # with one label class absent Z falls without bound on both edges and
+        # the fit runs into exp overflow; both forms still agree bit for bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = ptree._scored_children(weights, y, reach, scores)
+            expected = _reference_scored_children(weights, y, reach, scores)
+        for value, reference in zip(got, expected):
+            np.testing.assert_array_equal(value, reference)
+        for sign in (1, -1):
+            np.testing.assert_array_equal(
+                ptree._edge_factor(reach, scores, y, sign, 0.8),
+                _reference_edge_factor(reach, scores, y, sign, 0.8),
+            )
+        if case == "no minus outcomes":
+            assert got[1] == 1.0 and got[5] == 0.0 and not got[4].any()
 
 
 class TestPredictTree:
