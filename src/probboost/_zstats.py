@@ -11,7 +11,8 @@ ALPHA_SMOOTHING = 1e-8
 
 
 class WStats(NamedTuple):
-    """W^{ab}: weight mass with classifier output a on examples of label b."""
+    """W^{ab}: weight mass with classifier output a on examples of label b
+    (for a block of sampling rounds, a list with one value per round)."""
 
     pp: float
     pm: float
@@ -20,17 +21,24 @@ class WStats(NamedTuple):
 
 
 def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray) -> WStats:
+    """W from per-example q(+) estimates.  ``q_plus`` may also hold one row
+    per sampling round, shape (R, N): each field is then a list of R floats,
+    each bit for bit the W of that row alone."""
     weights = np.asarray(weights, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
-    if np.any(q_plus < 0.0) or np.any(q_plus > 1.0):
+    if (q_plus < 0.0).any() or (q_plus > 1.0).any():
         raise ValueError("q estimates must lie in [0, 1]")
     pos = labels == 1
     neg = ~pos
+    w_pos, w_neg = weights[pos], weights[neg]
+    # compress keeps rows C-ordered, so each row is summed pairwise as a
+    # 1-D array is; q_plus[..., pos] comes out F-ordered and sums sequentially
+    q_pos, q_neg = q_plus.compress(pos, axis=-1), q_plus.compress(neg, axis=-1)
     return WStats(
-        pp=float(np.sum(weights[pos] * q_plus[pos])),
-        pm=float(np.sum(weights[neg] * q_plus[neg])),
-        mp=float(np.sum(weights[pos] * (1.0 - q_plus[pos]))),
-        mm=float(np.sum(weights[neg] * (1.0 - q_plus[neg]))),
+        pp=(w_pos * q_pos).sum(axis=-1).tolist(),
+        pm=(w_neg * q_neg).sum(axis=-1).tolist(),
+        mp=(w_pos * (1.0 - q_pos)).sum(axis=-1).tolist(),
+        mm=(w_neg * (1.0 - q_neg)).sum(axis=-1).tolist(),
     )
 
 

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import optimal_alphas, w_statistics, z_value
+from ._zstats import WStats, optimal_alphas, w_statistics, z_value
 from .core import Dataset, RandomStream
 
 __all__ = [
@@ -42,6 +42,10 @@ __all__ = [
 # stops at R_MAX_DEFAULT; strategy B looks ahead at most R_MAX_DEFAULT * T times.
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
+# Strategy A draws its rounds in blocks of at most this many uniforms: one
+# RandomStream call, one sample_batch call and one W pass per block.  At
+# N > MAX_BLOCK_DRAWS / 2 a block is one round.
+MAX_BLOCK_DRAWS = 4096
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
 
 
@@ -146,11 +150,23 @@ def _train_step(learner: WeakLearner, dataset: Dataset, weights, where: str) -> 
         raise RuntimeError(f"weak learner failed at {where}") from exc
 
 
+def _q_estimate(counts_plus: np.ndarray, rounds, estimator: str) -> np.ndarray:
+    """q(+) estimates from the counts of draws with score >= 0 after
+    ``rounds`` rounds: an int, or a column of ints for one row per round."""
+    if estimator == "map":
+        return (1.0 + counts_plus) / (rounds + 2)
+    if estimator == "ml":
+        if np.any(rounds < 1):
+            raise ValueError("ML estimate undefined without observations")
+        return counts_plus / rounds
+    raise ValueError(f"unknown estimator {estimator!r}")
+
+
 @dataclass
 class OracleEstimate:
     """Running per-example observation counts for one classifier."""
 
-    counts_plus: np.ndarray  # observed +1 outputs per example
+    counts_plus: np.ndarray  # draws with score >= 0 (the + branch) per example
     rounds: int = 0
 
     @classmethod
@@ -158,17 +174,12 @@ class OracleEstimate:
         return cls(counts_plus=np.zeros(n_examples, dtype=int), rounds=0)
 
     def observe(self, outputs: np.ndarray) -> None:
-        self.counts_plus += (np.asarray(outputs) == 1).astype(int)
+        """Count one round of ``sample_batch`` scores; ties go to +."""
+        self.counts_plus += np.asarray(outputs) >= 0.0
         self.rounds += 1
 
     def q_plus(self, estimator: str = "map") -> np.ndarray:
-        if estimator == "map":
-            return (1.0 + self.counts_plus) / (self.rounds + 2)
-        if estimator == "ml":
-            if self.rounds < 1:
-                raise ValueError("ML estimate undefined without observations")
-            return self.counts_plus / self.rounds
-        raise ValueError(f"unknown estimator {estimator!r}")
+        return _q_estimate(self.counts_plus, self.rounds, estimator)
 
 
 def map_z_estimate(
@@ -208,17 +219,37 @@ def estimate_q_strategy_A(
 
     Returns (q_plus estimates, rounds spent).  A hard cap of
     ``R_MAX_DEFAULT`` rounds aborts with the current estimates.
+
+    Rounds are drawn in blocks of at most ``MAX_BLOCK_DRAWS`` uniforms.  A
+    draw is a pure function of (example, round) and each round's W is summed
+    as that round alone, so the result is bit for bit that of one round per
+    call; rounds drawn past the stop are dropped.
     """
-    estimate = OracleEstimate.empty(dataset.n_examples)
+    n = dataset.n_examples
+    per_block = max(1, min(MAX_BLOCK_DRAWS // n, R_MAX_DEFAULT))
+    # one round keeps the training rows themselves, whose lookups are cached
+    tiled = dataset.features if per_block == 1 else np.tile(dataset.features, (per_block, 1))
+    counts = np.zeros(n, dtype=int)
     prev_z = math.inf
-    prev_q = estimate.q_plus("map")  # prior mean before any observation
-    for r in range(1, R_MAX_DEFAULT + 1):
-        estimate.observe(_sample_round(classifier, dataset, stream, purpose, r))
-        z, q = map_z_estimate(estimate, weights, dataset.labels, estimator)
-        if r > R_MIN_DEFAULT and z > prev_z:
-            return prev_q, r
-        prev_z, prev_q = z, q
-    return prev_q, estimate.rounds
+    prev_q = _q_estimate(counts, 0, "map")  # prior mean before any observation
+    done = 0
+    while done < R_MAX_DEFAULT:
+        block = min(per_block, R_MAX_DEFAULT - done)
+        rounds = np.arange(done + 1, done + block + 1)[:, None]
+        u = stream.uniforms(purpose, np.arange(n), rounds)
+        drawn = classifier.sample_batch(tiled if block == per_block else tiled[: block * n], u.ravel())
+        plus = drawn.reshape(block, n) >= 0.0
+        # a cumsum down the rows costs one call per example; one round needs none
+        counts = counts + (plus.cumsum(axis=0) if block > 1 else plus)
+        q = _q_estimate(counts, rounds, estimator)
+        for i, w_r in enumerate(zip(*w_statistics(weights, q, dataset.labels))):
+            r, w_r = done + 1 + i, WStats(*w_r)
+            z = z_value(w_r, *optimal_alphas(w_r))
+            if r > R_MIN_DEFAULT and z > prev_z:
+                return prev_q.copy(), r
+            prev_z, prev_q = z, q[i]
+        counts, done = counts[-1], done + block
+    return prev_q.copy(), R_MAX_DEFAULT
 
 
 def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.ndarray | None:

@@ -53,6 +53,16 @@ class TestWStatistics:
         with pytest.raises(ValueError):
             w_statistics(np.array([1.0]), np.array([1.5]), np.array([1]))
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 100, 1000])
+    def test_rows_of_rounds_sum_as_each_row_alone(self, n):
+        # strategy A scores a block of rounds in one call, and each round's
+        # W must be bit for bit the W of its row alone
+        rng = np.random.default_rng(n)
+        weights, q = rng.random(n), rng.random((5, n))
+        for labels in (np.where(rng.random(n) < 0.4, 1, -1), np.ones(n, dtype=int)):
+            rows = w_statistics(weights, q, labels)
+            assert [WStats(*w) for w in zip(*rows)] == [w_statistics(weights, row, labels) for row in q]
+
 
 class TestOptimalAlphas:
     def test_symmetric(self):

@@ -7,12 +7,14 @@ import pytest
 
 from probboost import weak_learner
 from probboost.adaboost import TrainConfig, train_adaboost
-from probboost.core import Dataset, RandomStream
+from probboost.core import Dataset, RandomStream, make_synthetic_dataset
+from probboost._zstats import z_value
 from probboost.matryoshka import build_fixed_2_matryoshka
 from probboost.ptree import grow_tree
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     OracleEstimate,
+    ProbClassifier,
     StumpClassifier,
     TrainingSet,
     WeakLearner,
@@ -29,6 +31,28 @@ from probboost.weak_learner import (
 
 def _counts(counts, rounds):
     return OracleEstimate(counts_plus=np.array(counts), rounds=rounds)
+
+
+class _SignedDraws(ProbClassifier):
+    """Sample-only: draws ``score`` with probability ``p_pos`` on rows whose
+    first feature is >= 0 (``p_neg`` on the others), else ``-score``."""
+
+    def __init__(self, p_pos, p_neg, score):
+        self.p_pos, self.p_neg, self.score = p_pos, p_neg, score
+
+    def sample_batch(self, X, u):
+        return np.where(u < np.where(X[:, 0] >= 0.0, self.p_pos, self.p_neg), self.score, -self.score)
+
+    def to_record(self):
+        return {"kind": "signed-draws"}
+
+
+class _Returns(WeakLearner):
+    def __init__(self, classifier):
+        self.classifier = classifier
+
+    def train(self, dataset, weights):
+        return self.classifier
 
 
 class TestPointEstimates:
@@ -59,6 +83,12 @@ class TestPointEstimates:
         assert est.rounds == 2
         np.testing.assert_allclose(est.q_plus("map"), [3 / 4, 1 / 4, 2 / 4])
         np.testing.assert_allclose(est.q_plus("ml"), [1.0, 0.0, 0.5])
+
+    def test_counts_score_signs_with_ties_to_plus(self):
+        # sample_batch returns the score drawn; its sign is the branch
+        est = OracleEstimate.empty(4)
+        est.observe(np.array([0.5, -0.5, 0.0, -2.0]))
+        np.testing.assert_array_equal(est.counts_plus, [1, 0, 1, 0])
 
 
 class TestMapBias:
@@ -131,6 +161,129 @@ class TestStrategyA:
             values.append(z)
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_scores_other_than_one_count_by_sign(self, small_dataset):
+        # draws of +-0.5 estimate the same q, round for round, as draws of +-1
+        results = [
+            estimate_q_strategy_A(_SignedDraws(0.9, 0.9, score), small_dataset, small_dataset.weights,
+                                  RandomStream(0))
+            for score in (0.5, 1.0)
+        ]
+        (q_half, rounds_half), (q_unit, rounds_unit) = results
+        assert rounds_half == rounds_unit
+        assert q_half.tobytes() == q_unit.tobytes()
+        assert q_half.mean() > 0.5
+
+    def test_certain_classifier_stays_cheap_to_the_cap(self, tiny_dataset, monkeypatch):
+        # q is exactly 0 or 1, so the Z estimate never rises and sampling runs
+        # to the cap (ROADMAP item 6); the MAP estimate after R rounds is
+        # (1 + c) / (R + 2), with c = R on the + rows and 0 on the - rows
+        spent = []
+
+        def recording(*args, **kwargs):
+            q, rounds = estimate_q_strategy_A(*args, **kwargs)
+            spent.append(rounds)
+            return q, rounds
+
+        monkeypatch.setattr(weak_learner, "estimate_q_strategy_A", recording)
+        tree = grow_tree(tiny_dataset, builtin_constant_edge_oracle(0.5), max_nodes=1, config=TrainConfig(seed=0))
+        [rounds] = spent
+        assert 1 <= rounds <= weak_learner.R_MAX_DEFAULT
+        c = np.where(tiny_dataset.labels == 1, rounds, 0)
+        assert tree.nodes[""].q_plus.tobytes() == ((1 + c) / (rounds + 2)).tobytes()
+
+
+def _one_round_per_call(classifier, dataset, weights, stream, purpose, estimator):
+    """Strategy A drawing one round per RandomStream call: the reference
+    that block draws must match bit for bit."""
+    n = dataset.n_examples
+    estimate = OracleEstimate.empty(n)
+    prev_z, prev_q = math.inf, estimate.q_plus("map")
+    for r in range(1, weak_learner.R_MAX_DEFAULT + 1):
+        estimate.observe(classifier.sample_batch(dataset.features, stream.uniforms(purpose, np.arange(n), r)))
+        z, q = map_z_estimate(estimate, weights, dataset.labels, estimator)
+        if r > weak_learner.R_MIN_DEFAULT and z > prev_z:
+            return prev_q, r
+        prev_z, prev_q = z, q
+    return prev_q, estimate.rounds
+
+
+class _CallSizes(RandomStream):
+    """A stream that records how many uniforms each call draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sizes = []
+
+    def uniforms(self, purpose, example, counter):
+        u = super().uniforms(purpose, example, counter)
+        self.sizes.append(u.size)
+        return u
+
+
+def _weighted_dataset(n):
+    ds = Dataset.from_arrays([[0.5, -1.0]], [1]) if n == 1 else make_synthetic_dataset(n, seed=n)
+    raw = np.random.default_rng(n).random(n) + 0.1
+    return ds, raw / raw.sum()
+
+
+_CLASSIFIERS = {
+    "stump": lambda ds, w: builtin_noisy_stump(0.1).train(ds, w),
+    "constant-edge": lambda ds, w: builtin_constant_edge_oracle(0.2).train(ds, w),
+    "sample-only": lambda ds, w: _SignedDraws(0.8, 0.3, 0.5),
+}
+
+
+class TestBlockDraws:
+    @pytest.fixture(autouse=True)
+    def _record_z(self, monkeypatch):
+        # both loops take each round's Z through weak_learner.z_value
+        self.zs = []
+        monkeypatch.setattr(weak_learner, "z_value", lambda *args: self.zs.append(z_value(*args)) or self.zs[-1])
+
+    def _assert_matches_one_round_per_call(self, classifier, ds, weights, seed, estimator):
+        stream = _CallSizes(seed)
+        q, rounds = estimate_q_strategy_A(classifier, ds, weights, stream, "blocks", estimator)
+        block_zs, self.zs[:] = self.zs[:], []
+        q_ref, rounds_ref = _one_round_per_call(classifier, ds, weights, RandomStream(seed), "blocks", estimator)
+        assert rounds == rounds_ref
+        assert q.tobytes() == q_ref.tobytes()
+        assert len(block_zs) == rounds  # every round up to the stop takes its Z
+        assert np.array(block_zs).tobytes() == np.array(self.zs).tobytes()
+        self.zs.clear()
+        assert max(stream.sizes) <= max(weak_learner.MAX_BLOCK_DRAWS, ds.n_examples)
+        return rounds
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 100, weak_learner.MAX_BLOCK_DRAWS + 1])
+    @pytest.mark.parametrize("kind", sorted(_CLASSIFIERS))
+    @pytest.mark.parametrize("estimator", ["map", "ml"])
+    def test_same_bits_and_rounds(self, n, kind, estimator):
+        ds, weights = _weighted_dataset(n)
+        classifier = _CLASSIFIERS[kind](ds, weights)
+        for seed in range(3):
+            self._assert_matches_one_round_per_call(classifier, ds, weights, seed, estimator)
+
+    @pytest.mark.parametrize("r_max", [1, 2, 3, 4, 7, 8])
+    def test_cap_inside_a_block(self, monkeypatch, r_max):
+        # three rounds per block, so a cap of 7 or 8 falls inside the third
+        ds, weights = _weighted_dataset(40)
+        monkeypatch.setattr(weak_learner, "MAX_BLOCK_DRAWS", 3 * 40)
+        monkeypatch.setattr(weak_learner, "R_MAX_DEFAULT", r_max)
+        noiseless = builtin_noisy_stump(0.0).train(ds, weights)  # its Z estimate never rises
+        for estimator in ("map", "ml"):
+            assert self._assert_matches_one_round_per_call(noiseless, ds, weights, 0, estimator) == r_max
+            for kind, make in _CLASSIFIERS.items():
+                self._assert_matches_one_round_per_call(make(ds, weights), ds, weights, 1, estimator)
+
+    @pytest.mark.parametrize("r_min", [0, 1, 2, 4])
+    def test_first_round_that_may_stop(self, monkeypatch, r_min):
+        # the stop test fires at the earliest round it is allowed in some seed
+        monkeypatch.setattr(weak_learner, "R_MIN_DEFAULT", r_min)
+        ds, weights = _weighted_dataset(2)
+        classifier = _SignedDraws(0.6, 0.6, 1.0)
+        rounds = {self._assert_matches_one_round_per_call(classifier, ds, weights, seed, "map")
+                  for seed in range(40)}
+        assert min(rounds) == max(r_min, 1) + 1
+
 
 class TestDecreaseRate:
     # a rate is ln z per pass over the training set, the unit strategy B
@@ -164,6 +317,18 @@ def _stage_rounds(q, r_max=1000):
 
 
 class TestStrategyB:
+    def test_scores_other_than_one_count_by_sign(self, small_dataset):
+        # the look-ahead reads draws of +-0.5 as it reads draws of +-1
+        models = [
+            train_adaboost(small_dataset, _Returns(_SignedDraws(0.9, 0.9, score)), 3,
+                           TrainConfig(seed=2, strategy="B"))
+            for score in (0.5, 1.0)
+        ]
+        for half, unit in zip(*(model.stages for model in models)):
+            assert half.q_plus.tobytes() == unit.q_plus.tobytes()
+            assert (half.alpha_plus, half.alpha_minus, half.z) == (unit.alpha_plus, unit.alpha_minus, unit.z)
+        assert min(stage.q_plus.mean() for stage in models[0].stages) > 0.5
+
     def test_side_effects_match_decision(self, small_dataset):
         # an advance starts h_{t+1} from one round; a resample adds one round
         # to h_t; the last stage is never resampled
