@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -243,7 +244,13 @@ def save_record(record: dict[str, Any], path: str | Path) -> None:
     record = dict(record)
     record["format_version"] = MODEL_FORMAT_VERSION
     text = json.dumps(record, sort_keys=True, separators=(",", ": "))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    # Overwrite in place, then cut to length.  Truncating an existing file to
+    # zero first makes ext4 start its writeback on close (auto_da_alloc):
+    # about 1 ms a save, with a tail past 10 ms.
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        fh.write((text + "\n").encode("utf-8"))
+        fh.truncate()
 
 
 def load_record(path: str | Path) -> dict[str, Any]:

@@ -255,6 +255,17 @@ class TestRecords:
         save_record(record, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_overwrite_leaves_only_the_new_record(self, tmp_path):
+        # a save writes over an existing file in place and cuts it to length
+        path = tmp_path / "m.json"
+        save_record({"kind": "demo", "values": list(range(100))}, path)
+        path.chmod(0o600)
+        save_record({"kind": "demo"}, path)
+        assert path.read_bytes() == b'{"format_version": 1,"kind": "demo"}\n'
+        assert path.stat().st_mode & 0o777 == 0o600
+        save_record({"kind": "demo", "values": [1.5]}, path)
+        assert load_record(path) == {"kind": "demo", "values": [1.5]}
+
     def test_one_line_sorted(self, tmp_path):
         path = tmp_path / "m.json"
         save_record({"kind": "demo", "b": {"y": 2, "x": [1.5, -0.125]}, "a": None}, path)
