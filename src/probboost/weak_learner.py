@@ -42,9 +42,9 @@ __all__ = [
 # stops at R_MAX_DEFAULT; strategy B looks ahead at most R_MAX_DEFAULT * T times.
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
-# Strategy A draws its rounds in blocks of at most this many uniforms: one
-# RandomStream call, one sample_batch call and one W pass per block.  At
-# N > MAX_BLOCK_DRAWS / 2 a block is one round.
+# Strategy A draws its rounds in blocks of at most this many uniforms, each
+# block one RandomStream call, W pass and sample_batch call on the N training
+# rows.  At N > MAX_BLOCK_DRAWS / 2 a block is one round.
 MAX_BLOCK_DRAWS = 4096
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
 
@@ -109,12 +109,13 @@ class ProbClassifier(ABC):
         return float(reach[0, scores >= 0.0].sum())
 
     def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One draw per row of X, made from the uniform in [0, 1) at the same
-        position of ``u``: the score of the outcome drawn, whose sign is the
-        branch a tree takes.  A plain classifier's score is its +/-1 output,
-        +1 where u < q(+, x).  A classifier without exact q overrides this."""
+        """Draws from uniforms u in [0, 1) of shape (..., len(X)), whose last
+        axis runs over the rows of X: the scores drawn, in u's shape, whose
+        sign is the branch a tree takes; a plain classifier draws +1 where
+        u < q(+, x), else -1.  A classifier without exact q overrides this."""
         reach, scores = self.outcomes(X)
-        picked = np.sum(np.cumsum(reach, axis=1) <= np.asarray(u)[:, None], axis=1)
+        # outcome-major, so that counting the outcomes below u adds whole rows
+        picked = np.sum(np.cumsum(reach, axis=1).T.copy() <= np.asarray(u)[..., None, :], axis=-2)
         return scores[np.minimum(picked, len(scores) - 1)]
 
     def training_sets(self):
@@ -220,15 +221,14 @@ def estimate_q_strategy_A(
     Returns (q_plus estimates, rounds spent).  A hard cap of
     ``R_MAX_DEFAULT`` rounds aborts with the current estimates.
 
-    Rounds are drawn in blocks of at most ``MAX_BLOCK_DRAWS`` uniforms.  A
-    draw is a pure function of (example, round) and each round's W is summed
-    as that round alone, so the result is bit for bit that of one round per
-    call; rounds drawn past the stop are dropped.
+    Rounds are drawn in blocks of at most ``MAX_BLOCK_DRAWS`` uniforms, one
+    ``sample_batch`` call on the training rows with u of shape (rounds, N).
+    A draw is a pure function of (example, round) and each round's W is
+    summed as that round alone, so the result is bit for bit that of one
+    round per call; rounds drawn past the stop are dropped.
     """
     n = dataset.n_examples
     per_block = max(1, min(MAX_BLOCK_DRAWS // n, R_MAX_DEFAULT))
-    # one round keeps the training rows themselves, whose lookups are cached
-    tiled = dataset.features if per_block == 1 else np.tile(dataset.features, (per_block, 1))
     counts = np.zeros(n, dtype=int)
     prev_z = math.inf
     prev_q = _q_estimate(counts, 0, "map")  # prior mean before any observation
@@ -237,8 +237,7 @@ def estimate_q_strategy_A(
         block = min(per_block, R_MAX_DEFAULT - done)
         rounds = np.arange(done + 1, done + block + 1)[:, None]
         u = stream.uniforms(purpose, np.arange(n), rounds)
-        drawn = classifier.sample_batch(tiled if block == per_block else tiled[: block * n], u.ravel())
-        plus = drawn.reshape(block, n) >= 0.0
+        plus = classifier.sample_batch(dataset.features, u) >= 0.0
         # a cumsum down the rows costs one call per example; one round needs none
         counts = counts + (plus.cumsum(axis=0) if block > 1 else plus)
         q = _q_estimate(counts, rounds, estimator)
@@ -488,22 +487,22 @@ class NoisyStumpLearner(WeakLearner):
             values = dataset.features[:, j]
             order = np.argsort(values, kind="stable")
             sv, sy, sw = values[order], y[order], weights[order]
-            if sv[0] == sv[-1]:
+            cuts = np.flatnonzero(sv[:-1] != sv[1:])  # a threshold goes after position i
+            if not cuts.size:
                 continue
             # wrong mass for polarity +1 (predict +1 where v >= thr) with the
             # threshold placed after position i: D[y=+1, v<thr] + D[y=-1, v>=thr]
             pos_mass = np.cumsum(np.where(sy == 1, sw, 0.0))
             neg_mass = np.cumsum(np.where(sy == -1, sw, 0.0))
-            total_neg = neg_mass[-1]
-            for i in range(len(sv) - 1):
-                if sv[i] == sv[i + 1]:
-                    continue
-                thr = 0.5 * (sv[i] + sv[i + 1])
-                err_plus = pos_mass[i] + (total_neg - neg_mass[i])
-                for pol, err in ((1, err_plus), (-1, 1.0 - err_plus)):
-                    cand = (err, j, thr, pol)
-                    if best is None or cand[0] < best[0] - 1e-15:
-                        best = cand
+            err_plus = pos_mass[cuts] + (neg_mass[-1] - neg_mass[cuts])
+            errs = np.column_stack([err_plus, 1.0 - err_plus]).ravel()  # each cut: pol +1, then -1
+            # a candidate no lower than an earlier one fails the test below,
+            # which that one already passed or failed
+            new_low = np.append(True, errs[1:] < np.minimum.accumulate(errs)[:-1])
+            for k in np.flatnonzero(new_low).tolist():
+                if best is None or errs[k] < best[0] - 1e-15:
+                    i = cuts[k // 2]
+                    best = (errs[k], j, 0.5 * (sv[i] + sv[i + 1]), (1, -1)[k % 2])
         if best is None:
             majority = 1 if float(np.sum(weights[y == 1])) >= 0.5 else -1
             return StumpClassifier(0, 0.0, 1, self.p_flip, constant=majority)

@@ -1,16 +1,19 @@
 """Weak learners, Bernoulli-parameter estimation, and stopping strategies."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probboost import weak_learner
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.core import Dataset, RandomStream, make_synthetic_dataset
 from probboost._zstats import z_value
 from probboost.matryoshka import build_fixed_2_matryoshka
-from probboost.ptree import grow_tree
+from probboost.ptree import CompositeNode, grow_tree
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     OracleEstimate,
@@ -220,6 +223,21 @@ class _CallSizes(RandomStream):
         return u
 
 
+class _RowsSeen(ProbClassifier):
+    """Draws as ``inner`` does, recording how many rows of X each
+    ``sample_batch`` call is given."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, []
+
+    def sample_batch(self, X, u):
+        self.rows.append(len(X))
+        return self.inner.sample_batch(X, u)
+
+    def to_record(self):
+        return self.inner.to_record()
+
+
 def _weighted_dataset(n):
     ds = Dataset.from_arrays([[0.5, -1.0]], [1]) if n == 1 else make_synthetic_dataset(n, seed=n)
     raw = np.random.default_rng(n).random(n) + 0.1
@@ -242,7 +260,10 @@ class TestBlockDraws:
 
     def _assert_matches_one_round_per_call(self, classifier, ds, weights, seed, estimator):
         stream = _CallSizes(seed)
-        q, rounds = estimate_q_strategy_A(classifier, ds, weights, stream, "blocks", estimator)
+        seen = _RowsSeen(classifier)
+        q, rounds = estimate_q_strategy_A(seen, ds, weights, stream, "blocks", estimator)
+        # a block of rounds is drawn on the N training rows, not on copies
+        assert set(seen.rows) == {ds.n_examples}
         block_zs, self.zs[:] = self.zs[:], []
         q_ref, rounds_ref = _one_round_per_call(classifier, ds, weights, RandomStream(seed), "blocks", estimator)
         assert rounds == rounds_ref
@@ -283,6 +304,32 @@ class TestBlockDraws:
         rounds = {self._assert_matches_one_round_per_call(classifier, ds, weights, seed, "map")
                   for seed in range(40)}
         assert min(rounds) == max(r_min, 1) + 1
+
+
+def _composite(ds):
+    tree = build_fixed_2_matryoshka(ds, builtin_constant_edge_oracle(0.3), 2, TrainConfig(exact_q=True))
+    composite = tree.nodes[""].classifier
+    assert isinstance(composite, CompositeNode)
+    return composite
+
+
+_SAMPLED = {**_CLASSIFIERS, "composite": lambda ds, w: _composite(ds)}
+
+
+class TestSampleBatchLeadingAxes:
+    @pytest.mark.parametrize("kind", sorted(_SAMPLED))
+    @pytest.mark.parametrize("rounds", [(1,), (5,), (2, 3)])
+    def test_rounds_draw_as_one_call_each(self, small_dataset, kind, rounds):
+        # u of shape (..., N) draws as one call per row of uniforms would
+        classifier = _SAMPLED[kind](small_dataset, small_dataset.weights)
+        n = small_dataset.n_examples
+        counters = np.arange(np.prod(rounds)).reshape(*rounds, 1)
+        u = RandomStream(4).uniforms("axes", np.arange(n), counters)
+        assert u.shape == (*rounds, n)
+        drawn = classifier.sample_batch(small_dataset.features, u)
+        one_call_each = np.stack([classifier.sample_batch(small_dataset.features, row) for row in u.reshape(-1, n)])
+        assert drawn.shape == u.shape
+        assert drawn.tobytes() == one_call_each.reshape(u.shape).tobytes()
 
 
 class TestDecreaseRate:
@@ -471,7 +518,85 @@ class TestConstantEdgeOracle:
         assert other.training_set.fingerprint != first.training_set.fingerprint
 
 
+def _reference_stump_scan(dataset, weights, p_flip):
+    """The stump scan one (feature, threshold, polarity) at a time: cuts in
+    order, polarity +1 then -1, and a candidate kept only when it beats the
+    best so far by more than 1e-15."""
+    weights = np.asarray(weights, dtype=float)
+    y = dataset.labels
+    best = None  # (err, feature, thr, pol)
+    for j in range(dataset.dimension):
+        values = dataset.features[:, j]
+        order = np.argsort(values, kind="stable")
+        sv, sy, sw = values[order], y[order], weights[order]
+        if sv[0] == sv[-1]:
+            continue
+        pos_mass = np.cumsum(np.where(sy == 1, sw, 0.0))
+        neg_mass = np.cumsum(np.where(sy == -1, sw, 0.0))
+        total_neg = neg_mass[-1]
+        for i in range(len(sv) - 1):
+            if sv[i] == sv[i + 1]:
+                continue
+            thr = 0.5 * (sv[i] + sv[i + 1])
+            err_plus = pos_mass[i] + (total_neg - neg_mass[i])
+            for pol, err in ((1, err_plus), (-1, 1.0 - err_plus)):
+                if best is None or err < best[0] - 1e-15:
+                    best = (err, j, thr, pol)
+    if best is None:
+        majority = 1 if float(np.sum(weights[y == 1])) >= 0.5 else -1
+        return StumpClassifier(0, 0.0, 1, p_flip, constant=majority)
+    _, feature, thr, pol = best
+    return StumpClassifier(feature, thr, pol, p_flip)
+
+
+def _assert_scan_matches_reference(dataset, weights):
+    record = builtin_noisy_stump(0.1).train(dataset, weights).to_record()
+    # json text tells apart -0.0 and 0.0, and refuses numpy integers
+    assert json.dumps(record) == json.dumps(_reference_stump_scan(dataset, weights, 0.1).to_record())
+    return record
+
+
+@st.composite
+def _stump_scan_cases(draw):
+    n = draw(st.integers(1, 64))
+    d = draw(st.integers(1, 3))
+    rounded = st.floats(-2.0, 2.0).map(lambda v: round(v, 1))  # so that values tie
+    features = np.array(draw(st.lists(st.lists(rounded, min_size=d, max_size=d), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        features[:, draw(st.integers(0, d - 1))] = 0.5  # a constant column
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = np.full(n, 1.0 / n)  # errors tie exactly
+    else:
+        mass = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+        weights = np.array(draw(st.lists(mass, min_size=n, max_size=n)))
+        weights = weights / weights.sum() if weights.sum() > 0.0 else weights
+    return Dataset.from_arrays(features, labels), weights
+
+
 class TestNoisyStump:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_stump_scan_cases())
+    def test_scan_matches_one_candidate_at_a_time(self, case):
+        _assert_scan_matches_reference(*case)
+
+    def test_margin_rule_keeps_an_earlier_near_tie(self):
+        # err 0.25 at thr 1.5 (pol -1) comes first; 2.5 is lower, by less than 1e-15
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0], [3.0]], [-1, 1, 1, -1])
+        raw = np.array([0.25, 1.1e-15, 0.5e-15, 0.75 - 1.6e-15])
+        weights = raw / raw.sum()
+        record = _assert_scan_matches_reference(ds, weights)
+        assert (record["threshold"], record["polarity"]) == (1.5, -1)
+        errors = [weights @ (StumpClassifier(0, thr, -1, 0.0).decisions(ds.features) != ds.labels)
+                  for thr in (1.5, 2.5)]
+        assert errors[1] < errors[0]  # the plain argmin would take 2.5
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    def test_nan_weight_scans_as_one_candidate_at_a_time(self, small_dataset, at):
+        weights = small_dataset.weights.copy()
+        weights[at] = np.nan
+        _assert_scan_matches_reference(small_dataset, weights)
+
     def test_separable_noiseless(self, tiny_dataset):
         clf = builtin_noisy_stump(0.0).train(tiny_dataset, tiny_dataset.weights)
         err = tiny_dataset.weights @ (clf.decisions(tiny_dataset.features) != tiny_dataset.labels)
