@@ -6,6 +6,8 @@ import csv
 import functools
 import math
 import sys
+from itertools import accumulate
+from operator import mul
 
 import click
 
@@ -18,14 +20,10 @@ from .adaboost import (
     train_adaboost,
 )
 from .core import Dataset, RandomStream, _check_trials, _mc_summary, load_csv, make_synthetic_dataset
-from .matryoshka import (
-    CountingLearner,
-    MatryoshkaPolicy,
-    build_fixed_2_matryoshka,
-    build_greedy_matryoshka,
-)
+from .matryoshka import (CountingLearner, MatryoshkaPolicy, TraceEvent, build_fixed_2_matryoshka,
+                         build_greedy_matryoshka)
 from .persist import load_model, save_model
-from .ptree import TreeModel, exact_tree_bound, grow_tree, predict_tree
+from .ptree import exact_tree_bound, grow_tree, predict_tree
 from .weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 
 FIGURE_RHOS = [("31/32", 31 / 32), ("7/8", 7 / 8), ("3/4", 3 / 4), ("1/2", 1 / 2), ("1/4", 1 / 4)]
@@ -45,7 +43,7 @@ def main() -> None:
 
 def _input_errors(command):
     """Report the library's ValueErrors on bad input (options, data files,
-    models that do not fit the data) as one-line click errors."""
+    models that do not fit the data) and OSErrors as one-line click errors."""
 
     @functools.wraps(command)
     def wrapper(*args, **kwargs):
@@ -53,6 +51,8 @@ def _input_errors(command):
             return command(*args, **kwargs)
         except ValueError as exc:
             raise click.ClickException(str(exc)) from None
+        except OSError as exc:
+            raise click.ClickException(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)) from None
 
     return wrapper
 
@@ -149,7 +149,7 @@ def _load_dataset(data: str | None, seed: int) -> Dataset:
 @click.option("--exact-q", is_flag=True, help="use the synthetic oracle's exact q")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="model output path")
-@click.option("--log", "log_path", type=click.Path(), default=None, help="per-step CSV log path")
+@click.option("--log", "log_path", type=click.Path(), default=None, help="per-step JSON-lines trace path")
 @click.option("--trials", type=int, default=2000, show_default=True, help="Monte-Carlo trials for the reported training error")
 @_input_errors
 def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimator,
@@ -161,40 +161,23 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
     learner = CountingLearner(base)
     config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
 
-    if algo == "adaboost":
-        if t_stop is None:
-            raise click.ClickException("--T is required for adaboost")
-        model = train_adaboost(dataset, learner, t_stop, config)
-        if log_path:
-            rows, running = [], 1.0
-            for i, stage in enumerate(model.stages, start=1):
-                running *= stage.z
-                rows.append([i, stage.z, stage.alpha_plus, stage.alpha_minus, running])
-            _write_csv(log_path, ["round", "Z", "alpha_plus", "alpha_minus", "bound_so_far"], rows)
-    elif algo == "ptree":
-        if t_stop is None:
-            raise click.ClickException("--T is required for ptree")
-        model = grow_tree(dataset, learner, max_nodes=t_stop, config=config)
-        if log_path:
-            _write_tree_log(log_path, model)
-    elif mode == "fixed2":
-        if levels is None:
-            raise click.ClickException("--L is required for fixed-2 matryoshka")
-        model = build_fixed_2_matryoshka(dataset, learner, levels, config)
-        if log_path:
-            _write_tree_log(log_path, model)
+    trainer = mode if algo == "matryoshka" else algo
+    option, size = ("--L", levels) if trainer == "fixed2" else ("--T", t_stop)
+    if size is None:
+        name = {"fixed2": "fixed-2 matryoshka", "greedy": "greedy matryoshka"}.get(trainer, trainer)
+        raise click.ClickException(f"{option} is required for {name}")
+    trace = None  # read off the finished model unless the trainer returns one
+    if trainer == "adaboost":
+        model = train_adaboost(dataset, learner, size, config)
+    elif trainer == "ptree":
+        model = grow_tree(dataset, learner, max_nodes=size, config=config)
+    elif trainer == "fixed2":
+        model = build_fixed_2_matryoshka(dataset, learner, size, config)
     else:
-        if t_stop is None:
-            raise click.ClickException("--T is required for greedy matryoshka")
-        model, build_log = build_greedy_matryoshka(
-            dataset, learner, t_stop, MatryoshkaPolicy(mode="greedy"), config=config
-        )
-        if log_path:
-            _write_csv(
-                log_path,
-                ["step", "subtree", "action", "C", "T", "rate_simple", "rate_matryoshka"],
-                [[e.step, e.subtree or "root", e.action, e.C, e.T, e.rate_simple, e.rate_matryoshka] for e in build_log],
-            )
+        model, trace = build_greedy_matryoshka(dataset, learner, size, MatryoshkaPolicy(mode="greedy"), config=config)
+    if log_path:
+        with open(log_path, "w", encoding="utf-8") as fh:
+            fh.writelines(event.to_json() + "\n" for event in trace or _model_trace(model))
     loss, se = _mc_loss(model, dataset, trials, seed + 1)
     if algo == "matryoshka":
         click.echo(f"weak-learner budget: {learner.calls} calls")
@@ -205,13 +188,14 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
     click.echo(f"mc training error: {loss:.6f} +/- {se:.6f} ({trials} trials)")
 
 
-def _write_tree_log(path: str, tree: TreeModel) -> None:
-    """One row per node of the (top) tree, in growth order."""
-    rows = [
-        [i, p or "root", node.z_plus, node.z_minus, tree.trajectory[i]]
-        for i, (p, node) in enumerate(tree.nodes.items(), start=1)
-    ]
-    _write_csv(path, ["step", "leaf", "Z_plus", "Z_minus", "C"], rows)
+def _model_trace(model) -> list[TraceEvent]:
+    """An AdaBoost model's stages, or a (top) tree's nodes in growth order, each with the C after it."""
+    if isinstance(model, AdaboostModel):
+        running = accumulate((stage.z for stage in model.stages), mul)  # recorded_bound's product, in order
+        return [TraceEvent(step, "stage", None, stage.alpha_plus, stage.alpha_minus, stage.z, None, None, c)
+                for step, (stage, c) in enumerate(zip(model.stages, running), start=1)]
+    return [TraceEvent.of_node(step, "grow", path, node, c)
+            for step, ((path, node), c) in enumerate(zip(model.nodes.items(), model.trajectory[1:]), start=1)]
 
 
 def _mc_loss(model, dataset: Dataset, trials: int, seed: int) -> tuple[float, float]:

@@ -254,7 +254,10 @@ def save_record(record: dict[str, Any], path: str | Path) -> None:
 
 
 def load_record(path: str | Path) -> dict[str, Any]:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ValueError(f"{path}: not a JSON model file ({exc})") from None
     if not isinstance(record, dict):
         raise ValueError(f"{path}: a model file holds one JSON object")
     version = record.pop("format_version", None)

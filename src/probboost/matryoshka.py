@@ -18,6 +18,7 @@ decrease rate beats the observed one.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -109,14 +110,32 @@ def build_fixed_2_matryoshka(
 
 
 @dataclass
-class _BuildLogEntry:
+class TraceEvent:
+    """One step of a training trace, an AdaBoost stage or a tree node grown
+    or collected at ``path``, with the bound C after it.  A value the step
+    lacks is None: ``Z`` is a stage's, ``Z_plus``/``Z_minus`` a node's."""
+
     step: int
-    subtree: str
-    action: str  # "grow" | "collect"
+    action: str  # "stage" | "grow" | "collect"
+    path: str | None
+    alpha_plus: float
+    alpha_minus: float
+    Z: float | None
+    Z_plus: float | None
+    Z_minus: float | None
     C: float
-    T: int
-    rate_simple: float
-    rate_matryoshka: float
+    rate_simple: float | None = None
+    rate_matryoshka: float | None = None
+
+    @classmethod
+    def of_node(cls, step: int, action: str, path: str, node, C: float, *rates: float) -> "TraceEvent":
+        return cls(step, action, path, node.alpha_plus, node.alpha_minus, None,
+                   node.z_plus, node.z_minus, C, *rates)
+
+    def to_json(self) -> str:
+        """One strict-JSON object; a non-finite number is written as null."""
+        return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value) else value
+                           for key, value in vars(self).items()}, allow_nan=False)
 
 
 def build_greedy_matryoshka(
@@ -125,24 +144,20 @@ def build_greedy_matryoshka(
     max_raw_nodes: int,
     policy: MatryoshkaPolicy | None = None,
     config=None,
-) -> tuple[TreeModel, list[_BuildLogEntry]]:
+) -> tuple[TreeModel, list[TraceEvent]]:
     """Grow greedily; after each added node, scan enclosing subtrees from
     the top and collect the first whose analytic nesting rate beats the
-    observed decrease rate.  At most one collection per step.
+    observed decrease rate.  At most one collection per step, traced as a
+    collect event after that step's grow event.
 
     ``policy`` is accepted for callers that pass one; nothing in it
     changes how the greedy builder runs."""
     history: dict[str, list[float]] = {}
-    log: list[_BuildLogEntry] = []
-    step = 0
+    log: list[TraceEvent] = []
 
     def collect_if_faster(tree: TreeModel, leaf: str) -> None:
-        nonlocal step
-        step += 1
-        log.append(
-            _BuildLogEntry(step, leaf, "grow", tree.recorded_bound(), tree.n_nodes,
-                           math.nan, math.nan)
-        )
+        step = log[-1].step + 1 if log else 1
+        log.append(TraceEvent.of_node(step, "grow", leaf, tree.nodes[leaf], tree.recorded_bound()))
         # scan enclosing subtrees starting from the top; a collect drops the
         # history below it, so deeper subtrees need no C this step
         for prefix_len in range(len(leaf) + 1):
@@ -161,14 +176,11 @@ def build_greedy_matryoshka(
             matry = rate_matryoshka(c_now, t_sub)
             if matry < simple:
                 _collect_subtree(tree, p, dataset)
-                for key in list(history):
-                    if key.startswith(p) and key != p:
-                        del history[key]
+                for key in [key for key in history if key.startswith(p)]:
+                    del history[key]
                 history[p] = [tree.leaf_sum(p)]
-                log.append(
-                    _BuildLogEntry(step, p, "collect", tree.recorded_bound(),
-                                   tree.n_nodes, simple, matry)
-                )
+                log.append(TraceEvent.of_node(step, "collect", p, tree.nodes[p],
+                                              tree.recorded_bound(), simple, matry))
                 break
 
     tree = grow_tree(dataset, learner, max_nodes=max_raw_nodes, config=config,

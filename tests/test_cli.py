@@ -11,7 +11,7 @@ from probboost import bounds, cli, ptree
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import _mc_loss, main
 from probboost.core import RandomStream, make_synthetic_dataset
-from probboost.matryoshka import build_fixed_2_matryoshka
+from probboost.matryoshka import TraceEvent, build_fixed_2_matryoshka
 from probboost.persist import save_model
 from probboost.ptree import grow_tree
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
@@ -26,6 +26,27 @@ def _read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+TRACE_KEYS = ["step", "action", "path", "alpha_plus", "alpha_minus", "Z", "Z_plus", "Z_minus", "C",
+              "rate_simple", "rate_matryoshka"]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _read_trace(path):
+    """A `--log` trace, one strict-JSON object per line."""
+    return [json.loads(line, parse_constant=_refuse_constant) for line in path.read_text().splitlines()]
+
+
+def _replayed_leaf_sum(nodes, path=""):
+    """C of a tree given as path -> (Z+, Z-): the sum of its leaves' Z products."""
+    if path not in nodes:
+        return 1.0
+    z_plus, z_minus = nodes[path]
+    return z_plus * _replayed_leaf_sum(nodes, path + "+") + z_minus * _replayed_leaf_sum(nodes, path + "-")
 
 
 class TestBoundsFigure:
@@ -138,7 +159,7 @@ class TestTrain:
         assert "weak-learner budget: 8 calls" in result.output
 
     def test_adaboost_log(self, runner, tmp_path):
-        log = tmp_path / "log.csv"
+        log = tmp_path / "log.jsonl"
         result = runner.invoke(
             main,
             [
@@ -148,13 +169,13 @@ class TestTrain:
             ],
         )
         assert result.exit_code == 0, result.output
-        header, rows = _read_csv(log)
-        assert header == ["round", "Z", "alpha_plus", "alpha_minus", "bound_so_far"]
-        assert len(rows) == 4
+        events = _read_trace(log)
+        assert [list(event) for event in events] == [TRACE_KEYS] * 4
+        assert [event["action"] for event in events] == ["stage"] * 4
         running = 1.0
-        for row in rows:
-            running *= float(row[1])
-            assert float(row[4]) == pytest.approx(running, rel=1e-12)
+        for event in events:
+            running *= event["Z"]
+            assert event["C"] == pytest.approx(running, rel=1e-12)
 
     def test_ptree_log_in_growth_order(self, runner, tmp_path):
         # the ptree and the top tree of a fixed-2 matryoshka share one log format
@@ -169,19 +190,74 @@ class TestTrain:
             ),
         ]
         for args, build in cases:
-            log = tmp_path / "log.csv"
+            log = tmp_path / "log.jsonl"
             result = runner.invoke(
                 main,
                 ["train", *args, "--seed", "0", "--exact-q", "--log", str(log), "--trials", "10"],
             )
             assert result.exit_code == 0, result.output
-            header, rows = _read_csv(log)
-            assert header == ["step", "leaf", "Z_plus", "Z_minus", "C"]
+            events = _read_trace(log)
+            assert all(list(event) == TRACE_KEYS and event["action"] == "grow" for event in events)
             tree = build(make_synthetic_dataset(seed=0), TrainConfig(seed=0, exact_q=True))
-            assert [row[1] for row in rows] == [p or "root" for p in tree.nodes]
-            for row, node, c in zip(rows, tree.nodes.values(), tree.trajectory[1:]):
-                assert [float(v) for v in row[2:]] == [node.z_plus, node.z_minus, c]
+            assert [event["path"] for event in events] == list(tree.nodes)
+            for event, node, c in zip(events, tree.nodes.values(), tree.trajectory[1:]):
+                assert [event["Z_plus"], event["Z_minus"], event["C"]] == [node.z_plus, node.z_minus, c]
+                assert [event["alpha_plus"], event["alpha_minus"]] == [node.alpha_plus, node.alpha_minus]
             log.unlink()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--algo", "adaboost", "--T", "6"],
+            ["--algo", "adaboost", "--T", "6", "--strategy", "B"],
+            ["--algo", "ptree", "--T", "8"],
+            ["--algo", "matryoshka", "--mode", "fixed2", "--L", "2", "--oracle", "constant-edge", "--exact-q"],
+            ["--algo", "matryoshka", "--mode", "greedy", "--T", "16", "--oracle", "constant-edge",
+             "--epsilon", "0.3", "--exact-q", "--seed", "3"],
+        ],
+        ids=["adaboost-A", "adaboost-B", "ptree", "fixed2", "greedy"],
+    )
+    def test_trace_replays_C(self, runner, tmp_path, args):
+        log = tmp_path / "trace.jsonl"
+        result = runner.invoke(main, ["train", *args, "--log", str(log), "--trials", "10"])
+        assert result.exit_code == 0, result.output
+        events = _read_trace(log)
+        nodes: dict[str, tuple[float, float]] = {}  # the tree replayed so far: path -> (Z+, Z-)
+        c = 1.0
+        for event in events:
+            assert list(event) == TRACE_KEYS
+            action, path = event["action"], event["path"]
+            if action == "stage":
+                assert path is None and event["Z_plus"] is None and event["Z_minus"] is None
+                assert event["C"] == c * event["Z"]
+            else:
+                assert event["Z"] is None
+                if action == "grow":
+                    prefix = 1.0
+                    for depth, edge in enumerate(path):
+                        prefix *= nodes[path[:depth]][0 if edge == "+" else 1]
+                    assert event["C"] == c + prefix * (event["Z_plus"] + event["Z_minus"] - 1.0)
+                else:
+                    assert action == "collect"
+                    nodes = {p: z for p, z in nodes.items() if not p.startswith(path)}
+                nodes[path] = (event["Z_plus"], event["Z_minus"])
+                if action == "collect":
+                    assert event["C"] == pytest.approx(_replayed_leaf_sum(nodes), rel=1e-12, abs=0.0)
+            # the rates are a collect's alone
+            assert (event["rate_simple"] is None) == (event["rate_matryoshka"] is None) == (action != "collect")
+            c = event["C"]
+        recorded = next(line for line in result.output.splitlines() if line.startswith("recorded bound: "))
+        assert c == float(recorded[len("recorded bound: "):])
+        if "greedy" in args:
+            assert any(event["action"] == "collect" for event in events)
+
+    def test_trace_writes_non_finite_as_null(self):
+        event = TraceEvent(1, "grow", "", 1.0, math.inf, None, math.nan, 0.25, math.nan)
+        text = event.to_json()
+        assert "NaN" not in text and "Infinity" not in text
+        assert json.loads(text, parse_constant=_refuse_constant) == dict(
+            zip(TRACE_KEYS, [1, "grow", "", 1.0, None, None, None, 0.25, None, None, None])
+        )
 
     def test_missing_T_rejected(self, runner):
         result = runner.invoke(main, ["train", "--algo", "adaboost"])
@@ -385,6 +461,29 @@ class TestInputErrors:
         assert result.output.startswith("Error: ") and message in result.output
         assert len(result.output.splitlines()) == 1
         assert "Traceback" not in result.output
+
+    def test_non_json_model_file(self, runner, tmp_path):
+        text = tmp_path / "notes.md"
+        text.write_text("# not a model\n")
+        result = runner.invoke(main, ["eval", "--model", str(text)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {text}: not a JSON model file (Expecting value: line 1 column 1 (char 0))\n"
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["train", "--algo", "ptree", "--T", "3", "--exact-q", "--oracle", "constant-edge", "--out"], "m.json"),
+            (["train", "--algo", "ptree", "--T", "3", "--exact-q", "--oracle", "constant-edge", "--log"], "t.jsonl"),
+            (["bounds-figure", "tree-of-trees", "--out"], "x.csv"),
+        ],
+        ids=["train-out", "train-log", "bounds-figure"],
+    )
+    def test_unwritable_output_path(self, runner, tmp_path, args, name):
+        path = tmp_path / "no-such-dir" / name
+        result = runner.invoke(main, [*args, str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # reported, not raised
+        assert result.output == f"Error: {path}: No such file or directory\n"
 
     @pytest.mark.parametrize("algo", [["adaboost", "--T", "2"], ["ptree", "--T", "2"],
                                       ["matryoshka", "--L", "2"]], ids=lambda a: a[0])
