@@ -176,6 +176,10 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _PHILOX_ROUNDS = 10
+# One Philox evaluation covers at most this many uniforms: a larger
+# ``RandomStream.uniforms`` call runs in blocks of this size, whose
+# temporaries stay in cache, and strategy A draws its rounds in such blocks.
+MAX_BLOCK_DRAWS = 4096
 
 
 def _philox4x32(counter: tuple, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
@@ -198,6 +202,14 @@ def _philox4x32(counter: tuple, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
     return c0, c1, c2, c3
 
 
+def _uniforms(example: np.ndarray, counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
+    """One Philox evaluation: the uniform of each (example, counter) pair of
+    the broadcast of two uint64 arrays."""
+    shift = np.uint64(32)
+    w0, w1, _, _ = _philox4x32((example & _MASK32, example >> shift, counter & _MASK32, counter >> shift), key)
+    return ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
+
+
 class RandomStream:
     """Deterministic, order-independent random draws keyed by stream id.
 
@@ -217,15 +229,21 @@ class RandomStream:
     def uniforms(self, purpose: str, example, counter) -> np.ndarray:
         """Uniforms in [0, 1) on a 2^-53 grid, one per element of the
         broadcast of ``example`` and ``counter`` (non-negative integers
-        below 2^64)."""
+        below 2^64).  A draw depends only on its own pair, so a call of more
+        than ``MAX_BLOCK_DRAWS`` draws is evaluated in blocks of that many
+        with the same bits."""
         example = np.asarray(example, dtype=np.uint64)
         counter = np.asarray(counter, dtype=np.uint64)
-        shift = np.uint64(32)
-        w0, w1, _, _ = _philox4x32(
-            (example & _MASK32, example >> shift, counter & _MASK32, counter >> shift),
-            self._key(purpose),
-        )
-        return ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
+        key = self._key(purpose)
+        pairs = np.broadcast(example, counter)
+        if pairs.size <= MAX_BLOCK_DRAWS:
+            return _uniforms(example, counter, key)
+        example, counter = (a.ravel() for a in np.broadcast_arrays(example, counter))
+        out = np.empty(pairs.size)
+        for start in range(0, pairs.size, MAX_BLOCK_DRAWS):
+            block = slice(start, start + MAX_BLOCK_DRAWS)
+            out[block] = _uniforms(example[block], counter[block], key)
+        return out.reshape(pairs.shape)
 
     def generator(self, purpose: str, example: int = 0, counter: int = 0) -> np.random.Generator:
         """A numpy Generator for one (purpose, example, counter).  The library

@@ -556,13 +556,13 @@ def predict_tree(
     """Sample ``trials`` root-to-leaf walks for every row of X.
 
     Returns (scores H, leaves), both of shape (trials, len(X)): each walk's
-    score and the top-level leaf it ends at.  The tree is walked node by
-    node over the walks that reach each node; a plain node draws with its
-    classifier's ``sample_batch``, and a composite walks its inner tree.
-    The uniform of a walk's k-th draw is keyed by (row, trial, k) in the
-    stream tagged ``purpose``, so the result does not depend on the order
-    in which nodes are visited, and fewer trials give the first trials'
-    walks.
+    score and the top-level leaf it ends at.  The walks go down the tree
+    level by level: the walks at the level's plain nodes draw in one
+    ``uniforms`` call, each node's walks with its classifier's
+    ``sample_batch``, and a composite walks its inner tree.  The uniform of
+    a walk's k-th draw is keyed by (row, trial, k) in the stream tagged
+    ``purpose``, so the result does not depend on the order in which walks
+    or nodes are visited, and fewer trials give the first trials' walks.
     """
     X = np.asarray(X, dtype=float)
     dim = tree.metadata.get("dimension")
@@ -571,35 +571,48 @@ def predict_tree(
     _check_trials(trials)
     trial, row = np.divmod(np.arange(trials * len(X)), len(X))
     draws = np.zeros(len(row), dtype=np.uint64)
-    scores, leaves = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose)
+    leaves = np.empty(len(row), dtype=object)
+    scores = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose, leaves)
     return scores.reshape(trials, len(X)), leaves.reshape(trials, len(X))
 
 
-def _walk(tree, X, row, trial, draws, stream, purpose) -> tuple[np.ndarray, np.ndarray]:
+def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarray:
     """One walk through ``tree`` per entry of ``row`` (the example) and
     ``trial``; ``draws`` counts each walk's draws so far and is advanced in
-    place.  Returns each walk's score and leaf path."""
+    place.  Returns each walk's score, and writes its leaf path into
+    ``leaves`` if given (an inner tree's are not needed).  The walks go down
+    level by level, as ``predict_tree`` says, each keyed by its own row,
+    trial and draw count; a walk adds its nodes' terms in path order, so its
+    score is that of the walk taken alone."""
     scores = np.zeros(len(row))
-    leaves = np.empty(len(row), dtype=object)
-    stack = [("", np.arange(len(row)))]
-    while stack:
-        path, at = stack.pop()
-        if len(at) == 0:
-            continue
-        node = tree.nodes.get(path)
-        if node is None:
-            leaves[at] = path
-            continue
-        if node.classifier.leaf_table is not None:  # a composite: walk its inner tree
-            inner_draws = draws[at]
-            h, _ = _walk(node.classifier.inner, X, row[at], trial[at], inner_draws, stream, purpose)
-            draws[at] = inner_draws
-        else:
-            u = stream.uniforms(purpose, row[at], (draws[at] << np.uint64(32)) | trial[at])
-            h = node.classifier.sample_batch(X[row[at]], u)
-            draws[at] += np.uint64(1)
-        plus = h >= 0.0
-        scores[at] += np.where(plus, node.alpha_plus, node.alpha_minus) * h
-        stack.append((path + "-", at[~plus]))
-        stack.append((path + "+", at[plus]))
-    return scores, leaves
+    level = [("", np.arange(len(row)))] if len(row) else []
+    while level:
+        drawn, plain = [], []  # (path, node, walks, h) and (path, node, walks)
+        for path, at in level:
+            node = tree.nodes.get(path)
+            if node is None:
+                if leaves is not None:
+                    leaves[at] = path
+            elif node.classifier.leaf_table is not None:  # a composite: walk its inner tree
+                inner_draws = draws[at]
+                h = _walk(node.classifier.inner, X, row[at], trial[at], inner_draws, stream, purpose)
+                draws[at] = inner_draws
+                drawn.append((path, node, at, h))
+            else:
+                plain.append((path, node, at))
+        if plain:
+            walks = np.concatenate([at for _, _, at in plain])
+            u = stream.uniforms(purpose, row[walks], (draws[walks] << np.uint64(32)) | trial[walks])
+            draws[walks] += np.uint64(1)
+            rows, start = X[row[walks]], 0
+            for path, node, at in plain:
+                stop = start + len(at)
+                drawn.append((path, node, at, node.classifier.sample_batch(rows[start:stop], u[start:stop])))
+                start = stop
+        level = []
+        for path, node, at, h in drawn:
+            plus = h >= 0.0
+            scores[at] += np.where(plus, node.alpha_plus, node.alpha_minus) * h
+            level += [(child, walks) for child, walks in ((path + "+", at[plus]), (path + "-", at[~plus]))
+                      if len(walks)]
+    return scores

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import WStats, optimal_alphas, w_statistics, z_value
-from .core import Dataset, RandomStream
+from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 
 __all__ = [
     "ProbClassifier",
@@ -42,10 +42,6 @@ __all__ = [
 # stops at R_MAX_DEFAULT; strategy B looks ahead at most R_MAX_DEFAULT * T times.
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
-# Strategy A draws its rounds in blocks of at most this many uniforms, each
-# block one RandomStream call, W pass and sample_batch call on the N training
-# rows.  At N > MAX_BLOCK_DRAWS / 2 a block is one round.
-MAX_BLOCK_DRAWS = 4096
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
 
 
@@ -221,8 +217,10 @@ def estimate_q_strategy_A(
     Returns (q_plus estimates, rounds spent).  A hard cap of
     ``R_MAX_DEFAULT`` rounds aborts with the current estimates.
 
-    Rounds are drawn in blocks of at most ``MAX_BLOCK_DRAWS`` uniforms, one
-    ``sample_batch`` call on the training rows with u of shape (rounds, N).
+    Rounds are drawn in blocks of at most ``MAX_BLOCK_DRAWS`` uniforms (one
+    round once N > MAX_BLOCK_DRAWS / 2), each block one ``uniforms`` call, W
+    pass and ``sample_batch`` call on the training rows with u of shape
+    (rounds, N).
     A draw is a pure function of (example, round) and each round's W is
     summed as that round alone, so the result is bit for bit that of one
     round per call; rounds drawn past the stop are dropped.

@@ -9,9 +9,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probboost import core
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import main
 from probboost.core import (
+    MAX_BLOCK_DRAWS,
     Dataset,
     RandomStream,
     load_csv,
@@ -222,6 +224,46 @@ class TestRandomStream:
         assert row[2, 1] == s.uniforms("p", 2, 1)
         np.testing.assert_array_equal(s.uniforms("p", 3, np.arange(3)), row[3])
         assert RandomStream(-5).uniforms("p", 0, 0) != RandomStream(5).uniforms("p", 0, 0)
+
+    @pytest.mark.parametrize(
+        "examples, counters",
+        [
+            (np.arange(40), np.arange(300)[:, None]),  # 12,000 draws, broadcast
+            (np.arange(MAX_BLOCK_DRAWS + 1) % 7, 2**33 + 5),  # one past a block
+            (np.arange(MAX_BLOCK_DRAWS), np.arange(MAX_BLOCK_DRAWS)[::-1]),  # exactly one block
+            (np.arange(3)[:, None, None], np.arange(3000).reshape(1, 3, 1000)),  # 9,000 draws in 3-d
+        ],
+    )
+    def test_blocks_equal_one_evaluation(self, monkeypatch, examples, counters):
+        s = RandomStream(21)
+        evaluated = []
+
+        def bounded_philox(counter, key):
+            evaluated.append(np.broadcast(*counter).size)
+            assert evaluated[-1] <= MAX_BLOCK_DRAWS
+            return _philox4x32(counter, key)
+
+        monkeypatch.setattr(core, "_philox4x32", bounded_philox)
+        u = s.uniforms("p", examples, counters)
+        monkeypatch.undo()
+        shape = np.broadcast_shapes(np.shape(examples), np.shape(counters))
+        assert u.shape == shape and u.dtype == float and sum(evaluated) == u.size
+        # the unsplit evaluation, all draws in one Philox call
+        e, c = np.asarray(examples, dtype=np.uint64), np.asarray(counters, dtype=np.uint64)
+        mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+        w0, w1, _, _ = _philox4x32((e & mask, e >> shift, c & mask, c >> shift), s._key("p"))
+        whole = ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
+        np.testing.assert_array_equal(u, whole)
+        flat_e, flat_c = (a.ravel() for a in np.broadcast_arrays(examples, counters))
+        for i in np.linspace(0, u.size - 1, 9).astype(int):  # ends and block edges in between
+            assert u.ravel()[i] == s.uniforms("p", int(flat_e[i]), int(flat_c[i]))
+
+    def test_zero_dimensional_and_empty_calls(self):
+        s = RandomStream(4)
+        assert np.shape(s.uniforms("p", 3, 5)) == ()
+        assert s.uniforms("p", np.array([3]), 5)[0] == s.uniforms("p", 3, 5)
+        assert s.uniforms("p", np.arange(0), 5).shape == (0,)
+        assert s.uniforms("p", np.arange(MAX_BLOCK_DRAWS + 1), np.zeros((0, 1))).shape == (0, MAX_BLOCK_DRAWS + 1)
 
     def test_unit_interval_on_a_grid(self):
         u = RandomStream(11).uniforms("grid", np.arange(20_000), 3)

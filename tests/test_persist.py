@@ -49,9 +49,28 @@ OLDER_FILES = {
 }
 
 
-def _eval_lines(model, data=DATA / "edge_data.csv"):
+# Noisy-stump models trained on data/stump_data.csv (40 examples) by
+# `train --data stump_data.csv --seed 11` with `--algo ptree --T 20` and with
+# `--algo matryoshka --mode fixed2 --L 3 --exact-q`, and what `eval --data
+# stump_data.csv --trials 300 --seed 5` printed while tree walks drew node by
+# node.  Their 12,000 walks take more than one Philox block at a level.
+STUMP_FILES = {
+    "stump_ptree.json": [
+        "mc loss: 0.053417 +/- 0.001985 (300 trials)",
+        "exact exponential bound: 0.3671479164307625",
+        "recorded training bound: 0.36714791643076256",
+    ],
+    "stump_fixed2.json": [
+        "mc loss: 0.041917 +/- 0.001722 (300 trials)",
+        "exact exponential bound: 0.30541453519984507",
+        "recorded training bound: 0.305414535199845",
+    ],
+}
+
+
+def _eval_lines(model, data=DATA / "edge_data.csv", trials=200):
     result = CliRunner().invoke(
-        main, ["eval", "--model", str(model), "--data", str(data), "--trials", "200", "--seed", "5"]
+        main, ["eval", "--model", str(model), "--data", str(data), "--trials", str(trials), "--seed", "5"]
     )
     return result.exit_code, result.output.splitlines()
 
@@ -85,6 +104,12 @@ class TestOlderFiles:
         save_model(model, tmp_path / name)
         assert len(json.loads((tmp_path / name).read_text())["training_sets"]) == 1
         assert _eval_lines(tmp_path / name) == (0, OLDER_FILES[name])
+
+
+class TestStumpFiles:
+    @pytest.mark.parametrize("name", sorted(STUMP_FILES))
+    def test_evaluates_as_before(self, name):
+        assert _eval_lines(DATA / name, DATA / "stump_data.csv", trials=300) == (0, STUMP_FILES[name])
 
 
 class TestTrainingSetTable:

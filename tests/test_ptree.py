@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from probboost import ptree
+from probboost import core, ptree
 from probboost._zstats import optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
-from probboost.core import Dataset, RandomStream
+from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.ptree import (
     DEAD_BRANCH_THRESHOLD,
@@ -771,6 +771,94 @@ class TestPredictTree:
         np.testing.assert_array_equal(first_leaves, leaves[:10])
         other, _ = predict_tree(tree, X, RandomStream(4), "other", 30)
         assert not np.array_equal(other, scores)
+
+
+def _reference_walk(tree, X, row, trial, k, stream, purpose):
+    """One walk taken alone, node by node: its k-th draw is the uniform keyed
+    by (row, (k << 32) | trial), and a composite walks its inner tree.
+    Returns (score, leaf, draws taken so far)."""
+    score, path = 0.0, ""
+    while path in tree.nodes:
+        node = tree.nodes[path]
+        if node.classifier.leaf_table is not None:
+            h, _, k = _reference_walk(node.classifier.inner, X, row, trial, k, stream, purpose)
+        else:
+            u = stream.uniforms(purpose, row, (k << 32) | trial)
+            h = float(node.classifier.sample_batch(X[row : row + 1], np.array([u]))[0])
+            k += 1
+        score += (node.alpha_plus if h >= 0.0 else node.alpha_minus) * h
+        path += "+" if h >= 0.0 else "-"
+    return score, path, k
+
+
+class TestLevelWalks:
+    @pytest.mark.parametrize(
+        "trainer, size, oracle, exact_q",
+        [
+            ("ptree", 12, "stump", True),
+            ("ptree", 12, "stump", False),
+            ("ptree", 12, "edge", True),
+            ("ptree", 12, "edge", False),
+            ("fixed2", 2, "stump", True),
+            ("fixed2", 3, "stump", False),
+            ("fixed2", 3, "edge", True),
+            ("greedy", 16, "edge", True),
+        ],
+    )
+    def test_equals_walks_taken_alone(self, small_dataset, trainer, size, oracle, exact_q):
+        learner = builtin_noisy_stump(0.2) if oracle == "stump" else builtin_constant_edge_oracle(0.3)
+        config = TrainConfig(exact_q=exact_q, seed=3)
+        if trainer == "ptree":
+            tree = grow_tree(small_dataset, learner, max_nodes=size, config=config)
+        elif trainer == "fixed2":
+            tree = build_fixed_2_matryoshka(small_dataset, learner, size, config)
+        else:
+            tree, log = build_greedy_matryoshka(small_dataset, learner, size, config=config)
+            assert any(entry.action == "collect" for entry in log)
+        X, stream = small_dataset.features, RandomStream(9)
+        reference = [
+            [_reference_walk(tree, X, row, trial, 0, stream, "p")[:2] for row in range(len(X))]
+            for trial in range(7)
+        ]
+        ref_scores = np.array([[score for score, _ in walks] for walks in reference])
+        ref_leaves = np.array([[leaf for _, leaf in walks] for walks in reference], dtype=object)
+        for trials in range(1, 8):
+            scores, leaves = predict_tree(tree, X, stream, "p", trials)
+            np.testing.assert_array_equal(scores, ref_scores[:trials])  # bit for bit
+            np.testing.assert_array_equal(leaves, ref_leaves[:trials])
+        if trainer == "ptree":  # walks of unequal length, drawn side by side
+            assert len({len(leaf) for leaf in ref_leaves.ravel()}) > 1
+        else:  # a composite at the root
+            assert tree.nodes[""].classifier.leaf_table is not None
+
+    def test_one_uniforms_call_per_level(self, monkeypatch):
+        data = make_synthetic_dataset(40, seed=2)
+        tree = grow_tree(data, builtin_noisy_stump(0.2), max_nodes=16, config=TrainConfig(exact_q=True))
+        trials = 120  # 4,800 walks at the root: more than one Philox block
+        assert trials * data.n_examples > MAX_BLOCK_DRAWS
+        calls, evaluated = [], []
+        philox = core._philox4x32
+
+        def bounded_philox(counter, key):
+            size = np.broadcast(*counter).size
+            assert size <= MAX_BLOCK_DRAWS
+            evaluated.append(size)
+            return philox(counter, key)
+
+        class CountingStream(RandomStream):
+            def uniforms(self, purpose, example, counter):
+                calls.append(np.size(example))
+                return super().uniforms(purpose, example, counter)
+
+        monkeypatch.setattr(core, "_philox4x32", bounded_philox)
+        _, leaves = predict_tree(tree, data.features, CountingStream(1), "p", trials)
+        monkeypatch.undo()
+        depths = np.vectorize(len)(leaves)
+        # one call per level of the deepest walk, not one per node
+        assert len(calls) == depths.max() < tree.n_nodes
+        assert calls == [int(np.sum(depths > level)) for level in range(depths.max())]
+        assert calls[0] == trials * data.n_examples and max(evaluated) == MAX_BLOCK_DRAWS
+        assert sum(evaluated) == sum(calls)
 
 
 class TestTreeSerialization:
