@@ -110,7 +110,9 @@ def _edge_factor(
 ) -> np.ndarray:
     """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
     side = _side(scores, sign)
-    for_plus, for_minus = np.split(_exp_table(alpha, scores[side]), 2)
+    h = scores[side]
+    table = _exp_table(alpha, h)
+    for_plus, for_minus = table[: len(h)], table[len(h) :]
     # a C-ordered copy: each row then sums in the same (pairwise) order as
     # any C-ordered (N, K) product; a boolean column selection is F-ordered
     factor = np.compress(side, reach, axis=1)
@@ -307,16 +309,35 @@ class CompositeNode(ProbClassifier):
     composites included; its output is sign(H_inner) with ties to +1.  Its
     outcomes on rows X are the inner walks: their probabilities on each row
     and their H_inner.  ``leaf_table`` holds them for the training
-    examples, built once from what the inner nodes stored so that it agrees
-    with the inner tree's recorded C.
+    examples, from what the inner nodes stored so that it agrees with the
+    inner tree's recorded C.  It is built on first read, and dropped when
+    a composite that wraps this one builds its own table, which holds these
+    walks expanded; a later read rebuilds it, bit for bit.
     """
 
     def __init__(self, inner: TreeModel):
         self.inner = inner
-        self.leaf_table = walk_table(inner)
+        self._leaf_table: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def leaf_table(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._leaf_table is None:
+            self._leaf_table = walk_table(self.inner)
+            for node in self.inner.nodes.values():
+                if isinstance(node.classifier, CompositeNode):
+                    node.classifier._leaf_table = None
+        return self._leaf_table
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
+
+    def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The score of the first inner walk whose cumulative reach on the row
+        exceeds u.  (A tree walk descends into the inner tree instead.)"""
+        reach, scores = self.outcomes(X)
+        # outcome-major, so that counting the outcomes below u adds whole rows
+        picked = np.sum(np.cumsum(reach, axis=1).T.copy() <= np.asarray(u)[..., None, :], axis=-2)
+        return scores[np.minimum(picked, len(scores) - 1)]
 
     def training_sets(self):
         for node in self.inner.nodes.values():
@@ -340,7 +361,7 @@ def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np
     draws its inner walks."""
     if X is not None:
         return node.classifier.outcomes(X)
-    if node.classifier.leaf_table is not None:
+    if isinstance(node.classifier, CompositeNode):
         return node.classifier.leaf_table
     return _plain_outcomes(node.q_plus)
 
@@ -593,7 +614,7 @@ def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarra
             if node is None:
                 if leaves is not None:
                     leaves[at] = path
-            elif node.classifier.leaf_table is not None:  # a composite: walk its inner tree
+            elif isinstance(node.classifier, CompositeNode):  # walk its inner tree; builds no table
                 inner_draws = draws[at]
                 h = _walk(node.classifier.inner, X, row[at], trial[at], inner_draws, stream, purpose)
                 draws[at] = inner_draws

@@ -88,8 +88,8 @@ class ProbClassifier(ABC):
     """A per-input Bernoulli oracle over {-1, +1}."""
 
     #: None for a plain +/-1 classifier.  A classifier whose tree edges carry
-    #: real-valued scores (a collected subtree) sets it to its ``outcomes``
-    #: on the training examples.
+    #: real-valued scores (a collected subtree) gives its ``outcomes`` on the
+    #: training examples here.
     leaf_table: tuple[np.ndarray, np.ndarray] | None = None
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,11 +108,10 @@ class ProbClassifier(ABC):
         """Draws from uniforms u in [0, 1) of shape (..., len(X)), whose last
         axis runs over the rows of X: the scores drawn, in u's shape, whose
         sign is the branch a tree takes; a plain classifier draws +1 where
-        u < q(+, x), else -1.  A classifier without exact q overrides this."""
-        reach, scores = self.outcomes(X)
-        # outcome-major, so that counting the outcomes below u adds whole rows
-        picked = np.sum(np.cumsum(reach, axis=1).T.copy() <= np.asarray(u)[..., None, :], axis=-2)
-        return scores[np.minimum(picked, len(scores) - 1)]
+        u < q(+, x), else -1.  A classifier without exact q, or with other
+        outcomes than +/-1, overrides this."""
+        reach, _ = self.outcomes(X)
+        return np.where(np.asarray(u) < reach[:, 0], 1.0, -1.0)
 
     def training_sets(self):
         """The ``TrainingSet`` lookups the classifier holds; a model file

@@ -12,8 +12,10 @@ from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
+from probboost.persist import load_model, save_model
 from probboost.ptree import (
     DEAD_BRANCH_THRESHOLD,
+    CompositeNode,
     TreeModel,
     TreeNode,
     attach_node,
@@ -900,3 +902,81 @@ class TestTreeSerialization:
         record["nodes"] = {"++": next(iter(record["nodes"].values()))}
         with pytest.raises(ValueError, match="parent"):
             TreeModel.from_record(record)
+
+
+def _composites_by_depth(tree, depth=0):
+    """(nesting depth, composite) of every composite in the tree, top-level
+    ones at depth 0, each before the composites it wraps."""
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            yield depth, node.classifier
+            yield from _composites_by_depth(node.classifier.inner, depth + 1)
+
+
+class TestTableLifetime:
+    """A composite builds its walk table on first read and drops the tables
+    of the composites it wraps; reading one of those again rebuilds it bit
+    for bit, and loading or predicting builds none."""
+
+    @staticmethod
+    def _models(dataset):
+        config = TrainConfig(exact_q=True, seed=3)
+        yield build_fixed_2_matryoshka(dataset, builtin_noisy_stump(0.1), 4, config)
+        tree, log = build_greedy_matryoshka(dataset, builtin_constant_edge_oracle(0.3), 16, config=config)
+        assert sum(event.action == "collect" for event in log) > 1  # a chain of composites
+        yield tree
+
+    @staticmethod
+    def _recording(built):
+        def recording(tree, X=None):
+            table = walk_table(tree, X)
+            if X is None:
+                built.setdefault(id(tree), tuple(array.copy() for array in table))
+            return table
+
+        return recording
+
+    def test_only_top_level_composites_keep_a_table(self, small_dataset):
+        for tree in self._models(small_dataset):
+            composites = list(_composites_by_depth(tree))
+            assert any(depth > 0 for depth, _ in composites)
+            for depth, composite in composites:
+                assert (composite._leaf_table is not None) == (depth == 0)
+
+    def test_a_dropped_table_rebuilds_bit_for_bit(self, small_dataset, monkeypatch):
+        built = {}  # the first table of each inner tree: the one training read
+        monkeypatch.setattr(ptree, "walk_table", self._recording(built))
+        for tree in self._models(small_dataset):
+            composites = list(_composites_by_depth(tree))
+            top = [composite._leaf_table for depth, composite in composites if depth == 0]
+            for depth, composite in composites:
+                reach, scores = composite.leaf_table
+                expected_reach, expected_scores = built[id(composite.inner)]
+                assert reach.tobytes() == expected_reach.tobytes()
+                assert scores.tobytes() == expected_scores.tobytes()
+                reference_reach, reference_scores = _reference_walks(composite.inner, None)
+                assert reach.tobytes() == reference_reach.tobytes()
+                assert scores.tobytes() == reference_scores.tobytes()
+            # a rebuild below drops nothing above it
+            assert [composite._leaf_table for depth, composite in composites if depth == 0] == top
+
+    def test_loading_and_predicting_build_no_table(self, small_dataset, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(tree, X=None):
+            calls.append(X is None)
+            return walk_table(tree, X)
+
+        for index, tree in enumerate(self._models(small_dataset)):
+            path = tmp_path / f"model-{index}.json"
+            save_model(tree, path)
+            bound = exact_tree_bound(tree, small_dataset)
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(ptree, "walk_table", counting)
+                model = load_model(path)
+                predict_tree(model, small_dataset.features, RandomStream(5), "p", 20)
+                assert calls == []
+                # the exact bound builds the tables it reads, from what the file stored
+                assert exact_tree_bound(model, small_dataset) == bound
+                assert calls

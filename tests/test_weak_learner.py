@@ -640,6 +640,18 @@ class TestNoisyStump:
         drawn = clf.sample_batch(small_dataset.features, u)
         np.testing.assert_array_equal(drawn, np.where(u < q, 1.0, -1.0))
 
+    @pytest.mark.parametrize("p_flip", [0.0, 0.1, 0.3, 0.5 - 1e-12])
+    def test_sample_batch_is_the_outcome_count(self, small_dataset, p_flip):
+        # a plain draw equals counting the outcomes whose cumulative reach is
+        # at most u, the path a composite samples by, bit for bit, u == q included
+        clf = StumpClassifier(0, 0.0, 1, p_flip)
+        q = clf.outcomes(small_dataset.features)[0][:, 0]
+        u = RandomStream(2).uniforms("u", np.arange(small_dataset.n_examples), np.arange(6)[:, None])
+        u[0], u[1], u[2] = q, np.nextafter(q, 0.0), np.nextafter(q, 1.0)
+        u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))  # uniforms lie in [0, 1)
+        drawn = clf.sample_batch(small_dataset.features, u)
+        assert drawn.tobytes() == CompositeNode.sample_batch(clf, small_dataset.features, u).tobytes()
+
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights)
         clone = classifier_from_record(clf.to_record(), {})
