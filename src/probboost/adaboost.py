@@ -25,15 +25,14 @@ from ._zstats import (
 from .core import Dataset, RandomStream, _check_trials, _mc_summary
 from .weak_learner import (
     R_MAX_DEFAULT,
-    OracleEstimate,
     ProbClassifier,
     TrainConfig,
     WeakLearner,
-    _log_rate,
+    _draw_plus,
     _model_metadata,
+    _q_estimate,
     _read_metadata,
     _read_training_sets,
-    _sample_round,
     _train_step,
     _write_training_sets,
     classifier_from_record,
@@ -177,10 +176,28 @@ def train_adaboost(
     return AdaboostModel(stages, metadata=_model_metadata(config, dataset, T=T, strategy=config.strategy))
 
 
-# Strategy B's option costs in passes over the training set (see the
-# strategy-B notes in ``weak_learner``).
+# ---------------------------------------------------------------------------
+# Strategy B: look-ahead arbitrated by bound decrease per pass.
+#
+# Each iteration compares two options: option A trains a candidate h_{t+1}
+# on the weights the current estimates give and samples it once; option B
+# samples h_t once more.  Each option's cost is counted in passes over the
+# N training examples (a weak-learner call is one pass, a sampling round is
+# one pass), so option A costs 2 and option B costs 1.  No clock is read, so
+# the same seed always gives the same decisions.  The loop advances when
+# ln(Z_{t+1}) / 2 <= ln(Z'_t / Z_t) / 1; ties go to A.  It looks ahead at
+# most R_MAX_DEFAULT * T times.
 _ADVANCE_PASSES = 2  # train the candidate, then sample it once
 _RESAMPLE_PASSES = 1  # sample the current classifier once more
+
+
+def _log_rate(z_factor: float, passes: float) -> float:
+    """ln of the bound decrease rate z^(1/passes).  It orders options as the
+    rate does, but cannot underflow to 0 when the exponent is large.  z = 0
+    gives -inf."""
+    if z_factor == 0.0:
+        return -math.inf
+    return math.log(z_factor) / passes
 
 
 def _train_strategy_B(
@@ -193,34 +210,32 @@ def _train_strategy_B(
     """Look ahead each iteration: advance to a candidate h_{t+1} or resample
     h_t, whichever decreases the bound faster per pass."""
     labels = dataset.labels
+
+    def sample(classifier, purpose, weights, counts=0, rounds=0):
+        """A classifier's estimate after one more round of draws: its + counts
+        per example in a (1, N) row, the rounds sampled, the q estimates from
+        them and their Z estimate under ``weights``."""
+        counts = counts + _draw_plus(classifier, dataset, stream, purpose, [rounds + 1])
+        q = _q_estimate(counts, rounds + 1, config.estimator)
+        return counts, rounds + 1, q, next(map_z_estimate(q, weights, labels))
+
     weights = dataset.weights.copy()
     classifier = _train_step(learner, dataset, weights, "round 1")
-    estimate = OracleEstimate.empty(dataset.n_examples)
-    estimate.observe(_sample_round(classifier, dataset, stream, "q-est-1", 1))
-    z, _ = map_z_estimate(estimate, weights, labels, config.estimator)
+    counts, rounds, q, z = sample(classifier, "q-est-1", weights)
     stages: list[StageRecord] = []
     t, looks = 1, 0
-    while t < T and looks <= R_MAX_DEFAULT * T:
+    while t < T and looks < R_MAX_DEFAULT * T:
         looks += 1
-        stage, next_weights = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
+        stage, next_weights = _make_stage(classifier, q[0], weights, labels)
         candidate = _train_step(learner, dataset, next_weights, f"round {t + 1}")
-        cand_estimate = OracleEstimate.empty(dataset.n_examples)
-        cand_estimate.observe(_sample_round(candidate, dataset, stream, f"strategy-B-cand-{t + 1}", 1))
-        z_next, _ = map_z_estimate(cand_estimate, next_weights, labels, config.estimator)
-
-        refreshed = OracleEstimate(estimate.counts_plus.copy(), estimate.rounds)
-        refreshed.observe(
-            _sample_round(classifier, dataset, stream, f"strategy-B-resample-{t}", refreshed.rounds + 1)
-        )
-        z_prime, _ = map_z_estimate(refreshed, weights, labels, config.estimator)
-
-        if _log_rate(z_next, _ADVANCE_PASSES) <= _log_rate(z_prime / z, _RESAMPLE_PASSES):
+        advanced = sample(candidate, f"strategy-B-cand-{t + 1}", next_weights)
+        refreshed = sample(classifier, f"strategy-B-resample-{t}", weights, counts, rounds)
+        if _log_rate(advanced[-1], _ADVANCE_PASSES) <= _log_rate(refreshed[-1] / z, _RESAMPLE_PASSES):
             stages.append(stage)
-            t, weights, classifier, estimate, z = t + 1, next_weights, candidate, cand_estimate, z_next
+            t, weights, classifier, (counts, rounds, q, z) = t + 1, next_weights, candidate, advanced
         else:
-            estimate, z = refreshed, z_prime
-    stage, _ = _make_stage(classifier, estimate.q_plus(config.estimator), weights, labels)
-    stages.append(stage)
+            counts, rounds, q, z = refreshed
+    stages.append(_make_stage(classifier, q[0], weights, labels)[0])
     return stages
 
 

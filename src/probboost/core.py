@@ -69,6 +69,8 @@ class Dataset:
         weights = np.asarray(self.weights, dtype=float)
         if features.ndim != 2 or features.shape[0] == 0:
             raise ValueError("features must be a non-empty (N, d) array")
+        if features.shape[1] == 0:
+            raise ValueError("features need at least one column: no learner can split examples without any")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
         n = features.shape[0]

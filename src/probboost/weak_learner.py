@@ -5,9 +5,9 @@ A weak learner returns, for any weighting of the training set, a classifier
 whose output on X is a Bernoulli draw over {-1, +1} with parameter
 q(+, X).  The branch probabilities q are unknown in general and are
 estimated by repeated sampling (ML or MAP); the two strategies decide when
-to stop spending samples on the current classifier.  Strategy A is below;
-strategy B's loop is ``adaboost._train_strategy_B``, which compares its
-options with ``_log_rate``.
+to stop spending samples on the current classifier.  Both draw rounds with
+``_draw_plus`` and score them with ``map_z_estimate``.  Strategy A is below;
+strategy B's rule and loop are ``adaboost._train_strategy_B``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 __all__ = [
     "ProbClassifier",
     "WeakLearner",
-    "OracleEstimate",
     "map_z_estimate",
     "estimate_q_strategy_A",
     "node_q",
@@ -158,48 +157,21 @@ def _q_estimate(counts_plus: np.ndarray, rounds, estimator: str) -> np.ndarray:
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-@dataclass
-class OracleEstimate:
-    """Running per-example observation counts for one classifier."""
-
-    counts_plus: np.ndarray  # draws with score >= 0 (the + branch) per example
-    rounds: int = 0
-
-    @classmethod
-    def empty(cls, n_examples: int) -> "OracleEstimate":
-        return cls(counts_plus=np.zeros(n_examples, dtype=int), rounds=0)
-
-    def observe(self, outputs: np.ndarray) -> None:
-        """Count one round of ``sample_batch`` scores; ties go to +."""
-        self.counts_plus += np.asarray(outputs) >= 0.0
-        self.rounds += 1
-
-    def q_plus(self, estimator: str = "map") -> np.ndarray:
-        return _q_estimate(self.counts_plus, self.rounds, estimator)
+def _draw_plus(classifier, dataset: Dataset, stream: RandomStream, purpose: str, rounds) -> np.ndarray:
+    """The sampling rounds numbered ``rounds`` (a 1-D sequence) on the N
+    training rows, one ``uniforms`` and one ``sample_batch`` call: a
+    (len(rounds), N) array, True where the score drawn is >= 0 (the + branch,
+    which a tie takes)."""
+    u = stream.uniforms(purpose, np.arange(dataset.n_examples), np.asarray(rounds)[:, None])
+    return classifier.sample_batch(dataset.features, u) >= 0.0
 
 
-def map_z_estimate(
-    estimate: OracleEstimate,
-    weights: np.ndarray,
-    labels: np.ndarray,
-    estimator: str = "map",
-) -> tuple[float, np.ndarray]:
-    """Z_T estimate at the optimal alphas for the current q estimates."""
-    q = estimate.q_plus(estimator)
-    w = w_statistics(weights, q, labels)
-    a_plus, a_minus = optimal_alphas(w)
-    return z_value(w, a_plus, a_minus), q
-
-
-def _sample_round(
-    classifier: ProbClassifier,
-    dataset: Dataset,
-    stream: RandomStream,
-    purpose: str,
-    counter: int,
-) -> np.ndarray:
-    u = stream.uniforms(purpose, np.arange(dataset.n_examples), counter)
-    return classifier.sample_batch(dataset.features, u)
+def map_z_estimate(q: np.ndarray, weights: np.ndarray, labels: np.ndarray):
+    """The Z estimate at the optimal alphas of each row of q estimates
+    (R, N), each bit for bit that of the row alone.  One W pass covers the
+    rows; a row's alphas and Z are computed when the generator reaches it."""
+    for w in map(WStats._make, zip(*w_statistics(weights, q, labels))):
+        yield z_value(w, *optimal_alphas(w))
 
 
 def estimate_q_strategy_A(
@@ -231,20 +203,16 @@ def estimate_q_strategy_A(
     prev_q = _q_estimate(counts, 0, "map")  # prior mean before any observation
     done = 0
     while done < R_MAX_DEFAULT:
-        block = min(per_block, R_MAX_DEFAULT - done)
-        rounds = np.arange(done + 1, done + block + 1)[:, None]
-        u = stream.uniforms(purpose, np.arange(n), rounds)
-        plus = classifier.sample_batch(dataset.features, u) >= 0.0
+        rounds = np.arange(done + 1, min(done + per_block, R_MAX_DEFAULT) + 1)
+        plus = _draw_plus(classifier, dataset, stream, purpose, rounds)
         # a cumsum down the rows costs one call per example; one round needs none
-        counts = counts + (plus.cumsum(axis=0) if block > 1 else plus)
-        q = _q_estimate(counts, rounds, estimator)
-        for i, w_r in enumerate(zip(*w_statistics(weights, q, dataset.labels))):
-            r, w_r = done + 1 + i, WStats(*w_r)
-            z = z_value(w_r, *optimal_alphas(w_r))
+        counts = counts + (plus.cumsum(axis=0) if len(rounds) > 1 else plus)
+        q = _q_estimate(counts, rounds[:, None], estimator)
+        for r, q_r, z in zip(rounds.tolist(), q, map_z_estimate(q, weights, dataset.labels)):
             if r > R_MIN_DEFAULT and z > prev_z:
                 return prev_q.copy(), r
-            prev_z, prev_q = z, q[i]
-        counts, done = counts[-1], done + block
+            prev_z, prev_q = z, q_r
+        counts, done = counts[-1], done + len(rounds)
     return prev_q.copy(), R_MAX_DEFAULT
 
 
@@ -258,28 +226,6 @@ def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.nda
         reach, scores = classifier.outcomes(dataset.features)
         return reach[:, scores >= 0.0].sum(axis=1)
     return estimate_q_strategy_A(classifier, dataset, weights, stream, purpose, config.estimator)[0]
-
-
-# ---------------------------------------------------------------------------
-# Strategy B: look-ahead arbitrated by bound decrease per pass.
-#
-# The training loop (``adaboost._train_strategy_B``) compares two options
-# each iteration: option A trains a candidate h_{T+1} on the weights the
-# current estimates give and samples it once; option B samples h_T once
-# more.  Each option's cost is counted in passes over the N training
-# examples (a weak-learner call is one pass, a sampling round is one pass),
-# so option A costs 2 and option B costs 1.  No clock is read, so the same
-# seed always gives the same decisions.  The loop advances when
-# ln(Z_{T+1}) / 2 <= ln(Z'_T / Z_T) / 1; ties go to A.
-
-
-def _log_rate(z_factor: float, passes: float) -> float:
-    """ln of the bound decrease rate z^(1/passes).  It orders options as the
-    rate does, but cannot underflow to 0 when the exponent is large.  z = 0
-    gives -inf."""
-    if z_factor == 0.0:
-        return -math.inf
-    return math.log(z_factor) / passes
 
 
 # ---------------------------------------------------------------------------

@@ -376,13 +376,14 @@ class TestInputErrors:
         paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
                  "edge": tmp_path / "edge.json", "out": tmp_path / "r.csv",
                  "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv",
-                 "nan": tmp_path / "nan.csv"}
+                 "nan": tmp_path / "nan.csv", "d0": tmp_path / "d0.csv"}
         save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
         save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
         save_model(grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=2), paths["edge"])
         paths["short"].write_text("f0,f1,label\n0.5,0.5,1\n-0.5,-0.5,-1\n-1.0,0.0,-1\n")
         paths["bad"].write_text("f0,f1,label\n0.5,0.5\n")
         paths["nan"].write_text("f0,f1,label,weight\n0.5,0.5,1,1\n-0.5,-0.5,-1,nan\n")
+        paths["d0"].write_text("label\n1\n-1\n1\n")
         return paths
 
     @pytest.mark.parametrize(
@@ -393,6 +394,9 @@ class TestInputErrors:
             ("train --algo ptree --T 2 --data {bad}", "expected 3 fields"),
             ("eval --model {tree} --data {bad}", "expected 3 fields"),
             ("train --algo ptree --T 2 --data {nan}", "row 3: non-finite value"),
+            # a file whose only column is the label has no feature to split on
+            ("train --algo ptree --T 2 --data {d0} --oracle constant-edge --exact-q", "at least one column"),
+            ("train --algo adaboost --T 2 --data {d0} --strategy B", "at least one column"),
             ("train --algo adaboost --T 0", "T must be >= 1"),
             ("train --algo ptree --T 0", "max_nodes must be >= 1"),
             ("train --algo matryoshka --L 0", "L must be >= 1"),

@@ -81,6 +81,12 @@ class TestDataset:
             Dataset.from_arrays(np.zeros((2, 1)), labels)
         assert Dataset.from_arrays(np.zeros((2, 1)), [1, -1]).labels.tolist() == [1, -1]
 
+    def test_no_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset.from_arrays(np.zeros((3, 0)), [1, -1, 1])
+        with pytest.raises(ValueError, match="at least one column"):
+            Dataset(np.zeros((2, 0)), np.array([1, -1]), np.array([0.5, 0.5]))
+
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array([0.6, 0.6]))

@@ -135,12 +135,19 @@ class TestTrainingSetTable:
              "d06e7f62d82a0884e2261bc2f2540e02cb1d46fd537046ae0ca7d85f85ab0473"),
             ("train --algo adaboost --T 4 --seed 3",
              "d3606e98a1ed241be833021ddfd59b58653a5bf4a78b9cea786e165268907820"),
+            ("train --algo adaboost --T 4 --strategy B --seed 3",
+             "94e8fae07ca20ee5626e4dc01bec76d446d6265ac3a4370648a85d20abdf2fde"),
+            ("train --algo adaboost --T 4 --strategy B --estimator ml --seed 3",
+             "bc243f9b5a660f1c2401f01c9f13d03b4d78dc3edf57eafe1050e6a446d48d43"),
+            ("train --algo adaboost --T 4 --estimator ml --seed 3",
+             "74690d04b67cefb166d2fc4cc140846265777d5e803eed283440ad380890b0f2"),
         ],
-        ids=["ptree", "adaboost"],
+        ids=["ptree", "adaboost", "adaboost-B", "adaboost-B-ml", "adaboost-ml"],
     )
     def test_stump_files_unchanged(self, tmp_path, args, digest):
         # noisy-stump files have no table, and their bytes are those that
-        # versions before the table wrote
+        # versions before the table wrote; the strategy-B case samples its
+        # stages for 11, 8, 4 and 1 rounds, so it both resamples and advances
         out = tmp_path / "m.json"
         result = CliRunner().invoke(main, [*args.split(), "--trials", "50", "--out", str(out)])
         assert result.exit_code == 0

@@ -8,20 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probboost import weak_learner
-from probboost.adaboost import TrainConfig, train_adaboost
+from probboost import adaboost, weak_learner
+from probboost.adaboost import TrainConfig, _log_rate, train_adaboost
 from probboost.core import Dataset, RandomStream, make_synthetic_dataset
-from probboost._zstats import z_value
+from probboost._zstats import optimal_alphas, w_statistics, z_value
 from probboost.matryoshka import build_fixed_2_matryoshka
 from probboost.ptree import CompositeNode, grow_tree
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
-    OracleEstimate,
     ProbClassifier,
     StumpClassifier,
     TrainingSet,
     WeakLearner,
-    _log_rate,
+    _draw_plus,
+    _q_estimate,
     _read_training_sets,
     _write_training_sets,
     builtin_constant_edge_oracle,
@@ -32,8 +32,8 @@ from probboost.weak_learner import (
 )
 
 
-def _counts(counts, rounds):
-    return OracleEstimate(counts_plus=np.array(counts), rounds=rounds)
+def _q(counts, rounds, estimator):
+    return _q_estimate(np.array(counts), rounds, estimator)
 
 
 class _SignedDraws(ProbClassifier):
@@ -50,6 +50,19 @@ class _SignedDraws(ProbClassifier):
         return {"kind": "signed-draws"}
 
 
+class _FixedScores(ProbClassifier):
+    """Draws the given rows of scores, one row per round, whatever u."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows)
+
+    def sample_batch(self, X, u):
+        return self.rows[: len(u)]
+
+    def to_record(self):
+        return {}
+
+
 class _Returns(WeakLearner):
     def __init__(self, classifier):
         self.classifier = classifier
@@ -60,38 +73,42 @@ class _Returns(WeakLearner):
 
 class TestPointEstimates:
     def test_ml(self):
-        np.testing.assert_array_equal(_counts([3, 0, 4], 4).q_plus("ml"), [0.75, 0.0, 1.0])
-        np.testing.assert_array_equal(_counts([7], 7).q_plus("ml"), [1.0])
+        np.testing.assert_array_equal(_q([3, 0, 4], 4, "ml"), [0.75, 0.0, 1.0])
+        np.testing.assert_array_equal(_q([7], 7, "ml"), [1.0])
 
     def test_ml_errors(self):
         with pytest.raises(ValueError, match="without observations"):
-            OracleEstimate.empty(3).q_plus("ml")
+            _q([0, 0, 0], 0, "ml")
+        with pytest.raises(ValueError, match="without observations"):
+            _q([[0, 0], [1, 0]], np.array([[0], [1]]), "ml")  # a row per round, the first unobserved
         with pytest.raises(ValueError, match="unknown estimator"):
-            _counts([1], 2).q_plus("mle")
+            _q([1], 2, "mle")
 
     def test_map(self):
-        np.testing.assert_array_equal(OracleEstimate.empty(2).q_plus("map"), [0.5, 0.5])
-        assert _counts([3], 4).q_plus("map")[0] == pytest.approx(4 / 6)
-        assert _counts([0], 8).q_plus("map")[0] == pytest.approx(0.1)
+        np.testing.assert_array_equal(_q([0, 0], 0, "map"), [0.5, 0.5])
+        assert _q([3], 4, "map")[0] == pytest.approx(4 / 6)
+        assert _q([0], 8, "map")[0] == pytest.approx(0.1)
 
     def test_map_strictly_interior(self):
-        q = _counts([0, 1000], 1000).q_plus("map")
+        q = _q([0, 1000], 1000, "map")
         assert np.all((0.0 < q) & (q < 1.0))
 
-    def test_oracle_estimate_counts(self):
-        est = OracleEstimate.empty(3)
-        est.observe(np.array([1, -1, 1]))
-        est.observe(np.array([1, -1, -1]))
-        np.testing.assert_array_equal(est.counts_plus, [2, 0, 1])
-        assert est.rounds == 2
-        np.testing.assert_allclose(est.q_plus("map"), [3 / 4, 1 / 4, 2 / 4])
-        np.testing.assert_allclose(est.q_plus("ml"), [1.0, 0.0, 0.5])
+    def test_counts_of_drawn_rounds(self):
+        # two rounds drawn in one call count as the sum of their rows
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1])
+        drawn = _FixedScores([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0]])
+        plus = _draw_plus(drawn, ds, RandomStream(0), "fixed", [1, 2])
+        assert plus.shape == (2, 3)
+        counts = plus.sum(axis=0)
+        np.testing.assert_array_equal(counts, [2, 0, 1])
+        np.testing.assert_allclose(_q_estimate(counts, 2, "map"), [3 / 4, 1 / 4, 2 / 4])
+        np.testing.assert_allclose(_q_estimate(counts, 2, "ml"), [1.0, 0.0, 0.5])
 
     def test_counts_score_signs_with_ties_to_plus(self):
         # sample_batch returns the score drawn; its sign is the branch
-        est = OracleEstimate.empty(4)
-        est.observe(np.array([0.5, -0.5, 0.0, -2.0]))
-        np.testing.assert_array_equal(est.counts_plus, [1, 0, 1, 0])
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+        plus = _draw_plus(_FixedScores([[0.5, -0.5, 0.0, -2.0]]), ds, RandomStream(0), "scores", [1])
+        np.testing.assert_array_equal(plus, [[True, False, True, False]])
 
 
 class TestMapBias:
@@ -156,13 +173,29 @@ class TestStrategyA:
         # a classifier that always answers +1 on all-positive data: the MAP
         # Z-estimate trace is deterministic and never increases
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, 1, 1])
-        est = OracleEstimate.empty(3)
-        values = []
-        for _ in range(20):
-            est.observe(np.array([1, 1, 1]))
-            z, _ = map_z_estimate(est, ds.weights, ds.labels)
-            values.append(z)
+        always_plus = StumpClassifier(0, 0.0, 1, 0.0, constant=1)
+        rounds = np.arange(1, 21)
+        counts = _draw_plus(always_plus, ds, RandomStream(0), "always", rounds).cumsum(axis=0)
+        values = list(map_z_estimate(_q_estimate(counts, rounds[:, None], "map"), ds.weights, ds.labels))
+        assert len(values) == 20
         assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_rows_score_as_each_row_alone(self, small_dataset, monkeypatch):
+        # a block of rows yields, row for row, the Z of that row alone, and
+        # computes no Z past the last row read
+        ds = small_dataset
+        rounds = np.arange(1, 6)[:, None]
+        counts = np.random.default_rng(0).binomial(rounds, 0.6, size=(5, ds.n_examples))
+        q = _q_estimate(counts, rounds, "map")
+        alone = []
+        for row in q:
+            w = w_statistics(ds.weights, row, ds.labels)
+            alone.append(z_value(w, *optimal_alphas(w)))
+        assert np.array(list(map_z_estimate(q, ds.weights, ds.labels))).tobytes() == np.array(alone).tobytes()
+        taken = []
+        monkeypatch.setattr(weak_learner, "z_value", lambda *args: taken.append(1) or z_value(*args))
+        first_two = list(zip(range(2), map_z_estimate(q, ds.weights, ds.labels)))
+        assert [z for _, z in first_two] == alone[:2] and len(taken) == 2
 
     def test_scores_other_than_one_count_by_sign(self, small_dataset):
         # draws of +-0.5 estimate the same q, round for round, as draws of +-1
@@ -196,18 +229,21 @@ class TestStrategyA:
 
 
 def _one_round_per_call(classifier, dataset, weights, stream, purpose, estimator):
-    """Strategy A drawing one round per RandomStream call: the reference
-    that block draws must match bit for bit."""
+    """Strategy A drawing one round per RandomStream call on plain counts:
+    the reference that block draws must match bit for bit."""
     n = dataset.n_examples
-    estimate = OracleEstimate.empty(n)
-    prev_z, prev_q = math.inf, estimate.q_plus("map")
+    counts = np.zeros(n, dtype=int)
+    prev_z, prev_q = math.inf, _q_estimate(counts, 0, "map")
     for r in range(1, weak_learner.R_MAX_DEFAULT + 1):
-        estimate.observe(classifier.sample_batch(dataset.features, stream.uniforms(purpose, np.arange(n), r)))
-        z, q = map_z_estimate(estimate, weights, dataset.labels, estimator)
+        u = stream.uniforms(purpose, np.arange(n), r)
+        counts = counts + (classifier.sample_batch(dataset.features, u) >= 0.0)
+        q = _q_estimate(counts, r, estimator)
+        w = w_statistics(weights, q, dataset.labels)  # the 1-D W of this round alone
+        z = weak_learner.z_value(w, *optimal_alphas(w))
         if r > weak_learner.R_MIN_DEFAULT and z > prev_z:
             return prev_q, r
         prev_z, prev_q = z, q
-    return prev_q, estimate.rounds
+    return prev_q, weak_learner.R_MAX_DEFAULT
 
 
 class _CallSizes(RandomStream):
@@ -406,6 +442,23 @@ class TestStrategyB:
             )
             rounds += [_stage_rounds(stage.q_plus) for stage in model.stages]
         assert max(rounds) > 1
+
+    @pytest.mark.parametrize("T", [2, 3, 4])
+    def test_looks_ahead_at_most_r_max_times_t(self, monkeypatch, T):
+        # at seed 3 this run resamples stage 1 ten times, so a cap of
+        # 1 * T look-aheads binds before the first advance
+        monkeypatch.setattr(adaboost, "R_MAX_DEFAULT", 1)
+        calls = []
+
+        class Counting(WeakLearner):
+            def train(self, dataset, weights):
+                calls.append(1)
+                return builtin_noisy_stump(0.1).train(dataset, weights)
+
+        model = train_adaboost(make_synthetic_dataset(40, seed=3), Counting(), T, TrainConfig(seed=3, strategy="B"))
+        assert len(calls) == 1 + T  # h_1, then one candidate per look-ahead
+        assert model.n_stages == 1
+        assert _stage_rounds(model.stages[0].q_plus) == 1 + T  # every look resampled h_1
 
 
 class TestUserLearner:
