@@ -24,22 +24,26 @@ def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray) ->
     """W from per-example q(+) estimates.  ``q_plus`` may also hold one row
     per sampling round, shape (R, N): each field is then a list of R floats,
     each bit for bit the W of that row alone."""
-    weights = np.asarray(weights, dtype=float)
+    return _w_of_mass(_weighted_mass(weights, q_plus), labels)
+
+
+def _weighted_mass(weights: np.ndarray, q_plus: np.ndarray) -> np.ndarray:
+    """The mass on the + and the - edge, [w q, w (1 - q)]: (2, N), or (2, R, N) for rows of q."""
     q_plus = np.asarray(q_plus, dtype=float)
-    if (q_plus < 0.0).any() or (q_plus > 1.0).any():
+    mass = np.array((q_plus, 1.0 - q_plus))
+    if mass.min(initial=0.0) < 0.0:  # 1 - q < 0 exactly where q > 1
         raise ValueError("q estimates must lie in [0, 1]")
+    mass *= weights
+    return mass
+
+
+def _w_of_mass(mass: np.ndarray, labels: np.ndarray) -> WStats:
+    """W from ``_weighted_mass``.  compress keeps rows C-ordered, so each row sums
+    pairwise as a 1-D array does; a boolean index comes out F-ordered and sums sequentially."""
     pos = labels == 1
-    neg = ~pos
-    w_pos, w_neg = weights[pos], weights[neg]
-    # compress keeps rows C-ordered, so each row is summed pairwise as a
-    # 1-D array is; q_plus[..., pos] comes out F-ordered and sums sequentially
-    q_pos, q_neg = q_plus.compress(pos, axis=-1), q_plus.compress(neg, axis=-1)
-    return WStats(
-        pp=(w_pos * q_pos).sum(axis=-1).tolist(),
-        pm=(w_neg * q_neg).sum(axis=-1).tolist(),
-        mp=(w_pos * (1.0 - q_pos)).sum(axis=-1).tolist(),
-        mm=(w_neg * (1.0 - q_neg)).sum(axis=-1).tolist(),
-    )
+    pp, mp = mass.compress(pos, axis=-1).sum(axis=-1).tolist()
+    pm, mm = mass.compress(~pos, axis=-1).sum(axis=-1).tolist()
+    return WStats(pp, pm, mp, mm)
 
 
 def optimal_alphas(w: WStats) -> tuple[float, float]:

@@ -158,7 +158,8 @@ def train_adaboost(
     T: int,
     config: TrainConfig | None = None,
 ) -> AdaboostModel:
-    """Train T rounds; each round trains, estimates q, and reweights."""
+    """Train T rounds; each round trains, estimates q, and reweights.  Strategy B's look
+    cap can stop it with fewer stages; ``metadata["T"]`` is the T requested."""
     if T < 1:
         raise ValueError("T must be >= 1")
     config = config or TrainConfig()

@@ -169,6 +169,8 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
     trace = None  # read off the finished model unless the trainer returns one
     if trainer == "adaboost":
         model = train_adaboost(dataset, learner, size, config)
+        if model.n_stages < size:
+            click.echo(f"stopped after {model.n_stages} of {size} stages: strategy B's look cap bound")
     elif trainer == "ptree":
         model = grow_tree(dataset, learner, max_nodes=size, config=config)
     elif trainer == "fixed2":

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset
-from .ptree import CompositeNode, TreeModel, _leaf_weights, attach_node, grow_tree
+from .ptree import CompositeNode, TreeModel, _drop_walk_tables, _leaf_weights, attach_node, grow_tree
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 
 __all__ = [
@@ -105,6 +105,7 @@ def build_fixed_2_matryoshka(
         raise ValueError("L must be >= 1")
     config = config or TrainConfig()
     tree = grow_tree(dataset, _UnitLearner(L - 1, learner, config), max_nodes=2, config=config)
+    _drop_walk_tables(tree)  # nothing reads them after training
     tree.metadata.update(kind="matryoshka", mode="fixed-2", levels=L)
     return tree
 
@@ -185,6 +186,7 @@ def build_greedy_matryoshka(
 
     tree = grow_tree(dataset, learner, max_nodes=max_raw_nodes, config=config,
                      on_grow=collect_if_faster)
+    _drop_walk_tables(tree)
     tree.metadata.update(kind="matryoshka", mode="greedy")
     return tree, log
 

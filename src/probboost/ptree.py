@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import optimal_alphas, w_statistics
+from ._zstats import _w_of_mass, _weighted_mass, optimal_alphas
 from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
@@ -77,15 +77,15 @@ def children_weights(
     Returns (D_{s+}, Z_{s+}, D_{s-}, Z_{s-}); a child with unnormalized
     mass below the dead-branch threshold keeps Z but gets a zero vector.
     """
-    weights = np.asarray(weights, dtype=float)
-    q_plus = np.asarray(q_plus, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    mass_plus = weights * q_plus * np.exp(-alpha_plus * y)
-    mass_minus = weights * (1.0 - q_plus) * np.exp(alpha_minus * y)
-    z_plus = float(mass_plus.sum())
-    z_minus = float(mass_minus.sum())
-    d_plus = mass_plus / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights)
-    d_minus = mass_minus / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights)
+    return _split_mass(_weighted_mass(weights, q_plus), labels, alpha_plus, alpha_minus)
+
+
+def _split_mass(mass: np.ndarray, labels: np.ndarray, alpha_plus: float, alpha_minus: float):
+    """``children_weights`` from a ``_weighted_mass``, its row s scaled in place by exp(-alpha_s s y)."""
+    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), np.asarray(labels, dtype=float)))
+    z_plus, z_minus = mass.sum(axis=1).tolist()
+    d_plus = mass[0] / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
+    d_minus = mass[1] / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
     return d_plus, z_plus, d_minus, z_minus
 
 
@@ -310,9 +310,9 @@ class CompositeNode(ProbClassifier):
     outcomes on rows X are the inner walks: their probabilities on each row
     and their H_inner.  ``leaf_table`` holds them for the training
     examples, from what the inner nodes stored so that it agrees with the
-    inner tree's recorded C.  It is built on first read, and dropped when
-    a composite that wraps this one builds its own table, which holds these
-    walks expanded; a later read rebuilds it, bit for bit.
+    inner tree's recorded C.  It is built on first read, and dropped when a
+    wrapping composite builds its table (these walks expanded) or the
+    matryoshka builder returns; a later read rebuilds it, bit for bit.
     """
 
     def __init__(self, inner: TreeModel):
@@ -323,9 +323,7 @@ class CompositeNode(ProbClassifier):
     def leaf_table(self) -> tuple[np.ndarray, np.ndarray]:
         if self._leaf_table is None:
             self._leaf_table = walk_table(self.inner)
-            for node in self.inner.nodes.values():
-                if isinstance(node.classifier, CompositeNode):
-                    node.classifier._leaf_table = None
+            _drop_walk_tables(self.inner)
         return self._leaf_table
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,6 +350,13 @@ class CompositeNode(ProbClassifier):
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "CompositeNode":
         return cls(TreeModel(nodes=_nodes_from_record(record["inner"]["nodes"], training_sets)))
+
+
+def _drop_walk_tables(tree: TreeModel) -> None:
+    """Drop the walk tables of the composites among ``tree``'s nodes."""
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            node.classifier._leaf_table = None
 
 
 def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -527,8 +532,9 @@ def attach_node(
         raise ValueError(f"{leaf!r} is already an inner node")
     if classifier.leaf_table is None:
         q = np.asarray(q, dtype=float)
-        a_plus, a_minus = optimal_alphas(w_statistics(weights, q, labels))
-        d_plus, z_plus, d_minus, z_minus = children_weights(weights, q, labels, a_plus, a_minus)
+        mass = _weighted_mass(weights, q)
+        a_plus, a_minus = optimal_alphas(_w_of_mass(mass, labels))
+        d_plus, z_plus, d_minus, z_minus = _split_mass(mass, labels, a_plus, a_minus)
     else:
         a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _scored_children(
             weights, labels, *classifier.leaf_table

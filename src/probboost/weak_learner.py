@@ -124,7 +124,7 @@ class ProbClassifier(ABC):
 def _plain_outcomes(q_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The outcome table of a plain classifier that draws +1 with
     probability ``q_plus`` on each row: (reach, ``PLAIN_SCORES``)."""
-    return np.column_stack([q_plus, 1.0 - q_plus]), PLAIN_SCORES
+    return np.array((q_plus, 1.0 - q_plus)).T.copy(), PLAIN_SCORES  # a C-ordered (N, 2) copy
 
 
 class WeakLearner(ABC):
@@ -224,7 +224,7 @@ def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.nda
         return None
     if config.exact_q:
         reach, scores = classifier.outcomes(dataset.features)
-        return reach[:, scores >= 0.0].sum(axis=1)
+        return reach[:, 0].copy() if scores is PLAIN_SCORES else reach[:, scores >= 0.0].sum(axis=1)
     return estimate_q_strategy_A(classifier, dataset, weights, stream, purpose, config.estimator)[0]
 
 

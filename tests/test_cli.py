@@ -7,7 +7,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from probboost import bounds, cli, ptree
+from probboost import adaboost, bounds, cli, ptree
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import _mc_loss, main
 from probboost.core import RandomStream, make_synthetic_dataset
@@ -258,6 +258,17 @@ class TestTrain:
         assert json.loads(text, parse_constant=_refuse_constant) == dict(
             zip(TRACE_KEYS, [1, "grow", "", 1.0, None, None, None, 0.25, None, None, None])
         )
+
+    def test_look_cap_stop_is_reported(self, runner, monkeypatch):
+        monkeypatch.setattr(adaboost, "R_MAX_DEFAULT", 1)
+        args = ["train", "--algo", "adaboost", "--T", "3", "--strategy", "B", "--seed", "3", "--trials", "10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "stopped after 1 of 3 stages: strategy B's look cap bound\n" in result.output
+        monkeypatch.undo()  # the real cap does not bind, and no line is printed
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "stopped after" not in result.output
 
     def test_missing_T_rejected(self, runner):
         result = runner.invoke(main, ["train", "--algo", "adaboost"])

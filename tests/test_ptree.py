@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probboost import core, ptree
-from probboost._zstats import optimal_alphas, w_statistics
+from probboost._zstats import WStats, optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
@@ -167,6 +169,90 @@ class TestNodeAlphas:
                 w, q, small_dataset.labels, a_plus, a_minus
             )
             assert z_plus + z_minus <= rho + 1e-12
+
+
+def _reference_w(weights, q, labels):
+    """W of one row of q, one 1-D sum per cell."""
+    pos, neg = labels == 1, labels != 1
+    w_pos, w_neg, q_pos, q_neg = weights[pos], weights[neg], q[pos], q[neg]
+    return WStats(
+        pp=float((w_pos * q_pos).sum()),
+        pm=float((w_neg * q_neg).sum()),
+        mp=float((w_pos * (1.0 - q_pos)).sum()),
+        mm=float((w_neg * (1.0 - q_neg)).sum()),
+    )
+
+
+def _reference_children(weights, q, labels, a_plus, a_minus):
+    """(D+, Z+, D-, Z-) of one row of q, one 1-D product and sum per child."""
+    y = labels.astype(float)
+    children = []
+    for mass in (weights * q * np.exp(-a_plus * y), weights * (1.0 - q) * np.exp(a_minus * y)):
+        z = float(mass.sum())
+        children += [mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros(len(q)), z]
+    return tuple(children)
+
+
+@st.composite
+def _node_cases(draw):
+    """(weights, q of shape (N,) or (R, N), labels), with zero weights, q of
+    exactly 0 or 1, single-class labels and dead branches among them."""
+    n = draw(st.integers(1, 40))
+    label = st.sampled_from([-1, 1])
+    labels = np.array(draw(st.one_of(
+        st.lists(label, min_size=n, max_size=n), label.map(lambda value: [value] * n))))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    weights[draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    if weights.sum() > 0.0 and draw(st.booleans()):
+        weights = weights / weights.sum()
+    q_value = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+    rows = draw(st.sampled_from([None, 1, 3]))
+    q = np.array(draw(st.lists(st.lists(q_value, min_size=n, max_size=n), min_size=rows or 1, max_size=rows or 1)))
+    dead = draw(st.sampled_from([None, None, 0.0, 1.0]))  # every draw on one edge: the other is dead
+    if dead is not None:
+        q[:] = dead
+    return weights, q if rows else q[0], labels
+
+
+class TestPlainNodeKernel:
+    """A plain node's W, alphas, Z and child weights from one mass array
+    equal the 1-D formulas, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_node_cases())
+    def test_matches_one_dimensional_formulas(self, case):
+        weights, q, labels = case
+        rows = np.atleast_2d(q)
+        expected = [_reference_w(weights, row, labels) for row in rows]
+        w = w_statistics(weights, q, labels)
+        assert ([w] if q.ndim == 1 else [WStats(*cells) for cells in zip(*w)]) == expected
+        for row, w_row in zip(rows, expected):
+            alphas = optimal_alphas(w_row)
+            d_plus, z_plus, d_minus, z_minus = _reference_children(weights, row, labels, *alphas)
+            node = self._root(weights, row, labels)
+            assert (node.alpha_plus, node.alpha_minus) == alphas
+            for got in (children_weights(weights, row, labels, *alphas),
+                        (node.weights_plus, node.z_plus, node.weights_minus, node.z_minus)):
+                assert (got[1], got[3]) == (z_plus, z_minus)
+                assert (got[0].tobytes(), got[2].tobytes()) == (d_plus.tobytes(), d_minus.tobytes())
+
+    @staticmethod
+    def _root(weights, q, labels):
+        """The root node a plain classifier with this q gets from attach_node."""
+        tree = TreeModel(trajectory=[1.0])
+        attach_node(tree, "", StumpClassifier(0, 0.0, 1, 0.5), q, weights, labels, 1.0)
+        return tree.nodes[""]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, 1.0 + 2.0**-52, -np.inf])
+    def test_q_outside_unit_interval_raises(self, bad):
+        weights, labels = np.full(3, 1.0 / 3), np.array([1, -1, 1])
+        q = np.array([0.5, bad, 0.5])
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            w_statistics(weights, q, labels)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            w_statistics(weights, np.array([[0.5, 0.5, 0.5], q]), labels)
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            self._root(weights, q, labels)
 
 
 class TestSelectGrowthLeaf:
@@ -915,8 +1001,9 @@ def _composites_by_depth(tree, depth=0):
 
 class TestTableLifetime:
     """A composite builds its walk table on first read and drops the tables
-    of the composites it wraps; reading one of those again rebuilds it bit
-    for bit, and loading or predicting builds none."""
+    of the composites it wraps, and a finished matryoshka keeps none;
+    reading one again rebuilds it bit for bit, and loading or predicting
+    builds none."""
 
     @staticmethod
     def _models(dataset):
@@ -936,29 +1023,36 @@ class TestTableLifetime:
 
         return recording
 
-    def test_only_top_level_composites_keep_a_table(self, small_dataset):
+    def test_no_composite_keeps_a_table(self, small_dataset):
         for tree in self._models(small_dataset):
             composites = list(_composites_by_depth(tree))
             assert any(depth > 0 for depth, _ in composites)
-            for depth, composite in composites:
-                assert (composite._leaf_table is not None) == (depth == 0)
+            assert all(composite._leaf_table is None for _, composite in composites)
 
     def test_a_dropped_table_rebuilds_bit_for_bit(self, small_dataset, monkeypatch):
         built = {}  # the first table of each inner tree: the one training read
         monkeypatch.setattr(ptree, "walk_table", self._recording(built))
+
+        def assert_rebuilt(composite):
+            reach, scores = composite.leaf_table
+            expected_reach, expected_scores = built[id(composite.inner)]
+            assert reach.tobytes() == expected_reach.tobytes()
+            assert scores.tobytes() == expected_scores.tobytes()
+            reference_reach, reference_scores = _reference_walks(composite.inner, None)
+            assert reach.tobytes() == reference_reach.tobytes()
+            assert scores.tobytes() == reference_scores.tobytes()
+
         for tree in self._models(small_dataset):
             composites = list(_composites_by_depth(tree))
-            top = [composite._leaf_table for depth, composite in composites if depth == 0]
+            top = [composite for depth, composite in composites if depth == 0]
+            for composite in top:
+                assert_rebuilt(composite)
+            top_tables = [composite._leaf_table for composite in top]
             for depth, composite in composites:
-                reach, scores = composite.leaf_table
-                expected_reach, expected_scores = built[id(composite.inner)]
-                assert reach.tobytes() == expected_reach.tobytes()
-                assert scores.tobytes() == expected_scores.tobytes()
-                reference_reach, reference_scores = _reference_walks(composite.inner, None)
-                assert reach.tobytes() == reference_reach.tobytes()
-                assert scores.tobytes() == reference_scores.tobytes()
+                if depth > 0:
+                    assert_rebuilt(composite)
             # a rebuild below drops nothing above it
-            assert [composite._leaf_table for depth, composite in composites if depth == 0] == top
+            assert all(composite._leaf_table is table for composite, table in zip(top, top_tables))
 
     def test_loading_and_predicting_build_no_table(self, small_dataset, tmp_path, monkeypatch):
         calls = []

@@ -461,6 +461,36 @@ class TestStrategyB:
         assert _stage_rounds(model.stages[0].q_plus) == 1 + T  # every look resampled h_1
 
 
+class _ThreeOutcomes(ProbClassifier):
+    """Exact outcomes 2, -1 and 0 (a tie, drawn as +) with fixed reach."""
+
+    def outcomes(self, X):
+        return np.tile([0.25, 0.5, 0.25], (len(X), 1)), np.array([2.0, -1.0, 0.0])
+
+    def to_record(self):
+        return {}
+
+
+class TestPlainOutcomes:
+    @pytest.mark.parametrize("q", [[], [0.5], [0.0, 1.0, 0.3, 1e-300, 0.7]])
+    def test_table_equals_column_stack(self, q):
+        q = np.array(q, dtype=float)
+        reach, scores = weak_learner._plain_outcomes(q)
+        expected = np.column_stack([q, 1.0 - q])
+        assert reach.shape == expected.shape and reach.flags.c_contiguous
+        assert reach.tobytes() == expected.tobytes()
+        assert scores is weak_learner.PLAIN_SCORES
+
+    @pytest.mark.parametrize("kind", ["stump", "constant-edge", "three-outcomes"])
+    def test_exact_node_q_equals_the_mask_and_sum(self, small_dataset, kind):
+        make = {**_CLASSIFIERS, "three-outcomes": lambda ds, w: _ThreeOutcomes()}[kind]
+        classifier = make(small_dataset, small_dataset.weights)
+        reach, scores = classifier.outcomes(small_dataset.features)
+        config = TrainConfig(exact_q=True)
+        q = weak_learner.node_q(classifier, small_dataset, small_dataset.weights, config, RandomStream(0), "q")
+        assert q.tobytes() == reach[:, scores >= 0.0].sum(axis=1).tobytes()
+
+
 class TestUserLearner:
     def test_trains_from_dataset_and_weights(self, small_dataset):
         class Edge(WeakLearner):
