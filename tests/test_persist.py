@@ -15,7 +15,7 @@ from probboost.cli import main
 from probboost.core import make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
-from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle
+from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle, builtin_noisy_stump
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -175,6 +175,32 @@ class TestTrainingSetTable:
         )
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "mode, size, n, oracle, digest",
+        [
+            ("fixed2", 6, 40, "constant-edge",
+             "2875aa15af6d49c57220d6fdbea4e20763eb100c6304a24284a404bef2edc690"),
+            ("greedy", 28, 20, "constant-edge",
+             "079a3307b542fd4cfda114532c37bfdd1aaea47ed12534d3477c8ad4b13f957e"),
+            ("fixed2", 5, 40, "stump",
+             "0bc0883b626b976ee10ecd86d1e6b281c0bd41a664e7892a5c3727532c68ebe7"),
+        ],
+        ids=["fixed2-L6-edge", "greedy-28-edge", "fixed2-L5-stump"],
+    )
+    def test_nested_trees_shapes_unchanged(self, tmp_path, mode, size, n, oracle, digest):
+        # the benchmark's shapes, at the walk-table cap: a reordered sum in a
+        # composite's edge fit, edge factors or walk table would flip a tie here
+        data = make_synthetic_dataset(n, seed=1)
+        learner = builtin_constant_edge_oracle(0.3) if oracle == "constant-edge" else builtin_noisy_stump()
+        config = TrainConfig(seed=1, exact_q=True)
+        if mode == "fixed2":
+            model = build_fixed_2_matryoshka(data, learner, size, config)
+        else:
+            model, log = build_greedy_matryoshka(data, learner, size, config=config)
+            assert any(entry.action == "collect" for entry in log)
+        save_model(model, tmp_path / "m.json")
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
 
     def test_foreign_rows_are_one_error_line(self, tmp_path):
         # as many rows as the training set, each moved off its training row
