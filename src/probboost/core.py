@@ -71,14 +71,14 @@ class Dataset:
             raise ValueError("features must be a non-empty (N, d) array")
         if features.shape[1] == 0:
             raise ValueError("features need at least one column: no learner can split examples without any")
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ValueError("features must be finite")
         n = features.shape[0]
         if labels.shape != (n,) or weights.shape != (n,):
             raise ValueError("labels/weights must match the number of examples")
-        if not np.all(np.abs(labels) == 1):  # np.isin would sort; builders make many Datasets
+        if not (np.abs(labels) == 1).all():  # np.isin would sort; builders make many Datasets
             raise ValueError("labels must be -1 or +1")
-        if not np.all(weights >= 0.0) or abs(weights.sum() - 1.0) > 1e-12:  # nan fails >= 0, inf the sum
+        if not (weights >= 0.0).all() or abs(weights.sum() - 1.0) > 1e-12:  # nan fails >= 0, inf the sum
             raise ValueError("weights must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import _w_of_mass, _weighted_mass, optimal_alphas
-from .core import Dataset, RandomStream, _check_trials, validate_path
+from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
     _model_metadata,
@@ -110,16 +110,20 @@ def _edge_factor(
 ) -> np.ndarray:
     """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
     side = _side(scores, sign)
-    h = scores[side]
-    table = _exp_table(alpha, h)
-    for_plus, for_minus = table[: len(h)], table[len(h) :]
-    # a C-ordered copy: each row then sums in the same (pairwise) order as
-    # any C-ordered (N, K) product; a boolean column selection is F-ordered
-    factor = np.compress(side, reach, axis=1)
     negative = (np.asarray(labels, dtype=float) < 0.0)[:, None]
-    np.multiply(factor, for_plus, out=factor, where=~negative)
-    np.multiply(factor, for_minus, out=factor, where=negative)
-    return factor.sum(axis=1)
+    return _table_factor(reach.compress(side, axis=1), negative, _exp_table(alpha, scores.compress(side)))
+
+
+def _table_factor(columns: np.ndarray, negative: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``_edge_factor`` from the reach's columns of the edge's outcomes and
+    ``_exp_table`` at its alpha.  ``columns`` is scaled in place: a C-ordered
+    copy (``compress``), so that each row sums in the same (pairwise) order
+    as any C-ordered (N, K) product; a boolean column selection is F-ordered.
+    ``negative`` is (labels < 0) as an (N, 1) column."""
+    k = columns.shape[1]
+    np.multiply(columns, table[:k], out=columns, where=~negative)
+    np.multiply(columns, table[k:], out=columns, where=negative)
+    return columns.sum(axis=1)
 
 
 def _fit_edge_scale(label_mass: np.ndarray, h: np.ndarray) -> float:
@@ -128,28 +132,46 @@ def _fit_edge_scale(label_mass: np.ndarray, h: np.ndarray) -> float:
     +1 examples, then the -1 examples.  Z is convex in a; damped Newton steps
     are taken only when they lower Z, so the result never has a larger Z than a = 1.
     """
-    margins = np.concatenate((h, -h))
-    slope_mass = label_mass * margins
-    curvature_mass = slope_mass * margins
-    alpha = 1.0
-    terms = _exp_table(alpha, h)
-    z = float(np.sum(label_mass * terms))
+    return _fit_edge(label_mass, h)[0]
+
+
+def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
+    """``_fit_edge_scale``'s alpha and ``_exp_table(alpha, h)``, bit for bit.
+
+    A Newton step and its halvings, down to |step| <= 1e-12 max(1, |alpha|),
+    are the rows of one exp pass (of at most ``MAX_BLOCK_DRAWS`` entries, so
+    a long side tries one row per pass), and the first row whose Z is lower
+    is taken: the alpha that trying one trial at a time would take.
+    """
+    margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
+    moments = np.empty((2, len(margins)))  # -dZ/da and d2Z/da2 by entry, less the exp factor
+    np.multiply(label_mass, margins, out=moments[0])
+    np.multiply(moments[0], margins, out=moments[1])
+    per_block = max(1, MAX_BLOCK_DRAWS // max(1, len(margins)))
+    alpha, terms = 1.0, np.exp(-margins)
+    z = float((label_mass * terms).sum())
     for _ in range(SCALE_SEARCH_STEPS):
-        slope = -float(np.sum(slope_mass * terms))
-        curvature = float(np.sum(curvature_mass * terms))
+        minus_slope, curvature = (moments * terms).sum(axis=1).tolist()
         if not curvature > 0.0:
             break
-        step = -slope / curvature
-        while abs(step) > 1e-12 * max(1.0, abs(alpha)):
-            trial = _exp_table(alpha + step, h)
-            z_next = float(np.sum(label_mass * trial))
-            if z_next < z:
-                alpha, z, terms = alpha + step, z_next, trial
+        step, tolerance = minus_slope / curvature, 1e-12 * max(1.0, abs(alpha))
+        while abs(step) > tolerance:
+            steps = []
+            while abs(step) > tolerance and len(steps) < per_block:
+                steps.append(step)
+                step *= 0.5
+            trials = alpha + np.array(steps)
+            table = np.multiply.outer(-trials, margins)
+            np.exp(table, out=table)
+            z_rows = (label_mass * table).sum(axis=1)
+            lower = np.flatnonzero(z_rows < z)
+            if len(lower):
+                first = lower[0]
+                alpha, z, terms = float(trials[first]), float(z_rows[first]), table[first]
                 break
-            step *= 0.5
         else:
             break  # no step lowers Z any more
-    return alpha
+    return alpha, terms
 
 
 def _scored_children(
@@ -166,14 +188,14 @@ def _scored_children(
     # einsum without ``optimize`` adds the examples in row order and calls no
     # BLAS, whose sum order varies with the thread count
     positive = y > 0.0
-    label_sums = np.stack(
-        [np.einsum("n,nk->k", np.where(rows, weights, 0.0), reach) for rows in (positive, ~positive)]
-    )
+    label_sums = np.empty((2, reach.shape[1]))
+    np.einsum("n,nk->k", np.where(positive, weights, 0.0), reach, out=label_sums[0])
+    np.einsum("n,nk->k", np.where(positive, 0.0, weights), reach, out=label_sums[1])
+    negative = (y < 0.0)[:, None]
     edges = []
-    for sign in (1, -1):
-        side = _side(scores, sign)
-        alpha = _fit_edge_scale(label_sums[:, side].ravel(), scores[side])
-        mass = weights * _edge_factor(reach, scores, y, sign, alpha)
+    for side in (scores >= 0.0, scores < 0.0):  # ``_side``: ties to +, a NaN score on neither
+        alpha, table = _fit_edge(label_sums.compress(side, axis=1).ravel(), scores.compress(side))
+        mass = weights * _table_factor(reach.compress(side, axis=1), negative, table)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
     (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
@@ -397,11 +419,11 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
         node_reach, node_scores = _node_outcomes(node, X)
         for sign, child in ((-1, "-"), (1, "+")):  # '+' is expanded first
             side = _side(node_scores, sign)
-            entries += max(rows, len(node_reach)) * len(score) * int(side.sum())
+            entries += max(rows, len(node_reach)) * len(score) * np.count_nonzero(side)
             if entries > MAX_WALK_ENTRIES:
                 raise ValueError(f"walk table exceeds {MAX_WALK_ENTRIES} entries; nesting too deep")
             child_score = score[:, None] + node.alpha(sign) * node_scores[side]
-            stack.append((path + child, reach, np.compress(side, node_reach, axis=1), child_score.ravel()))
+            stack.append((path + child, reach, node_reach.compress(side, axis=1), child_score.ravel()))
     scores = np.concatenate([score for _, _, score in leaves])
     table = np.empty((len(leaves[0][1]), len(scores)))
     start = 0

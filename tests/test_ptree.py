@@ -551,6 +551,31 @@ class TestExactTreeBound:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@st.composite
+def _composite_cases(draw):
+    """(weights, labels, reach, scores) of a composite with K walks, 2K from
+    2 to past 2 * MAX_BLOCK_DRAWS: a Newton step's halvings fill many-row
+    blocks, one-row blocks, or cross a block boundary.  Zero masses, scores
+    tied at 0.0, an empty side and an absent label class are among them."""
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 700), st.integers(1300, 2100),
+                       st.integers(2040, MAX_BLOCK_DRAWS + 100)))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = rng.normal(0.0, draw(st.sampled_from([0.05, 1.0, 4.0, 20.0])), k)
+    scores[rng.random(k) < draw(st.sampled_from([0.0, 0.0, 0.2]))] = 0.0  # ties go to +
+    empty = draw(st.sampled_from([None, None, "+", "-"]))
+    if empty == "-":
+        scores = np.abs(scores)
+    elif empty == "+":
+        scores = -np.abs(scores) - 0.1
+    y = rng.choice([-1.0, 1.0], n) if draw(st.booleans()) else np.full(n, draw(st.sampled_from([-1.0, 1.0])))
+    reach = rng.dirichlet(np.ones(k), n)
+    reach[:, rng.random(k) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    weights = rng.dirichlet(np.ones(n))
+    weights[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return weights, y, reach, scores
+
+
 class TestCompositeEdgeFit:
     @staticmethod
     def _case(seed):
@@ -562,14 +587,18 @@ class TestCompositeEdgeFit:
         return y, h, reach, rng.uniform(0.0, 1.0, n)
 
     @staticmethod
-    def _label_sum_fit(weights, y, reach, h):
-        """The label-sum fit with each per-outcome sum taken by a loop over
-        the examples and every Newton step's Z, slope and curvature recomputed."""
-        sums = {label: [0.0] * len(h) for label in (1.0, -1.0)}
+    def _label_sums(weights, y, reach):
+        """(M+, M-) of every outcome, each sum taken by a loop over the examples."""
+        sums = {label: [0.0] * reach.shape[1] for label in (1.0, -1.0)}
         for n in range(len(y)):
-            for k in range(len(h)):
+            for k in range(reach.shape[1]):
                 sums[y[n]][k] += weights[n] * reach[n, k]
-        mass = np.array(sums[1.0] + sums[-1.0])
+        return np.array(sums[1.0] + sums[-1.0])
+
+    @staticmethod
+    def _one_trial_at_a_time(mass, h):
+        """The line search with one exp pass per trial, every Newton step's
+        Z, slope and curvature recomputed."""
         margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
 
         def z_at(a):
@@ -591,7 +620,14 @@ class TestCompositeEdgeFit:
                 step *= 0.5
             else:
                 break
-        return alpha, mass
+        return alpha
+
+    @classmethod
+    def _label_sum_fit(cls, weights, y, reach, h):
+        """The label-sum fit with each per-outcome sum taken by a loop over
+        the examples, trying one trial at a time."""
+        mass = cls._label_sums(weights, y, reach)
+        return cls._one_trial_at_a_time(mass, h), mass
 
     @staticmethod
     def _outer_fit(mass, margins):
@@ -644,6 +680,34 @@ class TestCompositeEdgeFit:
             assert z <= float(np.sum(weights * ptree._edge_factor(reach, h, y, sign, 1.0)))
             expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
             np.testing.assert_array_equal(ptree._edge_factor(reach, h, y, sign, alpha), expected)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_composite_cases())
+    def test_batched_line_search_is_the_sequential_one(self, case):
+        # a Newton step and its halvings are the rows of one exp pass, of at
+        # most MAX_BLOCK_DRAWS entries; the first lower row is the trial that
+        # one exp pass per trial would take, and its exp row the edge's table
+        weights, y, reach, scores = case
+        tables = []
+
+        def table_factor(columns, negative, table):
+            tables.append(table)
+            return table_factor.original(columns, negative, table)
+
+        table_factor.original = ptree._table_factor
+        # with one label class absent Z falls without bound and the fit runs
+        # into exp overflow
+        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ptree, "_table_factor", table_factor)
+            a_plus, a_minus, *_ = ptree._scored_children(weights, y, reach, scores)
+            for sign, alpha, table in ((1, a_plus, tables[0]), (-1, a_minus, tables[1])):
+                side = ptree._side(scores, sign)
+                h = scores[side]
+                mass = self._label_sums(weights, y, reach[:, side])
+                expected = self._one_trial_at_a_time(mass, h)
+                assert ptree._fit_edge_scale(mass, h) == expected
+                assert alpha == expected
+                np.testing.assert_array_equal(table, ptree._exp_table(alpha, h))
 
 
 def _reference_walks(tree, X, path="", reach=None, score=None):
