@@ -622,13 +622,6 @@ class TestCompositeEdgeFit:
                 break
         return alpha
 
-    @classmethod
-    def _label_sum_fit(cls, weights, y, reach, h):
-        """The label-sum fit with each per-outcome sum taken by a loop over
-        the examples, trying one trial at a time."""
-        mass = cls._label_sums(weights, y, reach)
-        return cls._one_trial_at_a_time(mass, h), mass
-
     @staticmethod
     def _outer_fit(mass, margins):
         """The edge fit written with one exp per (example, outcome) and
@@ -655,8 +648,8 @@ class TestCompositeEdgeFit:
         # labels are +/-1, so per-outcome label sums give Z of every
         # (example, outcome) pair; the fit matches its naive form bit for bit
         y, h, reach, weights = self._case(seed)
-        expected, mass = self._label_sum_fit(weights, y, reach, h)
-        assert ptree._fit_edge_scale(mass, h) == expected
+        mass = self._label_sums(weights, y, reach)
+        assert ptree._fit_edge_scale(mass, h) == self._one_trial_at_a_time(mass, h)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exp_table_is_the_outer_product_form(self, seed):
@@ -688,13 +681,12 @@ class TestCompositeEdgeFit:
         # most MAX_BLOCK_DRAWS entries; the first lower row is the trial that
         # one exp pass per trial would take, and its exp row the edge's table
         weights, y, reach, scores = case
-        tables = []
+        original, tables = ptree._table_factor, []
 
         def table_factor(columns, negative, table):
             tables.append(table)
-            return table_factor.original(columns, negative, table)
+            return original(columns, negative, table)
 
-        table_factor.original = ptree._table_factor
         # with one label class absent Z falls without bound and the fit runs
         # into exp overflow
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
