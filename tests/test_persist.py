@@ -65,6 +65,18 @@ STUMP_FILES = {
         "exact exponential bound: 0.30541453519984507",
         "recorded training bound: 0.305414535199845",
     ],
+    # `--algo ptree --T 16 --seed 12`, sampled q: 69 distinct stored q values
+    "stump_ptree_sampled.json": [
+        "mc loss: 0.053333 +/- 0.001948 (300 trials)",
+        "exact exponential bound: 0.4401990575742388",
+        "recorded training bound: 0.44019905757423894",
+    ],
+    # `--algo ptree --T 12 --p-flip 0 --exact-q --seed 11`: every q is 0 or 1
+    "stump_ptree_noiseless.json": [
+        "mc loss: 0.000000 +/- 0.000000 (300 trials)",
+        "exact exponential bound: 3.5362047487001923e-13",
+        "recorded training bound: 3.536259898390953e-13",
+    ],
 }
 
 
