@@ -204,7 +204,7 @@ def _mc_loss(model, dataset: Dataset, trials: int, seed: int) -> tuple[float, fl
     """Monte-Carlo weighted 0/1 loss of a model on the dataset: (mean, standard error)."""
     if isinstance(model, AdaboostModel):
         return mc_misclassification(model, dataset, trials, seed=seed)
-    scores, _ = predict_tree(model, dataset.features, RandomStream(seed), "tree-mc", trials)
+    scores, _ = predict_tree(model, dataset.features, RandomStream(seed), "tree-mc", trials, leaves=False)
     return _mc_summary(scores, dataset)
 
 

@@ -81,12 +81,18 @@ def children_weights(
 
 
 def _split_mass(mass: np.ndarray, labels: np.ndarray, alpha_plus: float, alpha_minus: float):
-    """``children_weights`` from a ``_weighted_mass``, its row s scaled in place by exp(-alpha_s s y)."""
-    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), np.asarray(labels, dtype=float)))
-    z_plus, z_minus = mass.sum(axis=1).tolist()
+    """``children_weights`` from a ``_weighted_mass``, scaled in place by ``_scale_edges``."""
+    z_plus, z_minus = _scale_edges(mass, labels, alpha_plus, alpha_minus).sum(axis=1).tolist()
     d_plus = mass[0] / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
     d_minus = mass[1] / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
     return d_plus, z_plus, d_minus, z_minus
+
+
+def _scale_edges(mass: np.ndarray, labels: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
+    """A plain node's (2, N) + and - edge rows, scaled in place by exp(-alpha_s s y):
+    from [w q, w (1 - q)] the children's unnormalized weights, from [q, 1 - q] the edge factors."""
+    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), np.asarray(labels, dtype=float)))
+    return mass
 
 
 def _sign(edge: str) -> int:
@@ -588,24 +594,27 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
         node = tree.nodes.get(path)
         if node is None:
             return 1.0
-        reach, scores = _node_outcomes(node, None)
+        composite = isinstance(node.classifier, CompositeNode)
+        reach, scores = node.classifier.leaf_table if composite else (node.q_plus, None)
         if len(reach) != len(y):
             raise ValueError("dataset size does not match the stored model")
-        return sum(
-            _edge_factor(reach, scores, y, sign, node.alpha(sign)) * below(path + child)
-            for sign, child in ((1, "+"), (-1, "-"))
-        )
+        if composite:
+            factors = [_edge_factor(reach, scores, y, sign, node.alpha(sign)) for sign in (1, -1)]
+        else:  # both edges' factors from one (2, N) array, as training scaled its mass
+            factors = _scale_edges(np.array((reach, 1.0 - reach)), y, node.alpha_plus, node.alpha_minus)
+        return sum(factor * below(path + child) for factor, child in zip(factors, "+-"))
 
     return float(np.sum(dataset.weights * below("")))
 
 
 def predict_tree(
-    tree: TreeModel, X: np.ndarray, stream: RandomStream, purpose: str, trials: int
-) -> tuple[np.ndarray, np.ndarray]:
+    tree: TreeModel, X: np.ndarray, stream: RandomStream, purpose: str, trials: int, *, leaves: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Sample ``trials`` root-to-leaf walks for every row of X.
 
     Returns (scores H, leaves), both of shape (trials, len(X)): each walk's
-    score and the top-level leaf it ends at.  The walks go down the tree
+    score and the top-level leaf it ends at; with ``leaves=False`` no leaf
+    is recorded and the second is None.  The walks go down the tree
     level by level: the walks at the level's plain nodes draw in one
     ``uniforms`` call, each node's walks with its classifier's
     ``sample_batch``, and a composite walks its inner tree.  The uniform of
@@ -620,9 +629,9 @@ def predict_tree(
     _check_trials(trials)
     trial, row = np.divmod(np.arange(trials * len(X)), len(X))
     draws = np.zeros(len(row), dtype=np.uint64)
-    leaves = np.empty(len(row), dtype=object)
-    scores = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose, leaves)
-    return scores.reshape(trials, len(X)), leaves.reshape(trials, len(X))
+    paths = np.empty(len(row), dtype=object) if leaves else None
+    scores = _walk(tree, X, row, trial.astype(np.uint64), draws, stream, purpose, paths)
+    return scores.reshape(trials, len(X)), None if paths is None else paths.reshape(trials, len(X))
 
 
 def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarray:
@@ -651,9 +660,10 @@ def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarra
                 plain.append((path, node, at))
         if plain:
             walks = np.concatenate([at for _, _, at in plain])
-            u = stream.uniforms(purpose, row[walks], (draws[walks] << np.uint64(32)) | trial[walks])
-            draws[walks] += np.uint64(1)
-            rows, start = X[row[walks]], 0
+            walk_rows, walk_draws = row[walks], draws[walks]
+            u = stream.uniforms(purpose, walk_rows, (walk_draws << np.uint64(32)) | trial[walks])
+            draws[walks] = walk_draws + np.uint64(1)
+            rows, start = X[walk_rows], 0
             for path, node, at in plain:
                 stop = start + len(at)
                 drawn.append((path, node, at, node.classifier.sample_batch(rows[start:stop], u[start:stop])))

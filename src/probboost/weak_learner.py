@@ -127,6 +127,21 @@ def _plain_outcomes(q_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array((q_plus, 1.0 - q_plus)).T.copy(), PLAIN_SCORES  # a C-ordered (N, 2) copy
 
 
+class _PlainClassifier(ProbClassifier):
+    """A built-in plain classifier: it defines its exact q(+, x) on rows X,
+    ``_q(X)``, once, and its outcome table, its draws and exact ``node_q``
+    are read from that q."""
+
+    @abstractmethod
+    def _q(self, X: np.ndarray) -> np.ndarray: ...
+
+    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _plain_outcomes(self._q(X))
+
+    def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
+
+
 class WeakLearner(ABC):
     """Example weights to a classifier whose draws are random; nothing else."""
 
@@ -223,6 +238,8 @@ def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.nda
     if classifier.leaf_table is not None:
         return None
     if config.exact_q:
+        if isinstance(classifier, _PlainClassifier):
+            return classifier._q(dataset.features)
         reach, scores = classifier.outcomes(dataset.features)
         return reach[:, 0].copy() if scores is PLAIN_SCORES else reach[:, scores >= 0.0].sum(axis=1)
     return estimate_q_strategy_A(classifier, dataset, weights, stream, purpose, config.estimator)[0]
@@ -310,16 +327,15 @@ def _read_training_sets(record: dict[str, Any]) -> dict[str, TrainingSet]:
     return training_sets
 
 
-class ConstantEdgeClassifier(ProbClassifier):
+class ConstantEdgeClassifier(_PlainClassifier):
     """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
 
     def __init__(self, epsilon: float, training_set: TrainingSet):
         self.epsilon = float(epsilon)
         self.training_set = training_set
 
-    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
-        return _plain_outcomes(q)
+    def _q(self, X: np.ndarray) -> np.ndarray:
+        return np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
 
     def training_sets(self) -> tuple[TrainingSet, ...]:
         return (self.training_set,)
@@ -366,7 +382,7 @@ def builtin_constant_edge_oracle(epsilon: float) -> ConstantEdgeLearner:
     return ConstantEdgeLearner(epsilon)
 
 
-class StumpClassifier(ProbClassifier):
+class StumpClassifier(_PlainClassifier):
     """Axis-aligned threshold stump whose decision is flipped w.p. p_flip."""
 
     def __init__(
@@ -390,8 +406,8 @@ class StumpClassifier(ProbClassifier):
             return np.full(len(X), self.constant)
         return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
-    def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _plain_outcomes(np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip))
+    def _q(self, X: np.ndarray) -> np.ndarray:
+        return np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip)
 
     def to_record(self) -> dict[str, Any]:
         return {

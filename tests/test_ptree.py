@@ -30,6 +30,7 @@ from probboost.ptree import (
 )
 from probboost.weak_learner import (
     StumpClassifier,
+    _plain_outcomes,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
 )
@@ -843,6 +844,49 @@ class TestWalkKernels:
             )
         if case == "no minus outcomes":
             assert got[1] == 1.0 and got[5] == 0.0 and not got[4].any()
+
+
+@st.composite
+def _plain_factor_cases(draw):
+    """(q, labels, alpha_+, alpha_-) of a plain node: q of exactly 0 or 1
+    among the values, single-class labels, and alphas of either sign."""
+    n = draw(st.integers(1, 64))
+    label = st.sampled_from([-1, 1])
+    labels = np.array(draw(st.one_of(
+        st.lists(label, min_size=n, max_size=n), label.map(lambda value: [value] * n))))
+    q = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    # 9.21 is about the alpha of a noiseless edge, 0.5 log(1 / ALPHA_SMOOTHING)
+    alpha = st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0, 9.210340371976184, -9.210340371976184])
+    return q, labels, draw(alpha), draw(alpha)
+
+
+class TestPlainEdgeFactors:
+    """A plain node's two edge factors come from the (2, N) kernel that
+    scales training's mass array, and equal the outcome-table form, bit for
+    bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_plain_factor_cases())
+    def test_shared_kernel_is_the_outcome_table_form(self, case):
+        q, labels, a_plus, a_minus = case
+        y = labels.astype(float)
+        factors = ptree._scale_edges(np.array((q, 1.0 - q)), y, a_plus, a_minus)
+        reach, scores = _plain_outcomes(q)
+        for factor, sign, alpha in ((factors[0], 1, a_plus), (factors[1], -1, a_minus)):
+            assert factor.tobytes() == ptree._edge_factor(reach, scores, y, sign, alpha).tobytes()
+        # and exact_tree_bound takes them so: a one-node tree's bound is the old sum
+        dataset = Dataset.from_arrays(np.zeros((len(q), 1)), labels)
+        tree = TreeModel(nodes={"": TreeNode(StumpClassifier(0, 0.0, 1, 0.5), q, a_plus, a_minus, 0.5, 0.5)})
+        expected = sum(ptree._edge_factor(reach, scores, y, sign, alpha) * 1.0
+                       for sign, alpha in ((1, a_plus), (-1, a_minus)))
+        assert exact_tree_bound(tree, dataset) == float(np.sum(dataset.weights * expected))
+
+    @pytest.mark.parametrize("p_flip, exact", [(0.1, True), (0.1, False), (0.0, True), (0.0, False)])
+    def test_grown_tree_bound_is_the_outcome_table_form(self, small_dataset, p_flip, exact):
+        tree = grow_tree(small_dataset, builtin_noisy_stump(p_flip), max_nodes=12,
+                         config=TrainConfig(seed=2, exact_q=exact))
+        assert all(node.q_plus is not None for node in tree.nodes.values())
+        assert exact_tree_bound(tree, small_dataset) == TestWalkKernels._reference_bound(tree, small_dataset)
 
 
 class TestPredictTree:

@@ -471,6 +471,15 @@ class _ThreeOutcomes(ProbClassifier):
         return {}
 
 
+_BUILTIN_PLAIN = {
+    "stump": _CLASSIFIERS["stump"],
+    "noiseless-stump": lambda ds, w: builtin_noisy_stump(0.0).train(ds, w),
+    "constant-stump": lambda ds, w: StumpClassifier(0, 0.0, 1, 0.3, constant=-1),
+    "constant-edge": _CLASSIFIERS["constant-edge"],
+    "certain-edge": lambda ds, w: builtin_constant_edge_oracle(0.5).train(ds, w),
+}
+
+
 class TestPlainOutcomes:
     @pytest.mark.parametrize("q", [[], [0.5], [0.0, 1.0, 0.3, 1e-300, 0.7]])
     def test_table_equals_column_stack(self, q):
@@ -489,6 +498,27 @@ class TestPlainOutcomes:
         config = TrainConfig(exact_q=True)
         q = weak_learner.node_q(classifier, small_dataset, small_dataset.weights, config, RandomStream(0), "q")
         assert q.tobytes() == reach[:, scores >= 0.0].sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(_BUILTIN_PLAIN))
+    @pytest.mark.parametrize("rounds", [(), (4,)])
+    def test_q_gives_the_outcome_table_forms(self, small_dataset, kind, rounds):
+        # a built-in plain classifier draws and gives exact q from its q alone,
+        # as the defaults do from its outcome table; u of shape (N,) or (R, N)
+        classifier = _BUILTIN_PLAIN[kind](small_dataset, small_dataset.weights)
+        X, n = small_dataset.features, small_dataset.n_examples
+        reach, scores = classifier.outcomes(X)
+        assert scores is weak_learner.PLAIN_SCORES
+        config = TrainConfig(exact_q=True)
+        q = weak_learner.node_q(classifier, small_dataset, small_dataset.weights, config, RandomStream(0), "q")
+        assert q.tobytes() == reach[:, 0].tobytes()
+        counters = np.arange(np.prod(rounds, dtype=int)).reshape(*rounds, 1) if rounds else 0
+        u = RandomStream(8).uniforms("plain", np.arange(n), counters)
+        # and uniforms at q and one ulp either side of it, inside [0, 1)
+        at_q = np.clip(np.stack([q, np.nextafter(q, -1.0), np.nextafter(q, 2.0)]), 0.0, np.nextafter(1.0, 0.0))
+        for u in (u, at_q if rounds else at_q[0]):
+            drawn = classifier.sample_batch(X, u)
+            assert drawn.shape == u.shape
+            assert drawn.tobytes() == ProbClassifier.sample_batch(classifier, X, u).tobytes()
 
 
 class TestUserLearner:
