@@ -121,9 +121,10 @@ def _mc_summary(scores: np.ndarray, dataset: Dataset) -> tuple[float, float]:
 
 def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from a CSV with header ``f0..f{d-1},label[,weight]``;
-    the header decides whether there is a weight column."""
+    the header decides whether there is a weight column.  A UTF-8 byte order
+    mark and blank lines are skipped; errors name the row's line."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -144,6 +145,8 @@ def load_csv(path: str | Path) -> Dataset:
         dim = len(expected) - (2 if has_weight else 1)
         features, labels, weights = [], [], []
         for row_no, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != len(expected):
                 raise ValueError(f"{path}: row {row_no}: expected {len(expected)} fields")
             try:
@@ -175,6 +178,9 @@ def validate_path(s: str) -> str:
 
 
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Constants that meet a uint64 word are np.uint64: on numpy 1.x a Python-int
+# operand turns a 0-d uint64 word into float64.
 _PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
 _PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 _PHILOX_ROUNDS = 10
@@ -183,33 +189,63 @@ _PHILOX_ROUNDS = 10
 # temporaries stay in cache, and strategy A draws its rounds in such blocks.
 MAX_BLOCK_DRAWS = 4096
 
+_KeySchedule = tuple[tuple[np.uint64, np.uint64], ...]
 
-def _philox4x32(counter: tuple, key: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Philox4x32-10 (Salmon et al., SC'11): four 32-bit counter words (arrays
-    that broadcast) and two 32-bit key words to four 32-bit output words,
-    held in uint64 arrays."""
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+
+def _key_schedule(key: tuple[int, int]) -> _KeySchedule:
+    """The round keys of Philox4x32-10 for two 32-bit key words: one pair
+    of np.uint64 words per round, bumped by the Weyl constants between
+    rounds."""
     k0, k1 = key
+    schedule = []
     for _ in range(_PHILOX_ROUNDS):
-        p0 = _PHILOX_M[0] * c0
-        p1 = _PHILOX_M[1] * c2
-        c0, c1, c2, c3 = (
-            (p1 >> np.uint64(32)) ^ c1 ^ np.uint64(k0),
-            p1 & _MASK32,
-            (p0 >> np.uint64(32)) ^ c3 ^ np.uint64(k1),
-            p0 & _MASK32,
-        )
+        schedule.append((np.uint64(k0), np.uint64(k1)))
         k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
         k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return tuple(schedule)
+
+
+def _philox4x32(counter: tuple, key: tuple[int, int] | _KeySchedule) -> tuple[np.ndarray, ...]:
+    """Philox4x32-10 (Salmon et al., SC'11): four 32-bit counter words (arrays
+    that broadcast, c0 and c1 of one shape and c2 and c3 of another) and two
+    32-bit key words, or their ``_key_schedule``, to four 32-bit output words
+    held in uint64 arrays.
+
+    The first round runs out of place: its words take the full broadcast
+    shape and share no memory with the counter.  Each later round builds its
+    words in place from its own two products."""
+    if len(key) == 2:
+        key = _key_schedule(key)
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    (k0, k1), *rounds = key
+    p0 = _PHILOX_M[0] * c0
+    p1 = _PHILOX_M[1] * c2
+    c0, c1, c2, c3 = (p1 >> _SHIFT32) ^ c1 ^ k0, p1 & _MASK32, (p0 >> _SHIFT32) ^ c3 ^ k1, p0 & _MASK32
+    for k0, k1 in rounds:
+        p0 = _PHILOX_M[0] * c0
+        p1 = _PHILOX_M[1] * c2
+        c0 = p1 >> _SHIFT32
+        c0 ^= c1
+        c0 ^= k0
+        c2 = p0 >> _SHIFT32
+        c2 ^= c3
+        c2 ^= k1
+        p1 &= _MASK32
+        p0 &= _MASK32
+        c1, c3 = p1, p0
     return c0, c1, c2, c3
 
 
-def _uniforms(example: np.ndarray, counter: np.ndarray, key: tuple[int, int]) -> np.ndarray:
+def _uniforms(example: np.ndarray, counter: np.ndarray, key: _KeySchedule) -> np.ndarray:
     """One Philox evaluation: the uniform of each (example, counter) pair of
     the broadcast of two uint64 arrays."""
-    shift = np.uint64(32)
-    w0, w1, _, _ = _philox4x32((example & _MASK32, example >> shift, counter & _MASK32, counter >> shift), key)
-    return ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
+    w0, w1, _, _ = _philox4x32((example & _MASK32, example >> _SHIFT32, counter & _MASK32, counter >> _SHIFT32), key)
+    w0 <<= np.uint64(21)  # the kernel's own words: 53 bits built in place
+    w1 >>= np.uint64(11)
+    w0 ^= w1
+    u = w0.astype(float)
+    u *= 2.0**-53
+    return u
 
 
 class RandomStream:
@@ -218,15 +254,24 @@ class RandomStream:
     A uniform is Philox4x32-10 keyed by a hash of (seed, purpose) and counted
     by (example, counter), so each draw is a pure function of where it sits
     in the stream: one call returns a whole array of draws, and concurrent
-    or reordered sampling reproduces bit-exactly.
+    or reordered sampling reproduces bit-exactly.  A stream builds the key
+    schedule of a (seed, purpose) once and keeps it for its own lifetime.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._schedules: dict[tuple[int, str], _KeySchedule] = {}
 
     def _key(self, purpose: str) -> tuple[int, int]:
         digest = hashlib.blake2s(f"{self.seed}\x00{purpose}".encode("utf-8"), digest_size=8).digest()
         return int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:], "little")
+
+    def _schedule(self, purpose: str) -> _KeySchedule:
+        stream_id = (self.seed, purpose)  # the seed too: it is a public attribute
+        schedule = self._schedules.get(stream_id)
+        if schedule is None:
+            schedule = self._schedules[stream_id] = _key_schedule(self._key(purpose))
+        return schedule
 
     def uniforms(self, purpose: str, example, counter) -> np.ndarray:
         """Uniforms in [0, 1) on a 2^-53 grid, one per element of the
@@ -236,7 +281,7 @@ class RandomStream:
         with the same bits."""
         example = np.asarray(example, dtype=np.uint64)
         counter = np.asarray(counter, dtype=np.uint64)
-        key = self._key(purpose)
+        key = self._schedule(purpose)
         pairs = np.broadcast(example, counter)
         if pairs.size <= MAX_BLOCK_DRAWS:
             return _uniforms(example, counter, key)

@@ -1,5 +1,6 @@
 """Dataset handling, path indices, random streams, persistence."""
 
+import hashlib
 import json
 import math
 
@@ -23,7 +24,7 @@ from probboost.core import (
     save_record,
     validate_path,
 )
-from probboost.core import _philox4x32
+from probboost.core import _key_schedule, _philox4x32
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import save_model
 from probboost.ptree import grow_tree
@@ -156,6 +157,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2"):
             load_csv(p)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("f0,label\n0.5,1\n\n-1.5,-1\n\n")
+        ds = load_csv(p)
+        np.testing.assert_array_equal(ds.features[:, 0], [0.5, -1.5])
+        np.testing.assert_array_equal(ds.labels, [1, -1])
+        p.write_text("f0,label\n0.5,1\n\n0.7,0\n")
+        with pytest.raises(ValueError, match="row 4: label"):  # the line number, blank line counted
+            load_csv(p)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbff0,f1,label\r\n0.5,2,1\r\n-1.5,0,-1\r\n")
+        ds = load_csv(p)
+        np.testing.assert_array_equal(ds.features, [[0.5, 2.0], [-1.5, 0.0]])
+        np.testing.assert_array_equal(ds.labels, [1, -1])
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
@@ -174,6 +192,20 @@ class TestPaths:
         assert validate_path("") == ""
         with pytest.raises(ValueError):
             validate_path("+x")
+
+
+def _philox_reference(counter, key):
+    """Philox4x32-10 on Python ints, one counter at a time."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & 0xFFFFFFFF, (p0 >> 32) ^ c3 ^ k1, p0 & 0xFFFFFFFF
+        k0, k1 = (k0 + 0x9E3779B9) & 0xFFFFFFFF, (k1 + 0xBB67AE85) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
 class TestRandomStream:
@@ -213,6 +245,52 @@ class TestRandomStream:
     )
     def test_philox_known_answers(self, counter, key, expected):
         assert tuple(int(w) for w in _philox4x32(counter, key)) == expected
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from([(), (5,), (3, 1)]), st.sampled_from([(), (5,), (3, 1)]), st.tuples(_WORD, _WORD))
+    def test_philox_equals_python_ints(self, data, shape01, shape23, key):
+        def word(shape):
+            n = math.prod(shape)
+            values = data.draw(st.lists(_WORD, min_size=n, max_size=n))
+            return values[0] if shape == () else np.array(values, dtype=np.uint64).reshape(shape)
+
+        counter = (word(shape01), word(shape01), word(shape23), word(shape23))
+        before = [np.copy(c) for c in counter]
+        shape = np.broadcast_shapes(shape01, shape23)
+        for k in (key, _key_schedule(key)):
+            out = _philox4x32(counter, k)
+            assert all(np.shape(w) == shape for w in out)
+            for i in np.ndindex(shape):
+                words = tuple(int(np.broadcast_to(c, shape)[i]) for c in counter)
+                assert tuple(int(np.asarray(w)[i]) for w in out) == _philox_reference(words, key)
+        for c, b in zip(counter, before):  # the rounds in place left the counter alone
+            np.testing.assert_array_equal(c, b)
+
+    def test_draws_pinned(self):
+        # any change to the kernel, the key or the block split shows here
+        grid = RandomStream(5).uniforms("p", np.arange(40), np.arange(300)[:, None])  # three blocks
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+            "15e1f1207f3ac808aa49cb01af8b00c75f8f8317102303ac8be28d97704066fc"
+        )
+        one = RandomStream(5).uniforms("p", 2**40 + 3, 2**33 + 7)  # both words of both above 2^32
+        assert hashlib.sha256(one.tobytes()).hexdigest() == (
+            "8476a8d1d56d6d1ddabe64ecf07c98312594407dc791acbee24f152f710971ab"
+        )
+
+    def test_interleaved_streams_equal_fresh_streams(self):
+        streams = {3: RandomStream(3), 4: RandomStream(4)}
+        examples, counters = np.arange(6), np.arange(2)[:, None]
+        firsts = set()
+        for seed, purpose in [(3, "a"), (4, "a"), (3, "b"), (3, "a"), (4, "b"), (4, "a"), (3, "b")]:
+            u = streams[seed].uniforms(purpose, examples, counters)
+            np.testing.assert_array_equal(u, RandomStream(seed).uniforms(purpose, examples, counters))
+            firsts.add(float(u[0, 0]))
+        assert len(firsts) == 4
+        reseeded = streams[3]
+        reseeded.seed = 4
+        np.testing.assert_array_equal(
+            reseeded.uniforms("a", examples, counters), RandomStream(4).uniforms("a", examples, counters)
+        )
 
     def test_array_call_equals_elementwise_calls(self):
         s = RandomStream(2**63 - 25)  # the 63-bit seeds a nested unit draws
