@@ -3,11 +3,33 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 ALPHA_SMOOTHING = 1e-8
+
+
+@dataclass(frozen=True)
+class LabelSplit:
+    """Labels (+1 / -1) prepared once per dataset for the W sums and edge
+    scales of plain nodes: the positive-first permutation of the examples,
+    its count of positives, and the labels as floats."""
+
+    order: np.ndarray
+    n_pos: int
+    y: np.ndarray
+
+    @classmethod
+    def of(cls, labels) -> "LabelSplit":
+        """``labels`` prepared; a ``LabelSplit`` is returned as it is."""
+        if isinstance(labels, cls):
+            return labels
+        labels = np.asarray(labels)
+        positive = labels == 1
+        first = np.flatnonzero(positive)
+        return cls(np.concatenate((first, np.flatnonzero(~positive))), len(first), labels.astype(float))
 
 
 class WStats(NamedTuple):
@@ -20,29 +42,31 @@ class WStats(NamedTuple):
     mm: float
 
 
-def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels: np.ndarray) -> WStats:
-    """W from per-example q(+) estimates.  ``q_plus`` may also hold one row
-    per sampling round, shape (R, N): each field is then a list of R floats,
-    each bit for bit the W of that row alone."""
-    return _w_of_mass(_weighted_mass(weights, q_plus), labels)
+def w_statistics(weights: np.ndarray, q_plus: np.ndarray, labels) -> WStats:
+    """W from per-example q(+) estimates; ``labels`` may be a ``LabelSplit``.
+    ``q_plus`` may also hold one row per sampling round, shape (R, N): each
+    field is then a list of R floats, each bit for bit the W of that row alone."""
+    return _w_of_mass(_weighted_mass(weights, q_plus), LabelSplit.of(labels))
 
 
 def _weighted_mass(weights: np.ndarray, q_plus: np.ndarray) -> np.ndarray:
     """The mass on the + and the - edge, [w q, w (1 - q)]: (2, N), or (2, R, N) for rows of q."""
     q_plus = np.asarray(q_plus, dtype=float)
     mass = np.array((q_plus, 1.0 - q_plus))
-    if mass.min(initial=0.0) < 0.0:  # 1 - q < 0 exactly where q > 1
+    if np.minimum.reduce(mass, axis=None, initial=0.0) < 0.0:  # 1 - q < 0 exactly where q > 1
         raise ValueError("q estimates must lie in [0, 1]")
     mass *= weights
     return mass
 
 
-def _w_of_mass(mass: np.ndarray, labels: np.ndarray) -> WStats:
-    """W from ``_weighted_mass``.  compress keeps rows C-ordered, so each row sums
-    pairwise as a 1-D array does; a boolean index comes out F-ordered and sums sequentially."""
-    pos = labels == 1
-    pp, mp = mass.compress(pos, axis=-1).sum(axis=-1).tolist()
-    pm, mm = mass.compress(~pos, axis=-1).sum(axis=-1).tolist()
+def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:
+    """W from ``_weighted_mass``: one take by the positive-first order, then a
+    sum over each label's slice.  take keeps rows C-ordered, so each slice row
+    sums pairwise as a 1-D array does; a boolean index comes out F-ordered and
+    sums sequentially."""
+    sides = mass.take(labels.order, axis=-1)
+    pp, mp = np.add.reduce(sides[..., : labels.n_pos], axis=-1).tolist()
+    pm, mm = np.add.reduce(sides[..., labels.n_pos :], axis=-1).tolist()
     return WStats(pp, pm, mp, mm)
 
 

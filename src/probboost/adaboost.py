@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import (
+    LabelSplit,
     WStats,
     optimal_alphas,
     w_statistics,
@@ -143,11 +144,11 @@ def _make_stage(
     classifier: ProbClassifier,
     q: np.ndarray,
     weights: np.ndarray,
-    labels: np.ndarray,
+    labels: LabelSplit,
 ) -> tuple[StageRecord, np.ndarray]:
     w = w_statistics(weights, q, labels)
     a_plus, a_minus = optimal_alphas(w)
-    next_weights, z = update_weights(weights, q, labels, a_plus, a_minus)
+    next_weights, z = update_weights(weights, q, labels.y, a_plus, a_minus)
     stage = StageRecord(classifier, q, a_plus, a_minus, z)
     return stage, next_weights
 
@@ -170,9 +171,9 @@ def train_adaboost(
         weights = dataset.weights.copy()
         stages = []
         for t in range(1, T + 1):
-            classifier = _train_step(learner, dataset, weights, f"round {t}")
+            classifier = _train_step(learner, dataset, weights, "round {}", t)
             q = node_q(classifier, dataset, weights, config, stream, f"q-est-{t}")
-            stage, weights = _make_stage(classifier, q, weights, dataset.labels)
+            stage, weights = _make_stage(classifier, q, weights, dataset.label_split)
             stages.append(stage)
     return AdaboostModel(stages, metadata=_model_metadata(config, dataset, T=T, strategy=config.strategy))
 
@@ -210,7 +211,7 @@ def _train_strategy_B(
 ) -> list[StageRecord]:
     """Look ahead each iteration: advance to a candidate h_{t+1} or resample
     h_t, whichever decreases the bound faster per pass."""
-    labels = dataset.labels
+    labels = dataset.label_split
 
     def sample(classifier, purpose, weights, counts=0, rounds=0):
         """A classifier's estimate after one more round of draws: its + counts
@@ -228,7 +229,7 @@ def _train_strategy_B(
     while t < T and looks < R_MAX_DEFAULT * T:
         looks += 1
         stage, next_weights = _make_stage(classifier, q[0], weights, labels)
-        candidate = _train_step(learner, dataset, next_weights, f"round {t + 1}")
+        candidate = _train_step(learner, dataset, next_weights, "round {}", t + 1)
         advanced = sample(candidate, f"strategy-B-cand-{t + 1}", next_weights)
         refreshed = sample(classifier, f"strategy-B-resample-{t}", weights, counts, rounds)
         if _log_rate(advanced[-1], _ADVANCE_PASSES) <= _log_rate(refreshed[-1] / z, _RESAMPLE_PASSES):

@@ -8,10 +8,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 import numpy as np
+
+from ._zstats import LabelSplit
 
 __all__ = [
     "Dataset",
@@ -83,6 +86,17 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
+
+    @cached_property
+    def label_split(self) -> LabelSplit:
+        """The labels prepared for plain-node kernels, built on first read."""
+        return LabelSplit.of(self.labels)
+
+    def reweighted(self, weights) -> "Dataset":
+        """These examples under other weights; they share this ``label_split``."""
+        dataset = Dataset(self.features, self.labels, weights)
+        object.__setattr__(dataset, "label_split", self.label_split)
+        return dataset
 
     @property
     def n_examples(self) -> int:

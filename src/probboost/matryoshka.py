@@ -22,8 +22,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bounds import rate_matryoshka, rate_simple
 from .core import Dataset
 from .ptree import CompositeNode, TreeModel, _drop_walk_tables, _leaf_weights, attach_node, grow_tree
@@ -86,7 +84,7 @@ class _UnitLearner(WeakLearner):
             return self.base.train(dataset, weights)
         config = replace(self.config, seed=_unit_seed(self.config.seed, self.units))
         self.units += 1
-        positioned = Dataset(dataset.features, dataset.labels, np.asarray(weights, float))
+        positioned = dataset.reweighted(weights)
         unit = _UnitLearner(self.level - 1, self.base, config)
         return collect_leaves(grow_tree(positioned, unit, max_nodes=2, config=config))
 
@@ -196,7 +194,9 @@ def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
     inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
     composite = collect_leaves(TreeModel(nodes=inner))
     # a composite's edges come from its walk table; nothing is sampled
-    attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.labels,
+    attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.label_split,
                 tree.leaf_product(p))
-    # attach_node's incremental update assumed plain growth; restate C exactly
-    tree.trajectory[-1] = tree.leaf_sum()
+    # attach_node's incremental update assumed plain growth; restate C exactly,
+    # unless attach_node just did (its error bound is then 0)
+    if tree.c_error:
+        tree.restate_bound()

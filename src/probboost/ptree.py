@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import _w_of_mass, _weighted_mass, optimal_alphas
+from ._zstats import LabelSplit, _w_of_mass, _weighted_mass, optimal_alphas
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 DEAD_BRANCH_THRESHOLD = 1e-300
+# C is restated as its leaf sum once the bound on its rounding error passes this share of it
+C_RELATIVE_ERROR = 1e-12
+_EPS = float(np.finfo(float).eps)
 SCALE_SEARCH_STEPS = 100
 # Walks multiply at every nesting level (about K -> K^2 / 2 per fixed-2
 # level), so walk tables are capped in (rows x walks) entries.
@@ -77,21 +80,35 @@ def children_weights(
     Returns (D_{s+}, Z_{s+}, D_{s-}, Z_{s-}); a child with unnormalized
     mass below the dead-branch threshold keeps Z but gets a zero vector.
     """
-    return _split_mass(_weighted_mass(weights, q_plus), labels, alpha_plus, alpha_minus)
+    y = np.asarray(labels, dtype=float)
+    return _split_mass(_weighted_mass(weights, q_plus), y, alpha_plus, alpha_minus)
 
 
-def _split_mass(mass: np.ndarray, labels: np.ndarray, alpha_plus: float, alpha_minus: float):
+def _plain_children(
+    weights: np.ndarray, q_plus: np.ndarray, labels: LabelSplit
+) -> tuple[float, float, np.ndarray, float, np.ndarray, float]:
+    """Edges of a plain node, as ``_scored_children`` returns them, from one
+    (2, N) mass [w q, w (1 - q)]: its W from one take by the positive-first
+    order, the optimal alphas, then the mass scaled in place by one exp table
+    into the children's unnormalized weights."""
+    mass = _weighted_mass(weights, q_plus)
+    alpha_plus, alpha_minus = optimal_alphas(_w_of_mass(mass, labels))
+    return (alpha_plus, alpha_minus, *_split_mass(mass, labels.y, alpha_plus, alpha_minus))
+
+
+def _split_mass(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float):
     """``children_weights`` from a ``_weighted_mass``, scaled in place by ``_scale_edges``."""
-    z_plus, z_minus = _scale_edges(mass, labels, alpha_plus, alpha_minus).sum(axis=1).tolist()
+    z_plus, z_minus = np.add.reduce(_scale_edges(mass, y, alpha_plus, alpha_minus), axis=1).tolist()
     d_plus = mass[0] / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
     d_minus = mass[1] / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
     return d_plus, z_plus, d_minus, z_minus
 
 
-def _scale_edges(mass: np.ndarray, labels: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
-    """A plain node's (2, N) + and - edge rows, scaled in place by exp(-alpha_s s y):
-    from [w q, w (1 - q)] the children's unnormalized weights, from [q, 1 - q] the edge factors."""
-    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), np.asarray(labels, dtype=float)))
+def _scale_edges(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
+    """A plain node's (2, N) + and - edge rows, scaled in place by exp(-alpha_s s y),
+    where ``y`` is the labels as floats: from [w q, w (1 - q)] the children's
+    unnormalized weights, from [q, 1 - q] the edge factors."""
+    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), y))
     return mass
 
 
@@ -181,16 +198,16 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def _scored_children(
-    weights: np.ndarray, labels: np.ndarray, reach: np.ndarray, scores: np.ndarray
+    weights: np.ndarray, y: np.ndarray, reach: np.ndarray, scores: np.ndarray
 ) -> tuple[float, float, np.ndarray, float, np.ndarray, float]:
-    """Edges of a node whose outcomes carry real scores (a composite).
+    """Edges of a node whose outcomes carry real scores (a composite); ``y``
+    is the labels as floats.
 
     Each alpha_s minimizes Z_s starting from alpha_s = 1, where
     Z_+ + Z_- is the inner tree's C on these weights.  Returns
     (alpha_+, alpha_-, D_{s+}, Z_{s+}, D_{s-}, Z_{s-}).
     """
     weights = np.asarray(weights, dtype=float)
-    y = np.asarray(labels, dtype=float)
     # einsum without ``optimize`` adds the examples in row order and calls no
     # BLAS, whose sum order varies with the thread count
     positive = y > 0.0
@@ -262,6 +279,9 @@ class TreeModel:
     nodes: dict[str, TreeNode] = field(default_factory=dict)
     trajectory: list[float] = field(default_factory=list)  # C(0), C(1), ...
     metadata: dict[str, Any] = field(default_factory=dict)
+    # a bound on the rounding error of the last C since it was last restated
+    # as ``leaf_sum()``: training state, not part of the record
+    c_error: float = field(default=0.0, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -299,6 +319,10 @@ class TreeModel:
         for product in self.leaf_products(root).values():
             total += product
         return total
+
+    def restate_bound(self) -> None:
+        """Set the last C to ``leaf_sum()``, which has no cancellation error."""
+        self.trajectory[-1], self.c_error = self.leaf_sum(), 0.0
 
     def to_record(self) -> dict[str, Any]:
         """The model's record; each constant-edge training set, composites'
@@ -515,6 +539,7 @@ def grow_tree(
     metadata = _model_metadata(config, dataset, kind="ptree", max_nodes=max_nodes,
                                target_bound=target_bound)
     tree = TreeModel(trajectory=[1.0], metadata=metadata)
+    labels = dataset.label_split
     frontier = [_growth_key("", 1.0)]
     step = 0
     while frontier and (max_nodes is None or step < max_nodes):
@@ -523,13 +548,12 @@ def grow_tree(
         negated_product, _, leaf = heapq.heappop(frontier)
         step += 1
         weights = _leaf_weights(tree, leaf, dataset)
-        classifier = _train_step(learner, dataset, weights, f"node {leaf!r} (step {step})")
+        classifier = _train_step(learner, dataset, weights, "node {!r} (step {})", leaf, step)
         q = node_q(classifier, dataset, weights, config, stream, f"tree-q-est-{step}")
-        attach_node(tree, leaf, classifier, q, weights, dataset.labels, -negated_product)
-        node = tree.nodes[leaf]
+        node = attach_node(tree, leaf, classifier, q, weights, labels, -negated_product)
         for child, z in ((leaf + "+", node.z_plus), (leaf + "-", node.z_minus)):
-            if z >= DEAD_BRANCH_THRESHOLD:  # the same product as leaf_product(child)
-                heapq.heappush(frontier, _growth_key(child, -negated_product * z))
+            if z >= DEAD_BRANCH_THRESHOLD:  # _growth_key of the same product as leaf_product(child)
+                heapq.heappush(frontier, (negated_product * z, len(child), child))
         if on_grow is not None:
             on_grow(tree, leaf)
             frontier = _frontier(tree)
@@ -550,24 +574,29 @@ def attach_node(
     classifier: ProbClassifier,
     q: np.ndarray | None,
     weights: np.ndarray,
-    labels: np.ndarray,
+    labels,
     prefix_product: float,
-) -> None:
-    """Install a trained classifier at a leaf and update the C trajectory.
-    ``q`` is the plain classifier's per-example q(+); None for a composite.
-    ``prefix_product`` is the leaf's product of Z, ``tree.leaf_product(leaf)``."""
+) -> TreeNode:
+    """Install a trained classifier at a leaf, update the C trajectory, and
+    return the new node.  ``q`` is the plain classifier's per-example q(+);
+    None for a composite.  ``labels`` may be the dataset's ``label_split``.
+    ``prefix_product`` is the leaf's product of Z, ``tree.leaf_product(leaf)``.
+
+    C grows by prefix_product * (Z_+ + Z_- - 1), which cancels once C is far
+    below 1; when the bound on its accumulated rounding error passes
+    ``C_RELATIVE_ERROR`` of C, or C is not positive, C is restated as
+    ``leaf_sum()``."""
     if leaf in tree.nodes:
         raise ValueError(f"{leaf!r} is already an inner node")
+    labels = LabelSplit.of(labels)
     if classifier.leaf_table is None:
         q = np.asarray(q, dtype=float)
-        mass = _weighted_mass(weights, q)
-        a_plus, a_minus = optimal_alphas(_w_of_mass(mass, labels))
-        d_plus, z_plus, d_minus, z_minus = _split_mass(mass, labels, a_plus, a_minus)
+        a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _plain_children(weights, q, labels)
     else:
         a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _scored_children(
-            weights, labels, *classifier.leaf_table
+            weights, labels.y, *classifier.leaf_table
         )
-    tree.nodes[leaf] = TreeNode(
+    node = tree.nodes[leaf] = TreeNode(
         classifier=classifier,
         q_plus=q,
         alpha_plus=a_plus,
@@ -577,8 +606,13 @@ def attach_node(
         weights_plus=d_plus,
         weights_minus=d_minus,
     )
-    c_prev = tree.trajectory[-1]
-    tree.trajectory.append(c_prev + prefix_product * (z_plus + z_minus - 1.0))
+    c = tree.trajectory[-1] + prefix_product * (z_plus + z_minus - 1.0)
+    tree.trajectory.append(c)
+    # the sum, the difference, the product and the addition each round by at most eps
+    tree.c_error += _EPS * (prefix_product * (z_plus + z_minus + 1.0) + abs(c))
+    if c <= 0.0 or tree.c_error > C_RELATIVE_ERROR * c:
+        tree.restate_bound()
+    return node
 
 
 def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
@@ -588,7 +622,7 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
     the edge factors along the path; a composite's factor sums over its
     inner walks.  Equals the recorded leaf-sum of Z products.
     """
-    y = dataset.labels.astype(float)
+    y = dataset.label_split.y
 
     def below(path: str):
         node = tree.nodes.get(path)

@@ -149,15 +149,16 @@ class WeakLearner(ABC):
     def train(self, dataset: Dataset, weights: np.ndarray) -> ProbClassifier: ...
 
 
-def _train_step(learner: WeakLearner, dataset: Dataset, weights, where: str) -> ProbClassifier:
+def _train_step(learner: WeakLearner, dataset: Dataset, weights, where: str, *args) -> ProbClassifier:
     """One weak-learner call.  A ValueError (bad input) passes through; any
-    other failure is the learner's, at ``where`` ("round 2", "node '+' (step 3)")."""
+    other failure is the learner's, at ``where.format(*args)`` ("round 2",
+    "node '+' (step 3)"), formatted only then."""
     try:
         return learner.train(dataset, weights)
     except ValueError:
         raise
     except Exception as exc:
-        raise RuntimeError(f"weak learner failed at {where}") from exc
+        raise RuntimeError(f"weak learner failed at {where.format(*args)}") from exc
 
 
 def _q_estimate(counts_plus: np.ndarray, rounds, estimator: str) -> np.ndarray:
@@ -181,10 +182,11 @@ def _draw_plus(classifier, dataset: Dataset, stream: RandomStream, purpose: str,
     return classifier.sample_batch(dataset.features, u) >= 0.0
 
 
-def map_z_estimate(q: np.ndarray, weights: np.ndarray, labels: np.ndarray):
+def map_z_estimate(q: np.ndarray, weights: np.ndarray, labels):
     """The Z estimate at the optimal alphas of each row of q estimates
-    (R, N), each bit for bit that of the row alone.  One W pass covers the
-    rows; a row's alphas and Z are computed when the generator reaches it."""
+    (R, N), each bit for bit that of the row alone; ``labels`` may be a
+    ``LabelSplit``.  One W pass covers the rows; a row's alphas and Z are
+    computed when the generator reaches it."""
     for w in map(WStats._make, zip(*w_statistics(weights, q, labels))):
         yield z_value(w, *optimal_alphas(w))
 
@@ -223,7 +225,7 @@ def estimate_q_strategy_A(
         # a cumsum down the rows costs one call per example; one round needs none
         counts = counts + (plus.cumsum(axis=0) if len(rounds) > 1 else plus)
         q = _q_estimate(counts, rounds[:, None], estimator)
-        for r, q_r, z in zip(rounds.tolist(), q, map_z_estimate(q, weights, dataset.labels)):
+        for r, q_r, z in zip(rounds.tolist(), q, map_z_estimate(q, weights, dataset.label_split)):
             if r > R_MIN_DEFAULT and z > prev_z:
                 return prev_q.copy(), r
             prev_z, prev_q = z, q_r

@@ -214,8 +214,10 @@ class TestTrain:
             ["--algo", "matryoshka", "--mode", "fixed2", "--L", "2", "--oracle", "constant-edge", "--exact-q"],
             ["--algo", "matryoshka", "--mode", "greedy", "--T", "16", "--oracle", "constant-edge",
              "--epsilon", "0.3", "--exact-q", "--seed", "3"],
+            # C falls to 1e-17, so grows whose update cancels restate C as the leaf sum
+            ["--algo", "ptree", "--T", "16", "--p-flip", "0", "--exact-q", "--seed", "1"],
         ],
-        ids=["adaboost-A", "adaboost-B", "ptree", "fixed2", "greedy"],
+        ids=["adaboost-A", "adaboost-B", "ptree", "fixed2", "greedy", "ptree-noiseless"],
     )
     def test_trace_replays_C(self, runner, tmp_path, args):
         log = tmp_path / "trace.jsonl"
@@ -223,7 +225,7 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         events = _read_trace(log)
         nodes: dict[str, tuple[float, float]] = {}  # the tree replayed so far: path -> (Z+, Z-)
-        c = 1.0
+        c, restated = 1.0, 0
         for event in events:
             assert list(event) == TRACE_KEYS
             action, path = event["action"], event["path"]
@@ -236,18 +238,21 @@ class TestTrain:
                     prefix = 1.0
                     for depth, edge in enumerate(path):
                         prefix *= nodes[path[:depth]][0 if edge == "+" else 1]
-                    assert event["C"] == c + prefix * (event["Z_plus"] + event["Z_minus"] - 1.0)
+                    # the update, unless it cancelled and C was restated (below)
+                    incremental = event["C"] == c + prefix * (event["Z_plus"] + event["Z_minus"] - 1.0)
+                    restated += not incremental
                 else:
                     assert action == "collect"
                     nodes = {p: z for p, z in nodes.items() if not p.startswith(path)}
                 nodes[path] = (event["Z_plus"], event["Z_minus"])
-                if action == "collect":
+                if action == "collect" or not incremental:
                     assert event["C"] == pytest.approx(_replayed_leaf_sum(nodes), rel=1e-12, abs=0.0)
             # the rates are a collect's alone
             assert (event["rate_simple"] is None) == (event["rate_matryoshka"] is None) == (action != "collect")
             c = event["C"]
         recorded = next(line for line in result.output.splitlines() if line.startswith("recorded bound: "))
         assert c == float(recorded[len("recorded bound: "):])
+        assert (restated > 0) == ("--p-flip" in args)
         if "greedy" in args:
             assert any(event["action"] == "collect" for event in events)
 

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from probboost.adaboost import TrainConfig
+from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import main
 from probboost.core import make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
+from probboost.ptree import grow_tree
 from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle, builtin_noisy_stump
 
 DATA = Path(__file__).parent / "data"
@@ -211,6 +212,29 @@ class TestTrainingSetTable:
         else:
             model, log = build_greedy_matryoshka(data, learner, size, config=config)
             assert any(entry.action == "collect" for entry in log)
+        save_model(model, tmp_path / "m.json")
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "shape, digest",
+        [
+            ("ptree-128-edge", "5b485fd5b0e148c6ab0240c249aeafd919b1508ec8a179da1d6997036158a65d"),
+            ("ptree-64-stump-exact", "5aa52eb0363b5dea072634d3dff4590c72baf1b309e63bafa3e2da380d017d07"),
+            ("ptree-64-stump-sampled", "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b"),
+            ("adaboost-3-sampled", "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1"),
+        ],
+    )
+    def test_plain_node_shapes_unchanged(self, tmp_path, shape, digest):
+        # the exact-trees and sampled-boost shapes and noisy-stump ptrees: every
+        # plain node's W, alphas, Z and child weights decide these bytes
+        if shape == "adaboost-3-sampled":
+            model = train_adaboost(make_synthetic_dataset(100, seed=1), builtin_noisy_stump(0.1), 3,
+                                   TrainConfig(seed=1, estimator="map", strategy="A"))
+        else:
+            _, nodes, oracle, *q = shape.split("-")
+            learner = builtin_constant_edge_oracle(0.3) if oracle == "edge" else builtin_noisy_stump(0.1)
+            config = TrainConfig(seed=1, exact_q=q != ["sampled"])
+            model = grow_tree(make_synthetic_dataset(40, seed=1), learner, max_nodes=int(nodes), config=config)
         save_model(model, tmp_path / "m.json")
         assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
 

@@ -2,6 +2,7 @@
 scores), greedy growth, and the leaf-sum loss identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probboost import core, ptree
-from probboost._zstats import WStats, optimal_alphas, w_statistics
+from probboost._zstats import LabelSplit, WStats, optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
@@ -195,10 +196,10 @@ def _reference_children(weights, q, labels, a_plus, a_minus):
 
 
 @st.composite
-def _node_cases(draw):
+def _node_cases(draw, max_n=40):
     """(weights, q of shape (N,) or (R, N), labels), with zero weights, q of
     exactly 0 or 1, single-class labels and dead branches among them."""
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     label = st.sampled_from([-1, 1])
     labels = np.array(draw(st.one_of(
         st.lists(label, min_size=n, max_size=n), label.map(lambda value: [value] * n))))
@@ -254,6 +255,83 @@ class TestPlainNodeKernel:
             w_statistics(weights, np.array([[0.5, 0.5, 0.5], q]), labels)
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             self._root(weights, q, labels)
+
+
+def _parent_mass(weights, q):
+    """[w q, w (1 - q)] as the kernel's predecessor built it, q checked in [0, 1]."""
+    q = np.asarray(q, dtype=float)
+    mass = np.array((q, 1.0 - q))
+    if mass.min(initial=0.0) < 0.0:
+        raise ValueError("q estimates must lie in [0, 1]")
+    mass *= weights
+    return mass
+
+
+def _parent_w(mass, labels):
+    """W of a mass from a compress copy of each label's columns."""
+    pos = labels == 1
+    pp, mp = mass.compress(pos, axis=-1).sum(axis=-1).tolist()
+    pm, mm = mass.compress(~pos, axis=-1).sum(axis=-1).tolist()
+    return WStats(pp, pm, mp, mm)
+
+
+def _parent_split(mass, labels, a_plus, a_minus):
+    """(D+, Z+, D-, Z-) of a (2, N) mass scaled in place by its exp table."""
+    mass *= np.exp(np.multiply.outer((-a_plus, a_minus), np.asarray(labels, dtype=float)))
+    z_plus, z_minus = mass.sum(axis=1).tolist()
+    d_plus = mass[0] / z_plus if z_plus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
+    d_minus = mass[1] / z_minus if z_minus >= DEAD_BRANCH_THRESHOLD else np.zeros(mass.shape[1])
+    return d_plus, z_plus, d_minus, z_minus
+
+
+def _bytes(values):
+    """The bytes of a sequence of floats, lists of floats and arrays, in order."""
+    return b"".join(np.asarray(value, dtype=float).tobytes() for value in values)
+
+
+class TestFusedPlainKernel:
+    """The plain-node kernel on labels prepared once per dataset (one take by
+    the positive-first order for W) equals, byte for byte, the composition it
+    replaced: W from compress copies, the optimal alphas, then the mass scaled
+    by the exp table."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_node_cases(max_n=64))
+    def test_equals_compress_composition(self, case):
+        weights, q, labels = case
+        split = LabelSplit.of(labels)
+        expected_w = _parent_w(_parent_mass(weights, q), labels)
+        for given_labels in (labels, split):
+            assert _bytes(w_statistics(weights, q, given_labels)) == _bytes(expected_w)
+        for row in np.atleast_2d(q):
+            mass = _parent_mass(weights, row)
+            alphas = optimal_alphas(_parent_w(mass, labels))
+            expected = _bytes((*alphas, *_parent_split(mass, labels, *alphas)))
+            node = TestPlainNodeKernel._root(weights, row, split)
+            assert _bytes(ptree._plain_children(weights, row, split)) == expected
+            assert _bytes((node.alpha_plus, node.alpha_minus, node.weights_plus, node.z_plus,
+                           node.weights_minus, node.z_minus)) == expected
+            assert _bytes((*alphas, *children_weights(weights, row, labels, *alphas))) == expected
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, 1.0 + 2.0**-52, -np.inf])
+    def test_q_outside_unit_interval_raises(self, bad):
+        weights, split = np.full(3, 1.0 / 3), LabelSplit.of(np.array([1, -1, 1]))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ptree._plain_children(weights, np.array([0.5, bad, 0.5]), split)
+
+    def test_dataset_prepares_its_labels_once(self):
+        data = Dataset.from_arrays(np.zeros((6, 1)), [-1, 1, 1, -1, 1, -1])
+        split = data.label_split
+        assert split is data.label_split
+        assert split.order.tolist() == [1, 2, 4, 0, 3, 5] and split.n_pos == 3
+        assert split.y.tobytes() == data.labels.astype(float).tobytes()
+        assert LabelSplit.of(split) is split
+        # a fixed-2 unit's dataset: the same examples under other weights
+        weights = np.arange(1.0, 7.0) / 21.0
+        unit = data.reweighted(weights)
+        assert unit.label_split is split and unit.weights.tobytes() == weights.tobytes()
+        with pytest.raises(ValueError, match="sum to 1"):
+            data.reweighted(np.ones(6))
 
 
 class TestSelectGrowthLeaf:
@@ -550,6 +628,44 @@ class TestExactTreeBound:
                     reach *= q if leaf[depth - 1] == "+" else 1.0 - q
                 total += reach
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRecordedBoundCancellation:
+    """Noiseless stumps drive C far below 1, where the incremental update
+    prefix * (Z+ + Z- - 1) cancels: the recorded C is restated as the leaf
+    sum, so that it stays finite, positive and exact (ROADMAP item 7,
+    cause 1).  Before, fixed-2 L=2 on the seed-1 data recorded -1.39e-17
+    against a leaf sum of 9.95e-49."""
+
+    @pytest.mark.parametrize("data_seed", [1, 11])
+    @pytest.mark.parametrize("builder, size", [
+        ("ptree", 12), ("ptree", 64), ("ptree", 128), ("fixed2", 2), ("greedy", 16), ("greedy", 28)])
+    def test_noiseless_bound_is_the_leaf_sum(self, builder, size, data_seed):
+        data = make_synthetic_dataset(40, seed=data_seed)  # seed 11 is tests/data/stump_data.csv
+        learner, config = builtin_noisy_stump(0.0), TrainConfig(seed=data_seed, exact_q=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no exp overflow (item 7's cause 2) at these sizes
+            if builder == "ptree":
+                tree = grow_tree(data, learner, max_nodes=size, config=config)
+            elif builder == "fixed2":
+                tree = build_fixed_2_matryoshka(data, learner, size, config)
+            else:
+                tree, _ = build_greedy_matryoshka(data, learner, size, config=config)
+            exact = exact_tree_bound(tree, data)
+        recorded = tree.recorded_bound()
+        assert math.isfinite(recorded) and recorded > 0.0
+        for reference in (tree.leaf_sum(), exact):  # relative: the bounds reach 1e-129
+            assert abs(recorded - reference) <= 1e-9 * reference
+
+    def test_accurate_updates_are_kept(self, small_dataset):
+        # a noisy tree's C stays near 1, so every step keeps the incremental update
+        tree = grow_tree(small_dataset, builtin_noisy_stump(0.1), max_nodes=32,
+                         config=TrainConfig(exact_q=True))
+        c = [1.0]
+        for path, node in tree.nodes.items():
+            c.append(c[-1] + tree.leaf_product(path) * (node.z_plus + node.z_minus - 1.0))
+        assert tree.trajectory == c
+        assert 0.0 < tree.c_error <= 1e-12 * tree.recorded_bound()
 
 
 @st.composite
