@@ -59,6 +59,15 @@ def _weighted_mass(weights: np.ndarray, q_plus: np.ndarray) -> np.ndarray:
     return mass
 
 
+def _scale_edges(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
+    """A plain node's or stage's (2, N) + and - edge rows, scaled in place by
+    exp(-alpha_s s y), where ``y`` is the labels as floats: from
+    ``_weighted_mass`` the children's unnormalized weights, from [q, 1 - q]
+    the edge factors q e^{-alpha+ y} and (1 - q) e^{alpha- y}."""
+    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), y))
+    return mass
+
+
 def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:
     """W from ``_weighted_mass``: one take by the positive-first order, then a
     sum over each label's slice.  take keeps rows C-ordered, so each slice row

@@ -18,6 +18,7 @@ import numpy as np
 from ._zstats import (
     LabelSplit,
     WStats,
+    _scale_edges,
     optimal_alphas,
     w_statistics,
     z_min,
@@ -33,6 +34,8 @@ from .weak_learner import (
     _model_metadata,
     _q_estimate,
     _read_metadata,
+    _read_number,
+    _read_q,
     _read_training_sets,
     _train_step,
     _write_training_sets,
@@ -57,11 +60,6 @@ __all__ = [
 ]
 
 
-def _stage_factors(q_plus: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
-    """Each example's factor of one stage: q e^{-alpha+ y} + (1 - q) e^{alpha- y}."""
-    return q_plus * np.exp(-alpha_plus * y) + (1.0 - q_plus) * np.exp(alpha_minus * y)
-
-
 def update_weights(
     weights: np.ndarray,
     q_plus: np.ndarray,
@@ -73,7 +71,7 @@ def update_weights(
     weights = np.asarray(weights, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     y = np.asarray(labels, dtype=float)
-    factors = _stage_factors(q_plus, y, alpha_plus, alpha_minus)
+    factors = np.add(*_scale_edges(np.array((q_plus, 1.0 - q_plus)), y, alpha_plus, alpha_minus))
     z = float(np.sum(weights * factors))
     return weights * factors / z, z
 
@@ -99,10 +97,10 @@ class StageRecord:
     def from_record(cls, record: dict[str, Any], training_sets) -> "StageRecord":
         return cls(
             classifier=classifier_from_record(record["classifier"], training_sets),
-            q_plus=np.array(record["q_plus"], dtype=float),
-            alpha_plus=record["alpha_plus"],
-            alpha_minus=record["alpha_minus"],
-            z=record["z"],
+            q_plus=_read_q(record["q_plus"]),
+            alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
+            alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
+            z=_read_number(record["z"], "z"),
         )
 
 
@@ -252,7 +250,7 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
         q = stage.q_plus
         if len(q) != len(y):
             raise ValueError("dataset size does not match the stored model")
-        factors *= _stage_factors(q, y, stage.alpha_plus, stage.alpha_minus)
+        factors *= np.add(*_scale_edges(np.array((q, 1.0 - q)), y, stage.alpha_plus, stage.alpha_minus))
     return float(np.sum(dataset.weights * factors))
 
 

@@ -108,12 +108,10 @@ class Dataset:
 
     @classmethod
     def from_arrays(cls, features, labels, weights=None) -> "Dataset":
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=int)
         if weights is None:
-            weights = np.full(len(labels), 1.0 / len(labels))
+            weights = np.full(len(labels), 1.0 / max(len(labels), 1))
         else:
-            weights = normalize_weights(np.asarray(weights, dtype=float))
+            weights = normalize_weights(weights)
         return cls(features, labels, weights)
 
 
@@ -219,17 +217,15 @@ def _key_schedule(key: tuple[int, int]) -> _KeySchedule:
     return tuple(schedule)
 
 
-def _philox4x32(counter: tuple, key: tuple[int, int] | _KeySchedule) -> tuple[np.ndarray, ...]:
+def _philox4x32(counter: tuple, key: _KeySchedule) -> tuple[np.ndarray, ...]:
     """Philox4x32-10 (Salmon et al., SC'11): four 32-bit counter words (arrays
-    that broadcast, c0 and c1 of one shape and c2 and c3 of another) and two
-    32-bit key words, or their ``_key_schedule``, to four 32-bit output words
+    that broadcast, c0 and c1 of one shape and c2 and c3 of another) and the
+    ``_key_schedule`` of two 32-bit key words to four 32-bit output words
     held in uint64 arrays.
 
     The first round runs out of place: its words take the full broadcast
     shape and share no memory with the counter.  Each later round builds its
     words in place from its own two products."""
-    if len(key) == 2:
-        key = _key_schedule(key)
     c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
     (k0, k1), *rounds = key
     p0 = _PHILOX_M[0] * c0

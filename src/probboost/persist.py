@@ -22,5 +22,5 @@ def load_model(path: str | Path):
         raise ValueError(f"unknown model kind {kind!r}")
     try:
         return (AdaboostModel if kind == "adaboost" else TreeModel).from_record(record)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {kind} record ({type(exc).__name__}: {exc})") from None

@@ -31,13 +31,15 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import LabelSplit, _w_of_mass, _weighted_mass, optimal_alphas
+from ._zstats import LabelSplit, _scale_edges, _w_of_mass, _weighted_mass, optimal_alphas
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
     _model_metadata,
     _plain_outcomes,
     _read_metadata,
+    _read_number,
+    _read_q,
     _read_training_sets,
     _train_step,
     _write_training_sets,
@@ -104,14 +106,6 @@ def _split_mass(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus:
     return d_plus, z_plus, d_minus, z_minus
 
 
-def _scale_edges(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
-    """A plain node's (2, N) + and - edge rows, scaled in place by exp(-alpha_s s y),
-    where ``y`` is the labels as floats: from [w q, w (1 - q)] the children's
-    unnormalized weights, from [q, 1 - q] the edge factors."""
-    mass *= np.exp(np.multiply.outer((-alpha_plus, alpha_minus), y))
-    return mass
-
-
 def _sign(edge: str) -> int:
     """The sign of an edge of a path: +1 for '+', -1 for '-'."""
     return 1 if edge == "+" else -1
@@ -149,17 +143,12 @@ def _table_factor(columns: np.ndarray, negative: np.ndarray, table: np.ndarray) 
     return columns.sum(axis=1)
 
 
-def _fit_edge_scale(label_mass: np.ndarray, h: np.ndarray) -> float:
+def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
     """Descend Z(a) = sum_k M+_k exp(-a h_k) + M-_k exp(a h_k) from a = 1, where
     ``label_mass`` is (M+, M-): each outcome's weight * reach summed over the
     +1 examples, then the -1 examples.  Z is convex in a; damped Newton steps
-    are taken only when they lower Z, so the result never has a larger Z than a = 1.
-    """
-    return _fit_edge(label_mass, h)[0]
-
-
-def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """``_fit_edge_scale``'s alpha and ``_exp_table(alpha, h)``, bit for bit.
+    are taken only when they lower Z, so the result never has a larger Z than
+    a = 1.  Returns alpha and ``_exp_table(alpha, h)``, bit for bit.
 
     A Newton step and its halvings, down to |step| <= 1e-12 max(1, |alpha|),
     are the rows of one exp pass (of at most ``MAX_BLOCK_DRAWS`` entries, so
@@ -266,11 +255,11 @@ class TreeNode:
         decode = CompositeNode.from_record if composite else classifier_from_record
         return cls(
             classifier=decode(record["classifier"], training_sets),
-            q_plus=None if composite else np.array(record["q_plus"], dtype=float),
-            alpha_plus=record["alpha_plus"],
-            alpha_minus=record["alpha_minus"],
-            z_plus=record["z_plus"],
-            z_minus=record["z_minus"],
+            q_plus=None if composite else _read_q(record["q_plus"]),
+            alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
+            alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
+            z_plus=_read_number(record["z_plus"], "z_plus"),
+            z_minus=_read_number(record["z_minus"], "z_minus"),
         )
 
 
@@ -340,7 +329,7 @@ class TreeModel:
         return cls(
             metadata=_read_metadata(record),
             nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
-            trajectory=list(record.get("trajectory", [])),
+            trajectory=[_read_number(c, "trajectory") for c in record.get("trajectory", [])],
         )
 
 
@@ -381,14 +370,6 @@ class CompositeNode(ProbClassifier):
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
 
-    def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The score of the first inner walk whose cumulative reach on the row
-        exceeds u.  (A tree walk descends into the inner tree instead.)"""
-        reach, scores = self.outcomes(X)
-        # outcome-major, so that counting the outcomes below u adds whole rows
-        picked = np.sum(np.cumsum(reach, axis=1).T.copy() <= np.asarray(u)[..., None, :], axis=-2)
-        return scores[np.minimum(picked, len(scores) - 1)]
-
     def training_sets(self):
         for node in self.inner.nodes.values():
             yield from node.classifier.training_sets()
@@ -413,14 +394,12 @@ def _drop_walk_tables(tree: TreeModel) -> None:
 
 def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(reach, scores) of a node's classifier on the rows X.  Without X the
-    rows are the training examples and come from what training stored: a
-    plain node draws +1 with its stored q and -1 otherwise; a composite
-    draws its inner walks."""
-    if X is not None:
-        return node.classifier.outcomes(X)
+    rows are the training examples and come from what training stored.  A
+    plain node draws +1 with its q(+), stored or its classifier's ``_q(X)``,
+    and -1 otherwise; a composite draws its inner walks."""
     if isinstance(node.classifier, CompositeNode):
-        return node.classifier.leaf_table
-    return _plain_outcomes(node.q_plus)
+        return node.classifier.leaf_table if X is None else node.classifier.outcomes(X)
+    return _plain_outcomes(node.q_plus if X is None else node.classifier._q(X))
 
 
 def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

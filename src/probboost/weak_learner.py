@@ -83,6 +83,25 @@ def _read_metadata(record: dict[str, Any]) -> dict[str, Any]:
     return metadata
 
 
+def _read_number(value, name: str, valid=math.isfinite, what: str = "a finite number"):
+    """A number of a model record as JSON gave it; a TypeError refuses any
+    other value (a bool is not a number) and any that ``valid`` rejects."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _read_q(values) -> np.ndarray:
+    """The stored q(+) of a model record: numbers in [0, 1] (a nan fails both bounds), as floats."""
+    try:
+        q = np.asarray(values)
+    except ValueError:  # a ragged nesting of lists
+        q = np.empty(())
+    if q.ndim != 1 or q.dtype.kind not in "iuf" or not q.min(initial=0.0) >= 0.0 or not q.max(initial=1.0) <= 1.0:
+        raise TypeError("q_plus must be a list of numbers in [0, 1]")
+    return q.astype(float, copy=False)
+
+
 class ProbClassifier(ABC):
     """A per-input Bernoulli oracle over {-1, +1}."""
 
@@ -94,23 +113,25 @@ class ProbClassifier(ABC):
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(reach (len(X), K), scores (K,)): the probability of each outcome
         the classifier can draw on each row of X, and that outcome's score.
-        A plain classifier draws +1 with its exact q(+, x), else -1
-        (``_plain_outcomes``).  Only a classifier whose q is known has them."""
+        Only a classifier whose q is known has them."""
         raise NotImplementedError("exact q unavailable; sample instead")
 
+    def _q(self, X: np.ndarray) -> np.ndarray:
+        """Exact q(+, x) on each row of X, which draws, exact q and a plain node's
+        walk columns read: the reach of the outcomes whose score is >= 0."""
+        reach, scores = self.outcomes(X)
+        return reach[:, scores >= 0.0].sum(axis=1)
+
     def q_plus(self, x: np.ndarray) -> float:
-        """Exact q(+, x) on one row: the probability of drawing a score >= 0."""
-        reach, scores = self.outcomes(np.asarray(x, dtype=float)[None])
-        return float(reach[0, scores >= 0.0].sum())
+        """Exact q(+, x) on one row."""
+        return float(self._q(np.asarray(x, dtype=float)[None])[0])
 
     def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Draws from uniforms u in [0, 1) of shape (..., len(X)), whose last
         axis runs over the rows of X: the scores drawn, in u's shape, whose
-        sign is the branch a tree takes; a plain classifier draws +1 where
-        u < q(+, x), else -1.  A classifier without exact q, or with other
-        outcomes than +/-1, overrides this."""
-        reach, _ = self.outcomes(X)
-        return np.where(np.asarray(u) < reach[:, 0], 1.0, -1.0)
+        sign is the branch a tree takes.  By default +1 where u < q(+, x),
+        else -1; a classifier without exact q overrides this."""
+        return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
 
     def training_sets(self):
         """The ``TrainingSet`` lookups the classifier holds; a model file
@@ -129,17 +150,13 @@ def _plain_outcomes(q_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _PlainClassifier(ProbClassifier):
     """A built-in plain classifier: it defines its exact q(+, x) on rows X,
-    ``_q(X)``, once, and its outcome table, its draws and exact ``node_q``
-    are read from that q."""
+    ``_q(X)``, once, and its outcome table is read from that q."""
 
     @abstractmethod
     def _q(self, X: np.ndarray) -> np.ndarray: ...
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _plain_outcomes(self._q(X))
-
-    def sample_batch(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
 
 
 class WeakLearner(ABC):
@@ -240,10 +257,7 @@ def node_q(classifier, dataset, weights, config, stream, purpose: str) -> np.nda
     if classifier.leaf_table is not None:
         return None
     if config.exact_q:
-        if isinstance(classifier, _PlainClassifier):
-            return classifier._q(dataset.features)
-        reach, scores = classifier.outcomes(dataset.features)
-        return reach[:, 0].copy() if scores is PLAIN_SCORES else reach[:, scores >= 0.0].sum(axis=1)
+        return classifier._q(dataset.features)
     return estimate_q_strategy_A(classifier, dataset, weights, stream, purpose, config.estimator)[0]
 
 
@@ -361,7 +375,7 @@ class ConstantEdgeClassifier(_PlainClassifier):
                 f"malformed constant-edge record: training set {record['training_set']!r} "
                 "is not in the model's training_sets table"
             )
-        return cls(record["epsilon"], training_set)
+        return cls(_read_number(record["epsilon"], "epsilon", lambda e: 0.0 < e <= 0.5, "in (0, 0.5]"), training_set)
 
 
 class ConstantEdgeLearner(WeakLearner):
@@ -406,6 +420,8 @@ class StumpClassifier(_PlainClassifier):
         X = np.asarray(X, dtype=float)
         if self.constant is not None:
             return np.full(len(X), self.constant)
+        if self.feature >= X.shape[1]:
+            raise ValueError(f"stump feature {self.feature} is beyond the rows' {X.shape[1]} columns")
         return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
     def _q(self, X: np.ndarray) -> np.ndarray:
@@ -423,12 +439,13 @@ class StumpClassifier(_PlainClassifier):
 
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "StumpClassifier":
+        constant = record["constant"]
         return cls(
-            record["feature"],
-            record["threshold"],
-            record["polarity"],
-            record["p_flip"],
-            record["constant"],
+            _read_number(record["feature"], "feature", lambda f: isinstance(f, int) and f >= 0, "an int >= 0"),
+            _read_number(record["threshold"], "threshold"),
+            _read_number(record["polarity"], "polarity", lambda p: p in (1, -1), "1 or -1"),
+            _read_number(record["p_flip"], "p_flip", lambda p: 0.0 <= p < 0.5, "in [0, 0.5)"),
+            constant if constant is None else _read_number(constant, "constant", lambda c: c in (1, -1), "1 or -1"),
         )
 
 

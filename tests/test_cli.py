@@ -455,6 +455,26 @@ class TestInputErrors:
         entry["labels"][0] *= -1
         return record
 
+    @staticmethod
+    def _set(value, *key_path):
+        def edit(record):
+            parent = record
+            for key in key_path[:-1]:
+                parent = parent[key]
+            parent[key_path[-1]] = value
+            return record
+
+        return edit
+
+    @staticmethod
+    def _set_every_q(value):
+        def edit(record):
+            for node in record["nodes"].values():
+                node["q_plus"] = [value] * len(node["q_plus"])
+            return record
+
+        return edit
+
     @pytest.mark.parametrize(
         "model, edit, message",
         [
@@ -469,9 +489,35 @@ class TestInputErrors:
              "malformed adaboost record (TypeError: metadata must be a JSON object)"),
             ("edge", _flip_first_table_label, "malformed training set"),
             ("edge", _delete("training_sets"), "malformed constant-edge record: training set"),
+            # every number is decoded where the record is read
+            ("tree", _set("x", "nodes", "", "alpha_plus"),
+             "malformed ptree record (TypeError: alpha_plus must be a finite number, got 'x')"),
+            ("tree", _set(None, "nodes", "", "alpha_plus"),
+             "malformed ptree record (TypeError: alpha_plus must be a finite number, got None)"),
+            ("tree", _set(10**400, "nodes", "", "alpha_plus"),
+             "malformed ptree record (OverflowError: int too large to convert to float)"),
+            ("tree", _set(None, "nodes", "", "q_plus"),
+             "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            ("tree", _set_every_q(2.0),
+             "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            ("tree", _set("a", "nodes", "", "classifier", "feature"),
+             "malformed ptree record (TypeError: feature must be an int >= 0, got 'a')"),
+            # a stump record does not know the model's dimension; the rows refuse it
+            ("tree", _set(9, "nodes", "", "classifier", "feature"),
+             "stump feature 9 is beyond the rows' 2 columns"),
+            ("tree", _set(2, "nodes", "", "classifier", "p_flip"),
+             "malformed ptree record (TypeError: p_flip must be in [0, 0.5), got 2)"),
+            ("tree", _set(["a"], "trajectory"),
+             "malformed ptree record (TypeError: trajectory must be a finite number, got 'a')"),
+            ("ada", _set("a", "stages", 0, "z"),
+             "malformed adaboost record (TypeError: z must be a finite number, got 'a')"),
+            ("edge", _set(0.7, "nodes", "", "classifier", "epsilon"),
+             "malformed ptree record (TypeError: epsilon must be in (0, 0.5], got 0.7)"),
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
-             "ada-metadata-list", "fingerprint-mismatch", "missing-training-set"],
+             "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
+             "alpha-past-float", "q-null", "q-above-one", "feature-string", "feature-beyond-columns",
+             "p-flip-two", "trajectory-string", "ada-z-string", "epsilon-above-half"],
     )
     def test_malformed_model_file(self, runner, files, model, edit, message):
         record = edit(json.loads(files[model].read_text()))

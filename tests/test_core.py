@@ -88,6 +88,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="at least one column"):
             Dataset(np.zeros((2, 0)), np.array([1, -1]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("features", [[], np.zeros((0, 2))], ids=["empty-list", "zero-rows"])
+    def test_no_examples_rejected(self, features):
+        with pytest.raises(ValueError, match=r"features must be a non-empty \(N, d\) array"):
+            Dataset.from_arrays(features, [])
+
     def test_weight_sum_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array([0.6, 0.6]))
@@ -244,7 +249,7 @@ class TestRandomStream:
         ],
     )
     def test_philox_known_answers(self, counter, key, expected):
-        assert tuple(int(w) for w in _philox4x32(counter, key)) == expected
+        assert tuple(int(w) for w in _philox4x32(counter, _key_schedule(key))) == expected
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data(), st.sampled_from([(), (5,), (3, 1)]), st.sampled_from([(), (5,), (3, 1)]), st.tuples(_WORD, _WORD))
@@ -257,12 +262,11 @@ class TestRandomStream:
         counter = (word(shape01), word(shape01), word(shape23), word(shape23))
         before = [np.copy(c) for c in counter]
         shape = np.broadcast_shapes(shape01, shape23)
-        for k in (key, _key_schedule(key)):
-            out = _philox4x32(counter, k)
-            assert all(np.shape(w) == shape for w in out)
-            for i in np.ndindex(shape):
-                words = tuple(int(np.broadcast_to(c, shape)[i]) for c in counter)
-                assert tuple(int(np.asarray(w)[i]) for w in out) == _philox_reference(words, key)
+        out = _philox4x32(counter, _key_schedule(key))
+        assert all(np.shape(w) == shape for w in out)
+        for i in np.ndindex(shape):
+            words = tuple(int(np.broadcast_to(c, shape)[i]) for c in counter)
+            assert tuple(int(np.asarray(w)[i]) for w in out) == _philox_reference(words, key)
         for c, b in zip(counter, before):  # the rounds in place left the counter alone
             np.testing.assert_array_equal(c, b)
 
@@ -335,7 +339,7 @@ class TestRandomStream:
         # the unsplit evaluation, all draws in one Philox call
         e, c = np.asarray(examples, dtype=np.uint64), np.asarray(counters, dtype=np.uint64)
         mask, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-        w0, w1, _, _ = _philox4x32((e & mask, e >> shift, c & mask, c >> shift), s._key("p"))
+        w0, w1, _, _ = _philox4x32((e & mask, e >> shift, c & mask, c >> shift), _key_schedule(s._key("p")))
         whole = ((w0 << np.uint64(21)) ^ (w1 >> np.uint64(11))).astype(float) * 2.0**-53
         np.testing.assert_array_equal(u, whole)
         flat_e, flat_c = (a.ravel() for a in np.broadcast_arrays(examples, counters))

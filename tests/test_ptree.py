@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probboost import core, ptree
+from probboost import _zstats, core, ptree
 from probboost._zstats import LabelSplit, WStats, optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
@@ -766,7 +766,7 @@ class TestCompositeEdgeFit:
         # (example, outcome) pair; the fit matches its naive form bit for bit
         y, h, reach, weights = self._case(seed)
         mass = self._label_sums(weights, y, reach)
-        assert ptree._fit_edge_scale(mass, h) == self._one_trial_at_a_time(mass, h)
+        assert ptree._fit_edge(mass, h)[0] == self._one_trial_at_a_time(mass, h)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exp_table_is_the_outer_product_form(self, seed):
@@ -814,7 +814,7 @@ class TestCompositeEdgeFit:
                 h = scores[side]
                 mass = self._label_sums(weights, y, reach[:, side])
                 expected = self._one_trial_at_a_time(mass, h)
-                assert ptree._fit_edge_scale(mass, h) == expected
+                assert ptree._fit_edge(mass, h)[0] == expected
                 assert alpha == expected
                 np.testing.assert_array_equal(table, ptree._exp_table(alpha, h))
 
@@ -855,7 +855,7 @@ def _reference_scored_children(weights, y, reach, scores):
     edges = []
     for sign in (1, -1):
         side = ptree._side(scores, sign)
-        alpha = ptree._fit_edge_scale(label_sums[:, side].ravel(), scores[side])
+        alpha = ptree._fit_edge(label_sums[:, side].ravel(), scores[side])[0]
         mass = weights * _reference_edge_factor(reach, scores, y, sign, alpha)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
@@ -986,7 +986,7 @@ class TestPlainEdgeFactors:
     def test_shared_kernel_is_the_outcome_table_form(self, case):
         q, labels, a_plus, a_minus = case
         y = labels.astype(float)
-        factors = ptree._scale_edges(np.array((q, 1.0 - q)), y, a_plus, a_minus)
+        factors = _zstats._scale_edges(np.array((q, 1.0 - q)), y, a_plus, a_minus)
         reach, scores = _plain_outcomes(q)
         for factor, sign, alpha in ((factors[0], 1, a_plus), (factors[1], -1, a_minus)):
             assert factor.tobytes() == ptree._edge_factor(reach, scores, y, sign, alpha).tobytes()

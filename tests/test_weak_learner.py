@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from probboost import adaboost, weak_learner
 from probboost.adaboost import TrainConfig, _log_rate, train_adaboost
-from probboost.core import Dataset, RandomStream, make_synthetic_dataset
+from probboost.core import Dataset, RandomStream, _mc_summary, make_synthetic_dataset
 from probboost._zstats import optimal_alphas, w_statistics, z_value
 from probboost.matryoshka import build_fixed_2_matryoshka
-from probboost.ptree import CompositeNode, grow_tree
+from probboost.ptree import CompositeNode, TreeModel, TreeNode, grow_tree, predict_tree, walk_table
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
     ProbClassifier,
@@ -521,6 +521,88 @@ class TestPlainOutcomes:
             assert drawn.tobytes() == ProbClassifier.sample_batch(classifier, X, u).tobytes()
 
 
+class _TableOutcomes(ProbClassifier):
+    """User outcomes only: row i of X (its first feature is i) draws score
+    k with probability reach[i, k]."""
+
+    def __init__(self, reach, scores):
+        self.reach, self.scores = reach, scores
+
+    def outcomes(self, X):
+        return self.reach[np.asarray(X, dtype=float)[:, 0].astype(int)], self.scores
+
+    def to_record(self):
+        return {"kind": "table-outcomes"}
+
+
+@st.composite
+def _user_outcomes(draw):
+    """Outcome tables of 1 to 5 columns in any order: scores with 0,
+    negatives and values other than +/-1, and reach rows that sum to 1 and
+    may hold zeros."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    score = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, -1e-9]) | st.floats(-4.0, 4.0)
+    scores = np.array(draw(st.lists(score, min_size=k, max_size=k)))
+    mass = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rows = [draw(st.lists(mass, min_size=k, max_size=k).filter(lambda row: sum(row) > 0.0)) for _ in range(n)]
+    reach = np.array(rows)
+    return reach / reach.sum(axis=1, keepdims=True), scores
+
+
+class _Flipped(ProbClassifier):
+    """Outcome columns (-1, +1): q(+) is 0.9 on rows with f0 >= 0, else 0.1."""
+
+    def outcomes(self, X):
+        q = np.where(X[:, 0] >= 0.0, 0.9, 0.1)
+        return np.column_stack([1.0 - q, q]), np.array([-1.0, 1.0])
+
+    def to_record(self):
+        return {"kind": "flipped"}
+
+
+class TestOneQRule:
+    """q(+) of a user classifier is the reach of its outcomes whose score is
+    >= 0, wherever it is read: draws, exact node_q, q_plus and walk columns."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_user_outcomes())
+    def test_every_reader_takes_the_reach_of_scores_at_least_zero(self, table):
+        reach, scores = table
+        n = len(reach)
+        classifier = _TableOutcomes(reach, scores)
+        X = np.arange(n, dtype=float)[:, None]
+        q = reach[:, scores >= 0.0].sum(axis=1)
+        for u in (RandomStream(3).uniforms("u", np.arange(n), 0),
+                  RandomStream(3).uniforms("u", np.arange(n), np.arange(4)[:, None]),
+                  np.clip(q, 0.0, np.nextafter(1.0, 0.0))):  # u == q draws -1
+            assert classifier.sample_batch(X, u).tobytes() == np.where(u < q, 1.0, -1.0).tobytes()
+        dataset = Dataset.from_arrays(X, np.where(np.arange(n) % 2 == 0, 1, -1))
+        exact = weak_learner.node_q(classifier, dataset, dataset.weights, TrainConfig(exact_q=True),
+                                    RandomStream(0), "q")
+        assert exact.tobytes() == q.tobytes()
+        assert np.array([classifier.q_plus(x) for x in X]).tobytes() == q.tobytes()
+        tree = TreeModel(nodes={"": TreeNode(classifier, q, 1.0, 1.0, 0.5, 0.5)})
+        for got, expected in zip(walk_table(tree, X), weak_learner._plain_outcomes(q)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_minus_first_columns(self):
+        # the + column comes second: strategy A estimates q, not 1 - q
+        dataset = make_synthetic_dataset(40, seed=0)
+        classifier = _Flipped()
+        q = np.where(dataset.features[:, 0] >= 0.0, 0.9, 0.1)
+        estimate, _ = estimate_q_strategy_A(classifier, dataset, dataset.weights, RandomStream(0))
+        assert np.mean(np.abs(estimate - q)) < 0.2 < np.mean(np.abs(estimate - (1.0 - q)))
+        # and an exact-q tree's Monte-Carlo 0/1 loss is the enumerated one
+        tree = grow_tree(dataset, _Returns(classifier), max_nodes=4, config=TrainConfig(exact_q=True))
+        scores, _ = predict_tree(tree, dataset.features, RandomStream(1), "mc", 2000, leaves=False)
+        loss, se = _mc_summary(scores, dataset)
+        reach, walk_scores = walk_table(tree, dataset.features)
+        wrong = walk_scores[None, :] * dataset.labels[:, None] <= 0.0  # ties count as errors
+        exact = float(np.sum(reach * wrong, axis=1) @ dataset.weights)
+        assert abs(loss - exact) < 5 * se
+
+
 class TestUserLearner:
     def test_trains_from_dataset_and_weights(self, small_dataset):
         class Edge(WeakLearner):
@@ -756,14 +838,17 @@ class TestNoisyStump:
     @pytest.mark.parametrize("p_flip", [0.0, 0.1, 0.3, 0.5 - 1e-12])
     def test_sample_batch_is_the_outcome_count(self, small_dataset, p_flip):
         # a plain draw equals counting the outcomes whose cumulative reach is
-        # at most u, the path a composite samples by, bit for bit, u == q included
+        # at most u, bit for bit, u == q included
         clf = StumpClassifier(0, 0.0, 1, p_flip)
         q = clf.outcomes(small_dataset.features)[0][:, 0]
         u = RandomStream(2).uniforms("u", np.arange(small_dataset.n_examples), np.arange(6)[:, None])
         u[0], u[1], u[2] = q, np.nextafter(q, 0.0), np.nextafter(q, 1.0)
         u = np.clip(u, 0.0, np.nextafter(1.0, 0.0))  # uniforms lie in [0, 1)
-        drawn = clf.sample_batch(small_dataset.features, u)
-        assert drawn.tobytes() == CompositeNode.sample_batch(clf, small_dataset.features, u).tobytes()
+        reach, scores = clf.outcomes(small_dataset.features)
+        # the outcomes whose cumulative reach is at most u, counted outcome-major
+        picked = np.sum(np.cumsum(reach, axis=1).T.copy() <= u[..., None, :], axis=-2)
+        counted = scores[np.minimum(picked, len(scores) - 1)]
+        assert clf.sample_batch(small_dataset.features, u).tobytes() == counted.tobytes()
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights)
