@@ -68,6 +68,12 @@ def _scale_edges(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus
     return mass
 
 
+def _stage_factor(q: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> np.ndarray:
+    """A plain stage's expected edge factor on each example, the sum of
+    ``_scale_edges``' rows from [q, 1 - q]: q e^{-alpha+ y} + (1 - q) e^{alpha- y}."""
+    return np.add(*_scale_edges(np.array((q, 1.0 - q)), y, alpha_plus, alpha_minus))
+
+
 def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:
     """W from ``_weighted_mass``: one take by the positive-first order, then a
     sum over each label's slice.  take keeps rows C-ordered, so each slice row

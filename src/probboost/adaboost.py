@@ -18,7 +18,7 @@ import numpy as np
 from ._zstats import (
     LabelSplit,
     WStats,
-    _scale_edges,
+    _stage_factor,
     optimal_alphas,
     w_statistics,
     z_min,
@@ -30,6 +30,7 @@ from .weak_learner import (
     ProbClassifier,
     TrainConfig,
     WeakLearner,
+    _check_features,
     _draw_plus,
     _model_metadata,
     _q_estimate,
@@ -71,7 +72,7 @@ def update_weights(
     weights = np.asarray(weights, dtype=float)
     q_plus = np.asarray(q_plus, dtype=float)
     y = np.asarray(labels, dtype=float)
-    factors = np.add(*_scale_edges(np.array((q_plus, 1.0 - q_plus)), y, alpha_plus, alpha_minus))
+    factors = _stage_factor(q_plus, y, alpha_plus, alpha_minus)
     z = float(np.sum(weights * factors))
     return weights * factors / z, z
 
@@ -132,10 +133,9 @@ class AdaboostModel:
             raise ValueError("not an adaboost model record")
         metadata = _read_metadata(record)
         training_sets = _read_training_sets(record)
-        return cls(
-            stages=[StageRecord.from_record(s, training_sets) for s in record["stages"]],
-            metadata=metadata,
-        )
+        stages = [StageRecord.from_record(s, training_sets) for s in record["stages"]]
+        _check_features((stage.classifier for stage in stages), metadata)
+        return cls(stages=stages, metadata=metadata)
 
 
 def _make_stage(
@@ -250,7 +250,7 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
         q = stage.q_plus
         if len(q) != len(y):
             raise ValueError("dataset size does not match the stored model")
-        factors *= np.add(*_scale_edges(np.array((q, 1.0 - q)), y, stage.alpha_plus, stage.alpha_minus))
+        factors *= _stage_factor(q, y, stage.alpha_plus, stage.alpha_minus)
     return float(np.sum(dataset.weights * factors))
 
 

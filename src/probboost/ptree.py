@@ -35,6 +35,7 @@ from ._zstats import LabelSplit, _scale_edges, _w_of_mass, _weighted_mass, optim
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
+    _check_features,
     _model_metadata,
     _plain_outcomes,
     _read_metadata,
@@ -326,11 +327,22 @@ class TreeModel:
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "TreeModel":
-        return cls(
+        tree = cls(
             metadata=_read_metadata(record),
             nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
             trajectory=[_read_number(c, "trajectory") for c in record.get("trajectory", [])],
         )
+        _check_features(_plain_classifiers(tree), tree.metadata)
+        return tree
+
+
+def _plain_classifiers(tree: TreeModel):
+    """The plain classifiers of ``tree``'s nodes, composites' inner nodes included."""
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            yield from _plain_classifiers(node.classifier.inner)
+        else:
+            yield node.classifier
 
 
 def _nodes_from_record(nodes: dict[str, Any], training_sets) -> dict[str, TreeNode]:

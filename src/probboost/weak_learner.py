@@ -83,12 +83,24 @@ def _read_metadata(record: dict[str, Any]) -> dict[str, Any]:
     return metadata
 
 
-def _read_number(value, name: str, valid=math.isfinite, what: str = "a finite number"):
+def _read_number(value, name: str, valid=None, what: str = "a number"):
     """A number of a model record as JSON gave it; a TypeError refuses any
-    other value (a bool is not a number) and any that ``valid`` rejects."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
+    other value (a bool is not a number) and any that ``valid``, if given, rejects, and
+    an integer past a float raises OverflowError.  A nan or an infinity is a
+    number: training records one where a bound or an edge fit overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or valid and not valid(value):
         raise TypeError(f"{name} must be {what}, got {value!r}")
+    float(value)
     return value
+
+
+def _check_features(classifiers, metadata: dict[str, Any]) -> None:
+    """Refuse a stump whose feature is beyond the model's recorded dimension
+    (older AdaBoost files record none)."""
+    dimension = metadata.get("dimension")
+    for classifier in classifiers:
+        if dimension is not None and isinstance(classifier, StumpClassifier) and classifier.feature >= dimension:
+            raise TypeError(f"feature must be below the model's dimension {dimension}, got {classifier.feature}")
 
 
 def _read_q(values) -> np.ndarray:
@@ -420,8 +432,6 @@ class StumpClassifier(_PlainClassifier):
         X = np.asarray(X, dtype=float)
         if self.constant is not None:
             return np.full(len(X), self.constant)
-        if self.feature >= X.shape[1]:
-            raise ValueError(f"stump feature {self.feature} is beyond the rows' {X.shape[1]} columns")
         return np.where(X[:, self.feature] >= self.threshold, 1, -1) * self.polarity
 
     def _q(self, X: np.ndarray) -> np.ndarray:

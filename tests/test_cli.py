@@ -491,9 +491,9 @@ class TestInputErrors:
             ("edge", _delete("training_sets"), "malformed constant-edge record: training set"),
             # every number is decoded where the record is read
             ("tree", _set("x", "nodes", "", "alpha_plus"),
-             "malformed ptree record (TypeError: alpha_plus must be a finite number, got 'x')"),
+             "malformed ptree record (TypeError: alpha_plus must be a number, got 'x')"),
             ("tree", _set(None, "nodes", "", "alpha_plus"),
-             "malformed ptree record (TypeError: alpha_plus must be a finite number, got None)"),
+             "malformed ptree record (TypeError: alpha_plus must be a number, got None)"),
             ("tree", _set(10**400, "nodes", "", "alpha_plus"),
              "malformed ptree record (OverflowError: int too large to convert to float)"),
             ("tree", _set(None, "nodes", "", "q_plus"),
@@ -502,22 +502,24 @@ class TestInputErrors:
              "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
             ("tree", _set("a", "nodes", "", "classifier", "feature"),
              "malformed ptree record (TypeError: feature must be an int >= 0, got 'a')"),
-            # a stump record does not know the model's dimension; the rows refuse it
             ("tree", _set(9, "nodes", "", "classifier", "feature"),
-             "stump feature 9 is beyond the rows' 2 columns"),
+             "malformed ptree record (TypeError: feature must be below the model's dimension 2, got 9)"),
+            ("ada", _set(2, "stages", 0, "classifier", "feature"),
+             "malformed adaboost record (TypeError: feature must be below the model's dimension 2, got 2)"),
             ("tree", _set(2, "nodes", "", "classifier", "p_flip"),
              "malformed ptree record (TypeError: p_flip must be in [0, 0.5), got 2)"),
             ("tree", _set(["a"], "trajectory"),
-             "malformed ptree record (TypeError: trajectory must be a finite number, got 'a')"),
+             "malformed ptree record (TypeError: trajectory must be a number, got 'a')"),
             ("ada", _set("a", "stages", 0, "z"),
-             "malformed adaboost record (TypeError: z must be a finite number, got 'a')"),
+             "malformed adaboost record (TypeError: z must be a number, got 'a')"),
             ("edge", _set(0.7, "nodes", "", "classifier", "epsilon"),
              "malformed ptree record (TypeError: epsilon must be in (0, 0.5], got 0.7)"),
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
              "alpha-past-float", "q-null", "q-above-one", "feature-string", "feature-beyond-columns",
-             "p-flip-two", "trajectory-string", "ada-z-string", "epsilon-above-half"],
+             "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
+             "epsilon-above-half"],
     )
     def test_malformed_model_file(self, runner, files, model, edit, message):
         record = edit(json.loads(files[model].read_text()))
@@ -527,6 +529,18 @@ class TestInputErrors:
         assert result.output.startswith("Error: ") and message in result.output
         assert len(result.output.splitlines()) == 1
         assert "Traceback" not in result.output
+
+    def test_non_finite_numbers_load(self, runner, files):
+        # training records nan where a bound cancels or an edge's 0 * inf
+        # is nan, and inf where a value overflows; eval prints them
+        record = json.loads(files["tree"].read_text())
+        record["trajectory"][-1] = math.nan
+        record["nodes"][""].update(z_plus=math.nan, z_minus=math.inf)
+        record["nodes"][""]["classifier"]["threshold"] = math.inf
+        files["tree"].write_text(json.dumps(record))
+        result = runner.invoke(main, ["eval", "--model", str(files["tree"])])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1] == "recorded training bound: nan"
 
     def test_non_json_model_file(self, runner, tmp_path):
         text = tmp_path / "notes.md"

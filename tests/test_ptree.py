@@ -990,6 +990,8 @@ class TestPlainEdgeFactors:
         reach, scores = _plain_outcomes(q)
         for factor, sign, alpha in ((factors[0], 1, a_plus), (factors[1], -1, a_minus)):
             assert factor.tobytes() == ptree._edge_factor(reach, scores, y, sign, alpha).tobytes()
+        # an AdaBoost stage's factor is their sum
+        assert _zstats._stage_factor(q, y, a_plus, a_minus).tobytes() == (factors[0] + factors[1]).tobytes()
         # and exact_tree_bound takes them so: a one-node tree's bound is the old sum
         dataset = Dataset.from_arrays(np.zeros((len(q), 1)), labels)
         tree = TreeModel(nodes={"": TreeNode(StumpClassifier(0, 0.0, 1, 0.5), q, a_plus, a_minus, 0.5, 0.5)})
