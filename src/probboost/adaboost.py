@@ -39,6 +39,7 @@ from .weak_learner import (
     _read_q,
     _read_training_sets,
     _train_step,
+    _write_q,
     _write_training_sets,
     classifier_from_record,
     map_z_estimate,
@@ -88,7 +89,7 @@ class StageRecord:
     def to_record(self) -> dict[str, Any]:
         return {
             "classifier": self.classifier.to_record(),
-            "q_plus": self.q_plus.tolist(),
+            "q_plus": _write_q(self.classifier, self.q_plus),
             "alpha_plus": self.alpha_plus,
             "alpha_minus": self.alpha_minus,
             "z": self.z,
@@ -96,9 +97,10 @@ class StageRecord:
 
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "StageRecord":
+        classifier = classifier_from_record(record["classifier"], training_sets)
         return cls(
-            classifier=classifier_from_record(record["classifier"], training_sets),
-            q_plus=_read_q(record["q_plus"]),
+            classifier=classifier,
+            q_plus=_read_q(record["q_plus"], classifier),
             alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
             alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
             z=_read_number(record["z"], "z"),

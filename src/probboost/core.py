@@ -58,6 +58,16 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     return out / total
 
 
+def _checked_weights(weights, n: int) -> np.ndarray:
+    """A dataset's weights as floats: n of them, nonnegative and summing to 1."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValueError("labels/weights must match the number of examples")
+    if not weights.min() >= 0.0 or abs(weights.sum() - 1.0) > 1e-12:  # a nan minimum fails >= 0, inf the sum
+        raise ValueError("weights must be finite, nonnegative and sum to 1")
+    return weights
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Weighted binary-labeled examples (X_n, y_n, D(n)), weights summing to 1."""
@@ -81,11 +91,9 @@ class Dataset:
             raise ValueError("labels/weights must match the number of examples")
         if not (np.abs(labels) == 1).all():  # np.isin would sort; builders make many Datasets
             raise ValueError("labels must be -1 or +1")
-        if not (weights >= 0.0).all() or abs(weights.sum() - 1.0) > 1e-12:  # nan fails >= 0, inf the sum
-            raise ValueError("weights must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _checked_weights(weights, n))
 
     @cached_property
     def label_split(self) -> LabelSplit:
@@ -93,9 +101,11 @@ class Dataset:
         return LabelSplit.of(self.labels)
 
     def reweighted(self, weights) -> "Dataset":
-        """These examples under other weights; they share this ``label_split``."""
-        dataset = Dataset(self.features, self.labels, weights)
-        object.__setattr__(dataset, "label_split", self.label_split)
+        """These examples under other weights; they share this ``label_split``.
+        Only the weights are checked: the features and labels are these."""
+        dataset = object.__new__(Dataset)
+        dataset.__dict__.update(self.__dict__, weights=_checked_weights(weights, self.n_examples),
+                                label_split=self.label_split)
         return dataset
 
     @property

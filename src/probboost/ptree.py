@@ -43,6 +43,7 @@ from .weak_learner import (
     _read_q,
     _read_training_sets,
     _train_step,
+    _write_q,
     _write_training_sets,
     classifier_from_record,
     node_q,
@@ -243,7 +244,7 @@ class TreeNode:
     def to_record(self) -> dict[str, Any]:
         return {
             "classifier": self.classifier.to_record(),
-            "q_plus": None if self.q_plus is None else self.q_plus.tolist(),
+            "q_plus": _write_q(self.classifier, self.q_plus),
             "alpha_plus": self.alpha_plus,
             "alpha_minus": self.alpha_minus,
             "z_plus": self.z_plus,
@@ -254,9 +255,10 @@ class TreeNode:
     def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
         composite = record["classifier"].get("kind") == "composite"  # older files store its q too
         decode = CompositeNode.from_record if composite else classifier_from_record
+        classifier = decode(record["classifier"], training_sets)
         return cls(
-            classifier=decode(record["classifier"], training_sets),
-            q_plus=None if composite else _read_q(record["q_plus"]),
+            classifier=classifier,
+            q_plus=None if composite else _read_q(record["q_plus"], classifier),
             alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
             alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
             z_plus=_read_number(record["z_plus"], "z_plus"),

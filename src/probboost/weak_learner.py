@@ -103,8 +103,27 @@ def _check_features(classifiers, metadata: dict[str, Any]) -> None:
             raise TypeError(f"feature must be below the model's dimension {dimension}, got {classifier.feature}")
 
 
-def _read_q(values) -> np.ndarray:
-    """The stored q(+) of a model record: numbers in [0, 1] (a nan fails both bounds), as floats."""
+def _write_q(classifier, q: np.ndarray | None) -> list[float] | None:
+    """The ``q_plus`` a node or stage record stores: null where q is, bit for
+    bit, the q the classifier rebuilds from the model file (``_training_q``),
+    or where there is none (a composite); otherwise q's numbers."""
+    if q is None:
+        return None
+    rebuilt = classifier._training_q()
+    if rebuilt is not None and q.dtype == rebuilt.dtype and q.shape == rebuilt.shape \
+            and q.tobytes() == rebuilt.tobytes():
+        return None
+    return q.tolist()
+
+
+def _read_q(values, classifier) -> np.ndarray:
+    """The q(+) of a node or stage record: where it stores null, the q its
+    classifier rebuilds from the file; otherwise the stored numbers, in [0, 1]
+    (a nan fails both bounds), as floats.  A null that the file cannot
+    rebuild is refused as any other value that is not such a list."""
+    rebuilt = classifier._training_q() if values is None else None
+    if rebuilt is not None:
+        return rebuilt
     try:
         q = np.asarray(values)
     except ValueError:  # a ragged nesting of lists
@@ -149,6 +168,12 @@ class ProbClassifier(ABC):
         """The ``TrainingSet`` lookups the classifier holds; a model file
         stores each one once."""
         return ()
+
+    def _training_q(self) -> np.ndarray | None:
+        """Exact q(+) on the rows the classifier was trained on, where its
+        record and the model file rebuild it: a node or stage with that q
+        then stores none.  None where the file cannot."""
+        return None
 
     @abstractmethod
     def to_record(self) -> dict[str, Any]: ...
@@ -303,6 +328,7 @@ class TrainingSet:
         digest.update((self.features + 0.0).astype("<f8").tobytes())
         digest.update(self.labels.astype("<i8").tobytes())
         self.fingerprint = digest.hexdigest()
+        self._edge_q: dict[float, np.ndarray] = {}  # ConstantEdgeClassifier's q on these rows, by epsilon
         keys = _row_keys(self.features)
         # a repeated row takes the label of its last copy
         self._order = np.argsort(keys, kind="stable")
@@ -363,7 +389,19 @@ class ConstantEdgeClassifier(_PlainClassifier):
         self.training_set = training_set
 
     def _q(self, X: np.ndarray) -> np.ndarray:
-        return np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
+        """On the training rows themselves, which the file holds, q is built
+        once per (training set, epsilon) and shared read-only."""
+        own = X is self.training_set.features
+        q = self.training_set._edge_q.get(self.epsilon) if own else None
+        if q is None:
+            q = np.where(self.training_set.labels_of(X) == 1, 0.5 + self.epsilon, 0.5 - self.epsilon)
+            if own:
+                q.flags.writeable = False
+                self.training_set._edge_q[self.epsilon] = q
+        return q
+
+    def _training_q(self) -> np.ndarray:
+        return self._q(self.training_set.features)
 
     def training_sets(self) -> tuple[TrainingSet, ...]:
         return (self.training_set,)

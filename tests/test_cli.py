@@ -498,6 +498,8 @@ class TestInputErrors:
              "malformed ptree record (OverflowError: int too large to convert to float)"),
             ("tree", _set(None, "nodes", "", "q_plus"),
              "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            ("ada", _set(None, "stages", 0, "q_plus"),
+             "malformed adaboost record (TypeError: q_plus must be a list of numbers in [0, 1])"),
             ("tree", _set_every_q(2.0),
              "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
             ("tree", _set("a", "nodes", "", "classifier", "feature"),
@@ -517,7 +519,7 @@ class TestInputErrors:
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
-             "alpha-past-float", "q-null", "q-above-one", "feature-string", "feature-beyond-columns",
+             "alpha-past-float", "q-null", "ada-q-null", "q-above-one", "feature-string", "feature-beyond-columns",
              "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
              "epsilon-above-half"],
     )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestDataset:
             Dataset(np.zeros((2, 1)), np.array([1, -1]), np.array(weights))
         with pytest.raises(ValueError, match="finite"):
             Dataset.from_arrays(np.zeros((2, 1)), [1, -1], weights)
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([0.5, 0.5, 0.0], "labels/weights must match the number of examples"),
+         ([math.nan, 1.0], "weights must be finite, nonnegative and sum to 1"),
+         ([-0.5, 1.5], "weights must be finite, nonnegative and sum to 1"),
+         ([0.6, 0.6], "weights must be finite, nonnegative and sum to 1")],
+    )
+    def test_reweighted_checks_only_the_weights(self, weights, message):
+        # with Dataset's messages; the features and labels are the parent's
+        data = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
+        unit = data.reweighted(np.array([0.25, 0.75]))
+        assert unit.features is data.features and unit.labels is data.labels
+        assert unit.label_split is data.label_split and unit.weights.tolist() == [0.25, 0.75]
+        assert data.weights.tolist() == [0.5, 0.5]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            data.reweighted(np.array(weights))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(data.features, data.labels, np.array(weights))
 
     def test_synthetic_is_valid(self):
         ds = make_synthetic_dataset(n=11, dim=3, seed=4)

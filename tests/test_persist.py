@@ -15,7 +15,7 @@ from probboost.cli import main
 from probboost.core import make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
-from probboost.ptree import grow_tree
+from probboost.ptree import CompositeNode, grow_tree
 from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle, builtin_noisy_stump
 
 DATA = Path(__file__).parent / "data"
@@ -100,6 +100,40 @@ def _constant_edge_classifiers(model):
             stack.extend(n.classifier for n in classifier.inner.nodes.values())
 
 
+def _plain_records(records, prefix=""):
+    """(path, record) of every plain node or stage record, composites' inner nodes included."""
+    for path, record in records:
+        if record["classifier"]["kind"] == "composite":
+            yield from _plain_records(record["classifier"]["inner"]["nodes"].items(), f"{prefix}{path}/")
+        else:
+            yield prefix + str(path), record
+
+
+def _plain_q(record):
+    """The stored ``q_plus`` of every plain record of a model record, by path."""
+    records = enumerate(record["stages"]) if "stages" in record else record["nodes"].items()
+    return {path: plain["q_plus"] for path, plain in _plain_records(records)}
+
+
+def _plain_nodes(model, prefix=""):
+    """(path, node or stage) of every plain node or stage of a model, as ``_plain_records`` names them."""
+    items = enumerate(model.stages) if hasattr(model, "stages") else model.nodes.items()
+    for path, node in items:
+        if isinstance(node.classifier, CompositeNode):
+            yield from _plain_nodes(node.classifier.inner, f"{prefix}{path}/")
+        else:
+            yield prefix + str(path), node
+
+
+def _numbers_zeroed(value):
+    """A JSON value with each number written as 0: its shape, whatever the numbers' digits."""
+    if isinstance(value, dict):
+        return {key: _numbers_zeroed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_numbers_zeroed(item) for item in value]
+    return 0 if isinstance(value, (int, float)) and not isinstance(value, bool) else value
+
+
 class TestOlderFiles:
     @pytest.mark.parametrize("name", sorted(OLDER_FILES))
     def test_evaluates_as_before(self, name):
@@ -113,10 +147,88 @@ class TestOlderFiles:
         model = load_model(DATA / name)
         lookups = {id(c.training_set) for c in _constant_edge_classifiers(model)}
         assert len(lookups) == 1
-        # saved again, the rows are written once and the file evaluates alike
+        # saved again, the rows are written once, the stored q lists become
+        # null where q is exact (sampled q stays), and the file evaluates alike
+        older = json.loads((DATA / name).read_text())
+        assert all(isinstance(q, list) for q in _plain_q(older).values())
         save_model(model, tmp_path / name)
-        assert len(json.loads((tmp_path / name).read_text())["training_sets"]) == 1
+        record = json.loads((tmp_path / name).read_text())
+        assert len(record["training_sets"]) == 1
+        exact = older["metadata"]["exact_q"]
+        assert all((q is None) == exact for q in _plain_q(record).values())
         assert _eval_lines(tmp_path / name) == (0, OLDER_FILES[name])
+
+
+class TestConstantEdgeQ:
+    """A constant-edge node or stage with exact q stores null: the file's
+    training set and epsilon rebuild its q."""
+
+    @staticmethod
+    def _train(kind, data, learner, config):
+        if kind == "ptree":
+            return grow_tree(data, learner, max_nodes=8, config=config)
+        if kind == "fixed2":
+            return build_fixed_2_matryoshka(data, learner, 3, config)
+        if kind == "greedy":
+            model, log = build_greedy_matryoshka(data, learner, 12, config=config)
+            assert any(entry.action == "collect" for entry in log)
+            return model
+        return train_adaboost(data, learner, 4, config)
+
+    @pytest.mark.parametrize("kind", ["ptree", "fixed2", "greedy", "adaboost"])
+    def test_round_trip(self, tmp_path, kind):
+        model = self._train(kind, make_synthetic_dataset(20, seed=1), builtin_constant_edge_oracle(0.3),
+                            TrainConfig(seed=1, exact_q=True))
+        save_model(model, tmp_path / "a.json")
+        stored = _plain_q(json.loads((tmp_path / "a.json").read_text()))
+        assert len(stored) >= 4 and all(q is None for q in stored.values())
+        loaded = load_model(tmp_path / "a.json")
+        trained = dict(_plain_nodes(model))
+        assert trained.keys() == stored.keys()
+        for path, node in _plain_nodes(loaded):
+            assert node.q_plus.tobytes() == trained[path].q_plus.tobytes()
+            assert not node.q_plus.flags.writeable
+        save_model(loaded, tmp_path / "b.json")
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["ptree", "adaboost"])
+    def test_record_size_does_not_grow_with_n(self, kind):
+        # the numbers' digits vary; the records' shape does not
+        shapes = set()
+        for n in (40, 400, 4000):
+            model = self._train(kind, make_synthetic_dataset(n, seed=1), builtin_constant_edge_oracle(0.3),
+                                TrainConfig(seed=1, exact_q=True))
+            for _, node in _plain_nodes(model):
+                record = node.to_record()
+                assert record["q_plus"] is None
+                shapes.add(len(json.dumps(_numbers_zeroed(record), sort_keys=True, separators=(",", ": "))))
+        assert len(shapes) == 1
+
+    def test_sampled_q_is_stored(self, tmp_path):
+        data = make_synthetic_dataset(20, seed=1)
+        model = grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=4, config=TrainConfig(seed=1))
+        save_model(model, tmp_path / "m.json")
+        stored = _plain_q(json.loads((tmp_path / "m.json").read_text()))
+        assert all(len(q) == 20 for q in stored.values())
+        for path, node in _plain_nodes(load_model(tmp_path / "m.json")):
+            assert node.q_plus.tolist() == stored[path]
+
+    def test_filled_back_file_evaluates_alike(self, tmp_path):
+        # a file with the lists written back in, as older versions stored them
+        model = self._train("fixed2", make_synthetic_dataset(20, seed=1), builtin_constant_edge_oracle(0.3),
+                            TrainConfig(seed=1, exact_q=True))
+        save_model(model, tmp_path / "null.json")
+        record = json.loads((tmp_path / "null.json").read_text())
+        loaded = dict(_plain_nodes(load_model(tmp_path / "null.json")))
+        for path, plain in _plain_records(record["nodes"].items()):
+            plain["q_plus"] = loaded[path].q_plus.tolist()
+        (tmp_path / "lists.json").write_text(json.dumps(record))
+        csv = tmp_path / "data.csv"
+        data = make_synthetic_dataset(20, seed=1)
+        csv.write_text("f0,f1,label\n" + "".join(f"{a!r},{b!r},{y}\n" for (a, b), y in
+                                                zip(data.features.tolist(), data.labels.tolist())))
+        lines = _eval_lines(tmp_path / "null.json", csv)
+        assert lines[0] == 0 and lines == _eval_lines(tmp_path / "lists.json", csv)
 
 
 class TestStumpFiles:
@@ -171,9 +283,9 @@ class TestTrainingSetTable:
         "args, digest",
         [
             ("--mode fixed2 --L 4 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "1ababc3412b0cc21a58013ab7429a6b30cd4338c1546b33c06dd37be0cbbd8e2"),
+             "ccd802ba8e88491be321ebfabb64956774d5bbc9fbe39365f053bf6c5063e57d"),
             ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "6434ea02ac4fff372b466fa561544cdf1cbc04a3130109fd84439280f5f29630"),
+             "712203f4aa3e4203f86989a7a9ba25cfc46438ee3ab01b17ae107611d5a17986"),
             ("--mode fixed2 --L 3 --seed 3",
              "3e668941a12fd83121c1543de2ec84d5d7a31f01472f2945cd5b8dbe95351f9f"),
         ],
@@ -193,9 +305,9 @@ class TestTrainingSetTable:
         "mode, size, n, oracle, digest",
         [
             ("fixed2", 6, 40, "constant-edge",
-             "2875aa15af6d49c57220d6fdbea4e20763eb100c6304a24284a404bef2edc690"),
+             "170aed770ebba3a39a80f55503e92e3ecfae52eeaf56a7300a732f397b9802f9"),
             ("greedy", 28, 20, "constant-edge",
-             "079a3307b542fd4cfda114532c37bfdd1aaea47ed12534d3477c8ad4b13f957e"),
+             "19e3a4217d14d33e821711b2d50bccf88fcb4763b4d1fd3844e1a1cb1e1f35b0"),
             ("fixed2", 5, 40, "stump",
              "0bc0883b626b976ee10ecd86d1e6b281c0bd41a664e7892a5c3727532c68ebe7"),
         ],
@@ -218,7 +330,7 @@ class TestTrainingSetTable:
     @pytest.mark.parametrize(
         "shape, digest",
         [
-            ("ptree-128-edge", "5b485fd5b0e148c6ab0240c249aeafd919b1508ec8a179da1d6997036158a65d"),
+            ("ptree-128-edge", "37e9556ff617cdf180145ebe63a5f43014ba425f7be1d017cd1bb6210af1e741"),
             ("ptree-64-stump-exact", "5aa52eb0363b5dea072634d3dff4590c72baf1b309e63bafa3e2da380d017d07"),
             ("ptree-64-stump-sampled", "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b"),
             ("adaboost-3-sampled", "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1"),

@@ -712,6 +712,23 @@ class TestConstantEdgeOracle:
         assert other.training_set is not first.training_set
         assert other.training_set.fingerprint != first.training_set.fingerprint
 
+    def test_one_q_per_training_set_and_epsilon(self, small_dataset):
+        # every node trained on these rows reads one read-only q; other rows get their own
+        learner = builtin_constant_edge_oracle(0.2)
+        first = learner.train(small_dataset, small_dataset.weights)
+        q = first._q(small_dataset.features)
+        assert learner.train(small_dataset, small_dataset.weights)._q(small_dataset.features) is q
+        assert first._training_q() is q and not q.flags.writeable
+        expected = np.where(small_dataset.labels == 1, 0.7, 0.3)
+        assert q.tobytes() == expected.tobytes()
+        copy = first._q(small_dataset.features.copy())
+        assert copy is not q and copy.flags.writeable and copy.tobytes() == q.tobytes()
+        wider = ConstantEdgeClassifier(0.3, first.training_set)._q(small_dataset.features)
+        assert wider is not q and wider.tolist() == np.where(small_dataset.labels == 1, 0.8, 0.2).tolist()
+        assert ConstantEdgeClassifier(0.3, first.training_set)._q(small_dataset.features) is wider
+        with pytest.raises(ValueError):
+            q[0] = 0.5
+
 
 def _reference_stump_scan(dataset, weights, p_flip):
     """The stump scan one (feature, threshold, polarity) at a time: cuts in
