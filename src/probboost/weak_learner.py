@@ -310,10 +310,10 @@ def _row_keys(X: np.ndarray) -> np.ndarray:
 
 class TrainingSet:
     """The examples a constant-edge oracle knows, shared by every classifier
-    trained on them: their rows sorted by bytes for binary search, the labels
-    of the rows themselves, and the fingerprint that names them in a model
-    file (a blake2s digest of the shape, the row bytes with -0.0 stored as
-    0.0, and the labels)."""
+    trained on them: their rows sorted by bytes for binary search, the
+    oracle's q on the rows themselves for each epsilon, and the fingerprint
+    that names them in a model file (a blake2s digest of the shape, the row
+    bytes with -0.0 stored as 0.0, and the labels)."""
 
     def __init__(self, features, labels):
         self.features = np.asarray(features, dtype=float)
@@ -328,12 +328,11 @@ class TrainingSet:
         digest.update((self.features + 0.0).astype("<f8").tobytes())
         digest.update(self.labels.astype("<i8").tobytes())
         self.fingerprint = digest.hexdigest()
-        self._edge_q: dict[float, np.ndarray] = {}  # ConstantEdgeClassifier's q on these rows, by epsilon
+        self._edge_q: dict[float, np.ndarray] = {}  # filled by ConstantEdgeClassifier._q
         keys = _row_keys(self.features)
         # a repeated row takes the label of its last copy
         self._order = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._order]
-        self._own_labels = self._search(keys)
 
     def _search(self, keys: np.ndarray) -> np.ndarray:
         at = np.searchsorted(self._sorted_keys, keys, side="right") - 1
@@ -342,10 +341,7 @@ class TrainingSet:
         return self.labels[self._order[at]]
 
     def labels_of(self, X: np.ndarray) -> np.ndarray:
-        """The label of each row of X; the training rows' own labels are
-        looked up once, when the set is built."""
-        if X is self.features:
-            return self._own_labels
+        """The label of each row of X."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.features.shape[1]:
             raise ValueError(f"expected rows of dimension {self.features.shape[1]}, got shape {X.shape}")
