@@ -25,6 +25,7 @@ composites expanded into their inner walks.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -67,6 +68,8 @@ DEAD_BRANCH_THRESHOLD = 1e-300
 C_RELATIVE_ERROR = 1e-12
 _EPS = float(np.finfo(float).eps)
 SCALE_SEARCH_STEPS = 100
+# a composite edge fit stops once a Newton step can lower Z by no more than this many ulp of Z
+FIT_STOP_ULPS = 8
 # Walks multiply at every nesting level (about K -> K^2 / 2 per fixed-2
 # level), so walk tables are capped in (rows x walks) entries.
 MAX_WALK_ENTRIES = 2**22
@@ -155,7 +158,11 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
     A Newton step and its halvings, down to |step| <= 1e-12 max(1, |alpha|),
     are the rows of one exp pass (of at most ``MAX_BLOCK_DRAWS`` entries, so
     a long side tries one row per pass), and the first row whose Z is lower
-    is taken: the alpha that trying one trial at a time would take.
+    is taken: the alpha that trying one trial at a time would take.  While Z
+    is finite the fit stops before a step whose predicted decrease
+    s^2 / (2 c), for the slope -s and curvature c, is at most
+    ``FIT_STOP_ULPS`` ulp of Z, a change that only rounding could make; s^2
+    is never formed, since it underflows to 0 once Z is below about 1e-154.
     """
     margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
     moments = np.empty((2, len(margins)))  # -dZ/da and d2Z/da2 by entry, less the exp factor
@@ -169,6 +176,8 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
         if not curvature > 0.0:
             break
         step, tolerance = minus_slope / curvature, 1e-12 * max(1.0, abs(alpha))
+        if math.isfinite(z) and 0.5 * minus_slope * step <= FIT_STOP_ULPS * _EPS * z:
+            break  # the step could lower Z only by rounding
         while abs(step) > tolerance:
             steps = []
             while abs(step) > tolerance and len(steps) < per_block:

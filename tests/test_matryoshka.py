@@ -261,23 +261,54 @@ class TestCompositeNode:
         assert node.z_plus + node.z_minus <= inner.recorded_bound() + 1e-12
         assert outer.recorded_bound() == pytest.approx(exact_tree_bound(outer, ds), abs=1e-12)
 
+    @staticmethod
+    def _benchmark_tree(mode):
+        """The nested-trees benchmark's shape: fixed-2 L=6 on N=40 or greedy
+        budget 28 on N=20, constant-edge eps=0.3, exact q."""
+        learner, config = builtin_constant_edge_oracle(0.3), TrainConfig(seed=1, exact_q=True)
+        if mode == "fixed2":
+            dataset = make_synthetic_dataset(40, seed=1)
+            return dataset, build_fixed_2_matryoshka(dataset, learner, 6, config)
+        dataset = make_synthetic_dataset(20, seed=1)
+        return dataset, build_greedy_matryoshka(dataset, learner, 28, config=config)[0]
+
     @pytest.mark.parametrize("mode", ["fixed2", "greedy"])
     def test_z_sum_at_most_inner_c_at_benchmark_scale(self, mode):
         # the nested-trees benchmark's sizes, where the root composite of a
         # fixed-2 L=6 tree has thousands of walks; the inner C is its leaf
         # sum, since a greedy collect keeps no trajectory
-        learner, config = builtin_constant_edge_oracle(0.3), TrainConfig(seed=1, exact_q=True)
-        if mode == "fixed2":
-            dataset = make_synthetic_dataset(40, seed=1)
-            tree = build_fixed_2_matryoshka(dataset, learner, 6, config)
-        else:
-            dataset = make_synthetic_dataset(20, seed=1)
-            tree, _ = build_greedy_matryoshka(dataset, learner, 28, config=config)
+        dataset, tree = self._benchmark_tree(mode)
         nodes = list(_composite_nodes(tree))
         assert len(nodes) >= 20
         for node in nodes:
             assert node.z_plus + node.z_minus <= node.classifier.inner.leaf_sum() + 1e-12
         assert exact_tree_bound(tree, dataset) == pytest.approx(tree.recorded_bound(), rel=1e-10)
+
+    @pytest.mark.parametrize("mode", ["fixed2", "greedy"])
+    def test_constant_edge_composites_keep_alpha_one(self, mode):
+        # a constant-edge composite's Z is flat at alpha = 1 to rounding, so
+        # the edge fit stops there and Z_+ + Z_- is the inner tree's C
+        _, tree = self._benchmark_tree(mode)
+        nodes = list(_composite_nodes(tree))
+        assert len(nodes) >= 20
+        for node in nodes:
+            assert node.alpha_plus == node.alpha_minus == 1.0
+            inner_c = node.classifier.inner.leaf_sum()
+            assert node.z_plus + node.z_minus == pytest.approx(inner_c, rel=1e-12)
+
+    def test_noiseless_stump_fit_runs_past_squared_slope_underflow(self):
+        # Z falls to about 1e-282 here; a stop rule that squared the slope
+        # would stop near 1e-238, where the slope's square underflows to 0.
+        # The line search's longest trial steps overflow exp; their Z is inf,
+        # or nan where a zero mass meets an inf term, and they are not taken
+        dataset = make_synthetic_dataset(40, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = build_fixed_2_matryoshka(dataset, builtin_noisy_stump(0.0), 4, TrainConfig(seed=1, exact_q=True))
+            exact = exact_tree_bound(tree, dataset)
+        recorded = tree.recorded_bound()
+        assert 0.0 < recorded < 1e-280
+        for reference in (tree.leaf_sum(), exact):
+            assert abs(recorded - reference) <= 1e-9 * reference
 
     def test_walk_table_size_is_capped(self, small_dataset, monkeypatch):
         from probboost import ptree

@@ -283,11 +283,11 @@ class TestTrainingSetTable:
         "args, digest",
         [
             ("--mode fixed2 --L 4 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "ccd802ba8e88491be321ebfabb64956774d5bbc9fbe39365f053bf6c5063e57d"),
+             "7f0ce1608021e76fde98ee98d4deea86921c235e0476fb7f3b4a8f8e0de8f5bd"),
             ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "712203f4aa3e4203f86989a7a9ba25cfc46438ee3ab01b17ae107611d5a17986"),
+             "1a22f0b0fd545c9d2f9db87522afab3bcd0bd0ed1e8ca54d4fc439bd7b2c434b"),
             ("--mode fixed2 --L 3 --seed 3",
-             "3e668941a12fd83121c1543de2ec84d5d7a31f01472f2945cd5b8dbe95351f9f"),
+             "420380eaf41298ab088504ce905a5d4d4e74925294acf1e8c3de33aaa16b0bff"),
         ],
         ids=["fixed2-edge", "greedy-edge", "fixed2-stump-sampled"],
     )
@@ -305,11 +305,11 @@ class TestTrainingSetTable:
         "mode, size, n, oracle, digest",
         [
             ("fixed2", 6, 40, "constant-edge",
-             "170aed770ebba3a39a80f55503e92e3ecfae52eeaf56a7300a732f397b9802f9"),
+             "0c2579db6d8ba0bf8791b74583ab04a2daa9080232db1af7e90b277f955a472f"),
             ("greedy", 28, 20, "constant-edge",
-             "19e3a4217d14d33e821711b2d50bccf88fcb4763b4d1fd3844e1a1cb1e1f35b0"),
+             "fcbff65d99aa38d529d03f336761e79c62e585f084959218ed6ce1965425611a"),
             ("fixed2", 5, 40, "stump",
-             "0bc0883b626b976ee10ecd86d1e6b281c0bd41a664e7892a5c3727532c68ebe7"),
+             "c73455acdde2d9048cb8eb47cc5ac161236ef33adb9f85de61f1868c7f48f2f1"),
         ],
         ids=["fixed2-L6-edge", "greedy-28-edge", "fixed2-L5-stump"],
     )
@@ -335,6 +335,7 @@ class TestTrainingSetTable:
             ("ptree-64-stump-sampled", "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b"),
             ("adaboost-3-sampled", "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1"),
         ],
+        ids=["ptree-128-edge", "ptree-64-stump-exact", "ptree-64-stump-sampled", "adaboost-3-sampled"],
     )
     def test_plain_node_shapes_unchanged(self, tmp_path, shape, digest):
         # the exact-trees and sampled-boost shapes and noisy-stump ptrees: every

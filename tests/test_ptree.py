@@ -713,9 +713,16 @@ class TestCompositeEdgeFit:
         return np.array(sums[1.0] + sums[-1.0])
 
     @staticmethod
-    def _one_trial_at_a_time(mass, h):
+    def _rounding_only(slope, step, z):
+        """The fit's stop rule: a Newton step predicts a decrease of at most
+        ``FIT_STOP_ULPS`` ulp of a finite Z."""
+        return math.isfinite(z) and 0.5 * -slope * step <= ptree.FIT_STOP_ULPS * ptree._EPS * z
+
+    @classmethod
+    def _one_trial_at_a_time(cls, mass, h, stop=True):
         """The line search with one exp pass per trial, every Newton step's
-        Z, slope and curvature recomputed."""
+        Z, slope and curvature recomputed; ``stop=False`` is the full search,
+        without the stop rule."""
         margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
 
         def z_at(a):
@@ -729,6 +736,8 @@ class TestCompositeEdgeFit:
             if not curvature > 0.0:
                 break
             step = -slope / curvature
+            if stop and cls._rounding_only(slope, step, z):
+                break
             while abs(step) > 1e-12 * max(1.0, abs(alpha)):
                 z_next = z_at(alpha + step)
                 if z_next < z:
@@ -739,8 +748,8 @@ class TestCompositeEdgeFit:
                 break
         return alpha
 
-    @staticmethod
-    def _outer_fit(mass, margins):
+    @classmethod
+    def _outer_fit(cls, mass, margins):
         """The edge fit written with one exp per (example, outcome) and
         every Newton step's terms recomputed."""
         alpha, z = 1.0, float(np.sum(mass * np.exp(-margins)))
@@ -750,6 +759,8 @@ class TestCompositeEdgeFit:
             if not curvature > 0.0:
                 break
             step = -slope / curvature
+            if cls._rounding_only(slope, step, z):
+                break
             while abs(step) > 1e-12 * max(1.0, abs(alpha)):
                 z_next = float(np.sum(mass * np.exp(-(alpha + step) * margins)))
                 if z_next < z:
@@ -817,6 +828,30 @@ class TestCompositeEdgeFit:
                 assert ptree._fit_edge(mass, h)[0] == expected
                 assert alpha == expected
                 np.testing.assert_array_equal(table, ptree._exp_table(alpha, h))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_composite_cases(), st.sampled_from([None, 1e-238]))
+    def test_stopped_fit_is_the_full_search_to_rounding(self, case, z_one):
+        # the stop rule leaves at most rounding on the table: Z is never above
+        # Z(1), and at most 16 eps above the full search's.  A Z(1) scaled to
+        # 1e-238 has a slope whose square underflows to 0
+        weights, y, reach, scores = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sign in (1, -1):
+                side = ptree._side(scores, sign)
+                h = scores[side]
+                mass = self._label_sums(weights, y, reach[:, side])
+                margins = np.concatenate((h, -h))
+
+                def z_at(a):
+                    return float(np.sum(mass * np.exp(-a * margins)))
+
+                if z_one is not None and 0.0 < z_at(1.0) < math.inf:
+                    mass *= z_one / z_at(1.0)
+                z_stopped = z_at(ptree._fit_edge(mass, h)[0])
+                z_full = z_at(self._one_trial_at_a_time(mass, h, stop=False))
+                assert z_stopped <= z_at(1.0)
+                assert z_stopped <= z_full + 16 * ptree._EPS * z_full
 
 
 def _reference_walks(tree, X, path="", reach=None, score=None):
