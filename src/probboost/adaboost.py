@@ -32,16 +32,13 @@ from .weak_learner import (
     WeakLearner,
     _check_features,
     _draw_plus,
+    _Edges,
     _model_metadata,
     _q_estimate,
     _read_metadata,
-    _read_number,
-    _read_q,
     _read_training_sets,
     _train_step,
-    _write_q,
     _write_training_sets,
-    classifier_from_record,
     map_z_estimate,
     node_q,
 )
@@ -79,32 +76,9 @@ def update_weights(
 
 
 @dataclass
-class StageRecord:
-    classifier: ProbClassifier
-    q_plus: np.ndarray  # training-time estimates (or exact q) per example
-    alpha_plus: float
-    alpha_minus: float
+class StageRecord(_Edges):
     z: float
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "classifier": self.classifier.to_record(),
-            "q_plus": _write_q(self.classifier, self.q_plus),
-            "alpha_plus": self.alpha_plus,
-            "alpha_minus": self.alpha_minus,
-            "z": self.z,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets) -> "StageRecord":
-        classifier = classifier_from_record(record["classifier"], training_sets)
-        return cls(
-            classifier=classifier,
-            q_plus=_read_q(record["q_plus"], classifier),
-            alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
-            alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
-            z=_read_number(record["z"], "z"),
-        )
+    _Z = ("z",)
 
 
 @dataclass
@@ -249,10 +223,7 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
     y = dataset.labels.astype(float)
     factors = np.ones(dataset.n_examples)
     for stage in model.stages:
-        q = stage.q_plus
-        if len(q) != len(y):
-            raise ValueError("dataset size does not match the stored model")
-        factors *= _stage_factor(q, y, stage.alpha_plus, stage.alpha_minus)
+        factors *= np.add(*stage.edge_factors(y))
     return float(np.sum(dataset.weights * factors))
 
 

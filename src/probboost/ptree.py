@@ -33,20 +33,19 @@ from typing import Any
 import numpy as np
 
 from ._zstats import LabelSplit, _scale_edges, _w_of_mass, _weighted_mass, optimal_alphas
-from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream, _check_trials, validate_path
+from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
     _check_features,
+    _Edges,
     _model_metadata,
     _plain_outcomes,
     _read_metadata,
     _read_number,
-    _read_q,
     _read_training_sets,
+    _stored_rows,
     _train_step,
-    _write_q,
     _write_training_sets,
-    classifier_from_record,
     node_q,
 )
 
@@ -155,20 +154,16 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
     are taken only when they lower Z, so the result never has a larger Z than
     a = 1.  Returns alpha and ``_exp_table(alpha, h)``, bit for bit.
 
-    A Newton step and its halvings, down to |step| <= 1e-12 max(1, |alpha|),
-    are the rows of one exp pass (of at most ``MAX_BLOCK_DRAWS`` entries, so
-    a long side tries one row per pass), and the first row whose Z is lower
-    is taken: the alpha that trying one trial at a time would take.  While Z
-    is finite the fit stops before a step whose predicted decrease
-    s^2 / (2 c), for the slope -s and curvature c, is at most
-    ``FIT_STOP_ULPS`` ulp of Z, a change that only rounding could make; s^2
-    is never formed, since it underflows to 0 once Z is below about 1e-154.
+    A Newton step and then its halvings, down to |step| <= 1e-12 max(1, |alpha|),
+    are tried one exp pass each until one lowers Z.  While Z is finite the fit
+    stops before a step whose predicted decrease s^2 / (2 c), for the slope -s
+    and curvature c, is at most ``FIT_STOP_ULPS`` ulp of Z, which only rounding
+    could make; s^2 is never formed, since it underflows to 0 below Z ~ 1e-154.
     """
     margins = np.concatenate((h, -h))  # y * h for y = +1, then y = -1
     moments = np.empty((2, len(margins)))  # -dZ/da and d2Z/da2 by entry, less the exp factor
     np.multiply(label_mass, margins, out=moments[0])
     np.multiply(moments[0], margins, out=moments[1])
-    per_block = max(1, MAX_BLOCK_DRAWS // max(1, len(margins)))
     alpha, terms = 1.0, np.exp(-margins)
     z = float((label_mass * terms).sum())
     for _ in range(SCALE_SEARCH_STEPS):
@@ -179,19 +174,12 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
         if math.isfinite(z) and 0.5 * minus_slope * step <= FIT_STOP_ULPS * _EPS * z:
             break  # the step could lower Z only by rounding
         while abs(step) > tolerance:
-            steps = []
-            while abs(step) > tolerance and len(steps) < per_block:
-                steps.append(step)
-                step *= 0.5
-            trials = alpha + np.array(steps)
-            table = np.multiply.outer(-trials, margins)
-            np.exp(table, out=table)
-            z_rows = (label_mass * table).sum(axis=1)
-            lower = np.flatnonzero(z_rows < z)
-            if len(lower):
-                first = lower[0]
-                alpha, z, terms = float(trials[first]), float(z_rows[first]), table[first]
+            trial_terms = np.exp(-(alpha + step) * margins)
+            trial_z = float((label_mass * trial_terms).sum())
+            if trial_z < z:
+                alpha, z, terms = alpha + step, trial_z, trial_terms
                 break
+            step *= 0.5
         else:
             break  # no step lowers Z any more
     return alpha, terms
@@ -226,20 +214,16 @@ def _scored_children(
 
 
 @dataclass
-class TreeNode:
-    """An inner node: its classifier plus the statistics of its two edges."""
+class TreeNode(_Edges):
+    """An inner node: its classifier's edges and their normalizers Z_+, Z_-."""
 
-    classifier: ProbClassifier
-    # per-example branch probabilities used in training; None for a
-    # composite, whose outcomes are its inner walk table
-    q_plus: np.ndarray | None
-    alpha_plus: float
-    alpha_minus: float
     z_plus: float
     z_minus: float
     # children's weights D_{s+}, D_{s-}: training state, not part of the record
     weights_plus: np.ndarray | None = None
     weights_minus: np.ndarray | None = None
+
+    _Z = ("z_plus", "z_minus")
 
     def alpha(self, sign: int) -> float:
         return self.alpha_plus if sign == 1 else self.alpha_minus
@@ -250,29 +234,11 @@ class TreeNode:
     def child_weights(self, sign: int) -> np.ndarray:
         return self.weights_plus if sign == 1 else self.weights_minus
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "classifier": self.classifier.to_record(),
-            "q_plus": _write_q(self.classifier, self.q_plus),
-            "alpha_plus": self.alpha_plus,
-            "alpha_minus": self.alpha_minus,
-            "z_plus": self.z_plus,
-            "z_minus": self.z_minus,
-        }
-
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
-        composite = record["classifier"].get("kind") == "composite"  # older files store its q too
-        decode = CompositeNode.from_record if composite else classifier_from_record
-        classifier = decode(record["classifier"], training_sets)
-        return cls(
-            classifier=classifier,
-            q_plus=None if composite else _read_q(record["q_plus"], classifier),
-            alpha_plus=_read_number(record["alpha_plus"], "alpha_plus"),
-            alpha_minus=_read_number(record["alpha_minus"], "alpha_minus"),
-            z_plus=_read_number(record["z_plus"], "z_plus"),
-            z_minus=_read_number(record["z_minus"], "z_minus"),
-        )
+        if record["classifier"].get("kind") != "composite":  # a composite's q, which older files store, is unread
+            return super().from_record(record, training_sets)
+        return cls._read(record, CompositeNode.from_record(record["classifier"], training_sets), None)
 
 
 @dataclass
@@ -343,17 +309,8 @@ class TreeModel:
             nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
             trajectory=[_read_number(c, "trajectory") for c in record.get("trajectory", [])],
         )
-        _check_features(_plain_classifiers(tree), tree.metadata)
+        _check_features((node.classifier for node in tree.nodes.values()), tree.metadata)
         return tree
-
-
-def _plain_classifiers(tree: TreeModel):
-    """The plain classifiers of ``tree``'s nodes, composites' inner nodes included."""
-    for node in tree.nodes.values():
-        if isinstance(node.classifier, CompositeNode):
-            yield from _plain_classifiers(node.classifier.inner)
-        else:
-            yield node.classifier
 
 
 def _nodes_from_record(nodes: dict[str, Any], training_sets) -> dict[str, TreeNode]:
@@ -393,9 +350,9 @@ class CompositeNode(ProbClassifier):
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
 
-    def training_sets(self):
+    def plain_classifiers(self):
         for node in self.inner.nodes.values():
-            yield from node.classifier.training_sets()
+            yield from node.classifier.plain_classifiers()
 
     def to_record(self) -> dict[str, Any]:
         # the inner nodes only: walk tables and bounds read nothing else;
@@ -630,14 +587,12 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
         node = tree.nodes.get(path)
         if node is None:
             return 1.0
-        composite = isinstance(node.classifier, CompositeNode)
-        reach, scores = node.classifier.leaf_table if composite else (node.q_plus, None)
-        if len(reach) != len(y):
-            raise ValueError("dataset size does not match the stored model")
-        if composite:
+        if isinstance(node.classifier, CompositeNode):
+            reach, scores = node.classifier.leaf_table
+            _stored_rows(reach, y)
             factors = [_edge_factor(reach, scores, y, sign, node.alpha(sign)) for sign in (1, -1)]
         else:  # both edges' factors from one (2, N) array, as training scaled its mass
-            factors = _scale_edges(np.array((reach, 1.0 - reach)), y, node.alpha_plus, node.alpha_minus)
+            factors = node.edge_factors(y)
         return sum(factor * below(path + child) for factor, child in zip(factors, "+-"))
 
     return float(np.sum(dataset.weights * below("")))

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import WStats, optimal_alphas, w_statistics, z_value
+from ._zstats import WStats, _scale_edges, optimal_alphas, w_statistics, z_value
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 
 __all__ = [
@@ -95,12 +95,13 @@ def _read_number(value, name: str, valid=None, what: str = "a number"):
 
 
 def _check_features(classifiers, metadata: dict[str, Any]) -> None:
-    """Refuse a stump whose feature is beyond the model's recorded dimension
-    (older AdaBoost files record none)."""
+    """Refuse a stump among the classifiers' ``plain_classifiers()`` whose feature
+    is beyond the model's recorded dimension (older AdaBoost files record none)."""
     dimension = metadata.get("dimension")
     for classifier in classifiers:
-        if dimension is not None and isinstance(classifier, StumpClassifier) and classifier.feature >= dimension:
-            raise TypeError(f"feature must be below the model's dimension {dimension}, got {classifier.feature}")
+        for plain in classifier.plain_classifiers():
+            if dimension is not None and isinstance(plain, StumpClassifier) and plain.feature >= dimension:
+                raise TypeError(f"feature must be below the model's dimension {dimension}, got {plain.feature}")
 
 
 def _write_q(classifier, q: np.ndarray | None) -> list[float] | None:
@@ -164,10 +165,10 @@ class ProbClassifier(ABC):
         else -1; a classifier without exact q overrides this."""
         return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
 
-    def training_sets(self):
-        """The ``TrainingSet`` lookups the classifier holds; a model file
-        stores each one once."""
-        return ()
+    def plain_classifiers(self):
+        """The plain classifiers (those that draw +/-1) this one is made of:
+        itself, or a collected subtree's inner ones."""
+        return (self,)
 
     def _training_q(self) -> np.ndarray | None:
         """Exact q(+) on the rows the classifier was trained on, where its
@@ -316,13 +317,14 @@ class TrainingSet:
     bytes with -0.0 stored as 0.0, and the labels)."""
 
     def __init__(self, features, labels):
-        self.features = np.asarray(features, dtype=float)
-        self.labels = np.asarray(labels, dtype=int)
+        try:
+            self.features = np.asarray(features, dtype=float)
+            self.labels = np.asarray(labels, dtype=int)
+        except ValueError as exc:  # a ragged row, or a string that is not a number
+            raise TypeError(f"malformed training set: {exc}") from None
         if self.features.ndim != 2 or self.labels.shape != (len(self.features),):
-            raise ValueError(
-                f"malformed training set: features of shape {self.features.shape}, "
-                f"labels of shape {self.labels.shape}"
-            )
+            shapes = f"features of shape {self.features.shape}, labels of shape {self.labels.shape}"
+            raise TypeError(f"malformed training set: {shapes}")
         digest = hashlib.blake2s(digest_size=16)
         digest.update("{},{}\x00".format(*self.features.shape).encode("ascii"))
         digest.update((self.features + 0.0).astype("<f8").tobytes())
@@ -349,16 +351,16 @@ class TrainingSet:
 
 
 def _write_training_sets(record: dict[str, Any], classifiers) -> dict[str, Any]:
-    """``record`` with its ``training_sets`` table: the rows and labels of
-    each training set the classifiers (and any inner ones) name, once each,
-    by fingerprint.  A record whose classifiers name none gets no table."""
+    """``record`` with its ``training_sets`` table: the rows and labels of each
+    training set the classifiers' ``plain_classifiers()`` name, once each, by
+    fingerprint.  A record whose classifiers name none gets no table."""
     table = {}
     for classifier in classifiers:
-        for training_set in classifier.training_sets():
-            if training_set.fingerprint not in table:
-                table[training_set.fingerprint] = {
-                    "features": training_set.features.tolist(),
-                    "labels": training_set.labels.tolist(),
+        for plain in classifier.plain_classifiers():
+            if isinstance(plain, ConstantEdgeClassifier) and plain.training_set.fingerprint not in table:
+                table[plain.training_set.fingerprint] = {
+                    "features": plain.training_set.features.tolist(),
+                    "labels": plain.training_set.labels.tolist(),
                 }
     if table:
         record["training_sets"] = table
@@ -398,9 +400,6 @@ class ConstantEdgeClassifier(_PlainClassifier):
 
     def _training_q(self) -> np.ndarray:
         return self._q(self.training_set.features)
-
-    def training_sets(self) -> tuple[TrainingSet, ...]:
-        return (self.training_set,)
 
     def to_record(self) -> dict[str, Any]:
         return {
@@ -549,3 +548,52 @@ def classifier_from_record(
     if kind not in _PLAIN_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     return _PLAIN_KINDS[kind].from_record(record, training_sets)
+
+
+def _stored_rows(values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``values``, stored per training example, where ``y`` has as many rows."""
+    if len(values) != len(y):
+        raise ValueError("dataset size does not match the stored model")
+    return values
+
+
+@dataclass
+class _Edges:
+    """A weak classifier and its domain-partitioned edge weights, the unit that an
+    AdaBoost stage and a tree node share; each adds the Z fields named in ``_Z``."""
+
+    classifier: ProbClassifier
+    q_plus: np.ndarray | None  # q(+) per training example; None for a composite, whose outcomes are its walks
+    alpha_plus: float
+    alpha_minus: float
+    _Z = ()  # the subclass's Z fields, in record order
+
+    def to_record(self) -> dict[str, Any]:
+        record = {
+            "classifier": self.classifier.to_record(),
+            "q_plus": _write_q(self.classifier, self.q_plus),
+            "alpha_plus": self.alpha_plus,
+            "alpha_minus": self.alpha_minus,
+        }
+        for name in self._Z:
+            record[name] = getattr(self, name)
+        return record
+
+    @classmethod
+    def from_record(cls, record: dict[str, Any], training_sets: dict[str, TrainingSet]):
+        """The edges of a plain classifier's record; ``training_sets`` is the model's table."""
+        classifier = classifier_from_record(record["classifier"], training_sets)
+        return cls._read(record, classifier, _read_q(record["q_plus"], classifier))
+
+    @classmethod
+    def _read(cls, record: dict[str, Any], classifier, q_plus):
+        """The edges around a decoded classifier, its numbers read in record order."""
+        return cls(classifier, q_plus, _read_number(record["alpha_plus"], "alpha_plus"),
+                   _read_number(record["alpha_minus"], "alpha_minus"),
+                   *[_read_number(record[name], name) for name in cls._Z])
+
+    def edge_factors(self, y: np.ndarray) -> np.ndarray:
+        """A plain classifier's (2, N) edge factors q e^{-alpha+ y} and (1 - q) e^{alpha- y}
+        on its training examples, from its stored q; ``y`` is their labels as floats."""
+        q = _stored_rows(self.q_plus, y)
+        return _scale_edges(np.array((q, 1.0 - q)), y, self.alpha_plus, self.alpha_minus)

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -390,12 +392,17 @@ class TestInputErrors:
     def files(self, tmp_path):
         data = make_synthetic_dataset(seed=0)
         paths = {"ada": tmp_path / "ada.json", "tree": tmp_path / "tree.json",
-                 "edge": tmp_path / "edge.json", "out": tmp_path / "r.csv",
+                 "edge": tmp_path / "edge.json", "fixed2": tmp_path / "fixed2.json",
+                 "old-edge": tmp_path / "old-edge.json", "out": tmp_path / "r.csv",
                  "short": tmp_path / "short.csv", "bad": tmp_path / "bad.csv",
                  "nan": tmp_path / "nan.csv", "d0": tmp_path / "d0.csv"}
         save_model(train_adaboost(data, builtin_noisy_stump(0.1), 2), paths["ada"])
         save_model(grow_tree(data, builtin_noisy_stump(0.1), max_nodes=2), paths["tree"])
         save_model(grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=2), paths["edge"])
+        save_model(build_fixed_2_matryoshka(data, builtin_noisy_stump(0.1), 2, TrainConfig(exact_q=True)),
+                   paths["fixed2"])
+        # an older constant-edge file, whose records carry their rows inline
+        shutil.copyfile(Path(__file__).parent / "data" / "edge_ptree.json", paths["old-edge"])
         paths["short"].write_text("f0,f1,label\n0.5,0.5,1\n-0.5,-0.5,-1\n-1.0,0.0,-1\n")
         paths["bad"].write_text("f0,f1,label\n0.5,0.5\n")
         paths["nan"].write_text("f0,f1,label,weight\n0.5,0.5,1,1\n-0.5,-0.5,-1,nan\n")
@@ -467,6 +474,15 @@ class TestInputErrors:
         return edit
 
     @staticmethod
+    def _set_in_table(value, *key_path):
+        """``_set`` on the first entry of the ``training_sets`` table."""
+        def edit(record):
+            TestInputErrors._set(value, *key_path)(next(iter(record["training_sets"].values())))
+            return record
+
+        return edit
+
+    @staticmethod
     def _set_every_q(value):
         def edit(record):
             for node in record["nodes"].values():
@@ -516,12 +532,29 @@ class TestInputErrors:
              "malformed adaboost record (TypeError: z must be a number, got 'a')"),
             ("edge", _set(0.7, "nodes", "", "classifier", "epsilon"),
              "malformed ptree record (TypeError: epsilon must be in (0, 0.5], got 0.7)"),
+            # the records inside a composite are read as the top-level ones
+            ("fixed2", _set(9, "nodes", "", "classifier", "inner", "nodes", "", "classifier", "feature"),
+             "malformed matryoshka record (TypeError: feature must be below the model's dimension 2, got 9)"),
+            ("fixed2", _delete("nodes", "", "classifier", "inner", "nodes", "", "z_minus"),
+             "malformed matryoshka record (KeyError: 'z_minus')"),
+            ("fixed2", _set("x", "nodes", "", "classifier", "inner", "nodes", "", "alpha_plus"),
+             "malformed matryoshka record (TypeError: alpha_plus must be a number, got 'x')"),
+            # rows and labels that numpy cannot read, in the table or inline
+            ("edge", _set_in_table("a", "features", 0, 0),
+             "malformed ptree record (TypeError: malformed training set: "),
+            ("edge", _set_in_table("x", "labels", 0),
+             "malformed ptree record (TypeError: malformed training set: "),
+            ("edge", _set_in_table([0.5], "features", 0),
+             "malformed ptree record (TypeError: malformed training set: "),
+            ("old-edge", _set("a", "nodes", "", "classifier", "features", 0, 0),
+             "malformed ptree record (TypeError: malformed training set: "),
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
              "alpha-past-float", "q-null", "ada-q-null", "q-above-one", "feature-string", "feature-beyond-columns",
              "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
-             "epsilon-above-half"],
+             "epsilon-above-half", "inner-feature-beyond-columns", "inner-no-z-minus", "inner-alpha-string",
+             "table-feature-string", "table-label-string", "table-row-ragged", "inline-feature-string"],
     )
     def test_malformed_model_file(self, runner, files, model, edit, message):
         record = edit(json.loads(files[model].read_text()))

@@ -671,9 +671,9 @@ class TestRecordedBoundCancellation:
 @st.composite
 def _composite_cases(draw):
     """(weights, labels, reach, scores) of a composite with K walks, 2K from
-    2 to past 2 * MAX_BLOCK_DRAWS: a Newton step's halvings fill many-row
-    blocks, one-row blocks, or cross a block boundary.  Zero masses, scores
-    tied at 0.0, an empty side and an absent label class are among them."""
+    2 to past 2 * MAX_BLOCK_DRAWS, so that both short and long sides are
+    fitted.  Zero masses, scores tied at 0.0, an empty side and an absent
+    label class are among them."""
     k = draw(st.one_of(st.integers(1, 8), st.integers(9, 700), st.integers(1300, 2100),
                        st.integers(2040, MAX_BLOCK_DRAWS + 100)))
     n = draw(st.integers(1, 5))
@@ -804,10 +804,10 @@ class TestCompositeEdgeFit:
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_composite_cases())
-    def test_batched_line_search_is_the_sequential_one(self, case):
-        # a Newton step and its halvings are the rows of one exp pass, of at
-        # most MAX_BLOCK_DRAWS entries; the first lower row is the trial that
-        # one exp pass per trial would take, and its exp row the edge's table
+    def test_edge_fit_is_the_one_trial_at_a_time_search(self, case):
+        # the fit keeps the terms of the trial it takes for the next Newton
+        # step; it takes the alpha of a search that recomputes them, and the
+        # terms it returns are the edge's exp table
         weights, y, reach, scores = case
         original, tables = ptree._table_factor, []
 
