@@ -15,15 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import (
-    LabelSplit,
-    WStats,
-    _stage_factor,
-    optimal_alphas,
-    w_statistics,
-    z_min,
-    z_value,
-)
+from ._zstats import LabelSplit, _stage_factor, optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, _check_trials, _mc_summary
 from .weak_learner import (
     R_MAX_DEFAULT,
@@ -44,11 +36,6 @@ from .weak_learner import (
 )
 
 __all__ = [
-    "WStats",
-    "w_statistics",
-    "optimal_alphas",
-    "z_value",
-    "z_min",
     "update_weights",
     "TrainConfig",
     "StageRecord",

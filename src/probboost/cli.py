@@ -20,8 +20,7 @@ from .adaboost import (
     train_adaboost,
 )
 from .core import Dataset, RandomStream, _check_trials, _mc_summary, load_csv, make_synthetic_dataset
-from .matryoshka import (CountingLearner, MatryoshkaPolicy, TraceEvent, build_fixed_2_matryoshka,
-                         build_greedy_matryoshka)
+from .matryoshka import CountingLearner, TraceEvent, build_fixed_2_matryoshka, build_greedy_matryoshka
 from .persist import load_model, save_model
 from .ptree import exact_tree_bound, grow_tree, predict_tree
 from .weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
@@ -176,7 +175,7 @@ def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimat
     elif trainer == "fixed2":
         model = build_fixed_2_matryoshka(dataset, learner, size, config)
     else:
-        model, trace = build_greedy_matryoshka(dataset, learner, size, MatryoshkaPolicy(mode="greedy"), config=config)
+        model, trace = build_greedy_matryoshka(dataset, learner, size, config=config)
     if log_path:
         with open(log_path, "w", encoding="utf-8") as fh:
             fh.writelines(event.to_json() + "\n" for event in trace or _model_trace(model))

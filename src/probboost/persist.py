@@ -19,8 +19,8 @@ def load_model(path: str | Path):
     record = load_record(path)
     kind = record.get("kind")
     if kind not in ("adaboost", "ptree", "matryoshka"):
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
     try:
         return (AdaboostModel if kind == "adaboost" else TreeModel).from_record(record)
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed {kind} record ({type(exc).__name__}: {exc})") from None

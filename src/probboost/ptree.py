@@ -43,6 +43,7 @@ from .weak_learner import (
     _read_metadata,
     _read_number,
     _read_training_sets,
+    _side,
     _stored_rows,
     _train_step,
     _write_training_sets,
@@ -113,11 +114,6 @@ def _split_mass(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus:
 def _sign(edge: str) -> int:
     """The sign of an edge of a path: +1 for '+', -1 for '-'."""
     return 1 if edge == "+" else -1
-
-
-def _side(scores: np.ndarray, sign: int) -> np.ndarray:
-    """Outcomes that take the edge ``sign``: sign(h), ties to +."""
-    return scores >= 0.0 if sign == 1 else scores < 0.0
 
 
 def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
@@ -204,7 +200,7 @@ def _scored_children(
     np.einsum("n,nk->k", np.where(positive, 0.0, weights), reach, out=label_sums[1])
     negative = (y < 0.0)[:, None]
     edges = []
-    for side in (scores >= 0.0, scores < 0.0):  # ``_side``: ties to +, a NaN score on neither
+    for side in (_side(scores, 1), _side(scores, -1)):
         alpha, table = _fit_edge(label_sums.compress(side, axis=1).ravel(), scores.compress(side))
         mass = weights * _table_factor(reach.compress(side, axis=1), negative, table)
         z = float(mass.sum())
@@ -233,6 +229,24 @@ class TreeNode(_Edges):
 
     def child_weights(self, sign: int) -> np.ndarray:
         return self.weights_plus if sign == 1 else self.weights_minus
+
+    def outcomes(self, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(reach, scores) of the node's classifier on the rows X.  Without X the
+        rows are the training examples and come from what training stored.  A
+        plain node draws +1 with its q(+), stored or its classifier's ``_q(X)``,
+        and -1 otherwise; a composite draws its inner walks."""
+        if self.q_plus is None:  # a composite
+            return self.classifier.leaf_table if X is None else self.classifier.outcomes(X)
+        return _plain_outcomes(self.q_plus if X is None else self.classifier._q(X))
+
+    def edge_factors(self, y: np.ndarray):
+        """The + and - edge factors on the training examples: a plain node's from
+        its stored q, as training scaled its mass; a composite's from its walk table."""
+        if self.q_plus is not None:
+            return super().edge_factors(y)
+        reach, scores = self.outcomes()
+        _stored_rows(reach, y)
+        return [_edge_factor(reach, scores, y, sign, self.alpha(sign)) for sign in (1, -1)]
 
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
@@ -372,21 +386,11 @@ def _drop_walk_tables(tree: TreeModel) -> None:
             node.classifier._leaf_table = None
 
 
-def _node_outcomes(node: TreeNode, X: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """(reach, scores) of a node's classifier on the rows X.  Without X the
-    rows are the training examples and come from what training stored.  A
-    plain node draws +1 with its q(+), stored or its classifier's ``_q(X)``,
-    and -1 otherwise; a composite draws its inner walks."""
-    if isinstance(node.classifier, CompositeNode):
-        return node.classifier.leaf_table if X is None else node.classifier.outcomes(X)
-    return _plain_outcomes(node.q_plus if X is None else node.classifier._q(X))
-
-
 def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reach probabilities (rows, K) and scores H (K,) of every root-to-leaf
     walk, each composite on the way expanded into its inner walks.
 
-    The rows are X, each node asked for its classifier's ``outcomes``; without
+    The rows are X, each node asked for its ``TreeNode.outcomes(X)``; without
     X they are the training examples, read from what training stored.  A tree
     without nodes has one walk, H = 0.
     """
@@ -405,7 +409,7 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
             continue
         reach = _outer_walks(parent, columns)
         rows = root_rows if reach is None else len(reach)
-        node_reach, node_scores = _node_outcomes(node, X)
+        node_reach, node_scores = node.outcomes(X)
         for sign, child in ((-1, "-"), (1, "+")):  # '+' is expanded first
             side = _side(node_scores, sign)
             entries += max(rows, len(node_reach)) * len(score) * np.count_nonzero(side)
@@ -587,13 +591,7 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
         node = tree.nodes.get(path)
         if node is None:
             return 1.0
-        if isinstance(node.classifier, CompositeNode):
-            reach, scores = node.classifier.leaf_table
-            _stored_rows(reach, y)
-            factors = [_edge_factor(reach, scores, y, sign, node.alpha(sign)) for sign in (1, -1)]
-        else:  # both edges' factors from one (2, N) array, as training scaled its mass
-            factors = node.edge_factors(y)
-        return sum(factor * below(path + child) for factor, child in zip(factors, "+-"))
+        return sum(factor * below(path + child) for factor, child in zip(node.edge_factors(y), "+-"))
 
     return float(np.sum(dataset.weights * below("")))
 
@@ -661,7 +659,7 @@ def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarra
                 start = stop
         level = []
         for path, node, at, h in drawn:
-            plus = h >= 0.0
+            plus = _side(h, 1)  # a NaN score, on neither side, walks '-' here; walk tables drop it
             scores[at] += np.where(plus, node.alpha_plus, node.alpha_minus) * h
             level += [(child, walks) for child, walks in ((path + "+", at[plus]), (path + "-", at[~plus]))
                       if len(walks)]

@@ -44,6 +44,12 @@ R_MAX_DEFAULT = 10_000
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
 
 
+def _side(scores: np.ndarray, sign: int) -> np.ndarray:
+    """The drawn or walk scores that take the edge ``sign``: sign(h), ties to +,
+    a NaN score on neither.  Every branch on a score reads this rule."""
+    return scores >= 0.0 if sign == 1 else scores < 0.0
+
+
 @dataclass
 class TrainConfig:
     """What a user chooses for training; the sampling strategies themselves
@@ -150,9 +156,9 @@ class ProbClassifier(ABC):
 
     def _q(self, X: np.ndarray) -> np.ndarray:
         """Exact q(+, x) on each row of X, which draws, exact q and a plain node's
-        walk columns read: the reach of the outcomes whose score is >= 0."""
+        walk columns read: the reach of the outcomes on the + side (``_side``)."""
         reach, scores = self.outcomes(X)
-        return reach[:, scores >= 0.0].sum(axis=1)
+        return reach[:, _side(scores, 1)].sum(axis=1)
 
     def q_plus(self, x: np.ndarray) -> float:
         """Exact q(+, x) on one row."""
@@ -217,7 +223,7 @@ def _train_step(learner: WeakLearner, dataset: Dataset, weights, where: str, *ar
 
 
 def _q_estimate(counts_plus: np.ndarray, rounds, estimator: str) -> np.ndarray:
-    """q(+) estimates from the counts of draws with score >= 0 after
+    """q(+) estimates from the counts of draws on the + side after
     ``rounds`` rounds: an int, or a column of ints for one row per round."""
     if estimator == "map":
         return (1.0 + counts_plus) / (rounds + 2)
@@ -231,10 +237,9 @@ def _q_estimate(counts_plus: np.ndarray, rounds, estimator: str) -> np.ndarray:
 def _draw_plus(classifier, dataset: Dataset, stream: RandomStream, purpose: str, rounds) -> np.ndarray:
     """The sampling rounds numbered ``rounds`` (a 1-D sequence) on the N
     training rows, one ``uniforms`` and one ``sample_batch`` call: a
-    (len(rounds), N) array, True where the score drawn is >= 0 (the + branch,
-    which a tie takes)."""
+    (len(rounds), N) array, True where the score drawn takes the + branch."""
     u = stream.uniforms(purpose, np.arange(dataset.n_examples), np.asarray(rounds)[:, None])
-    return classifier.sample_batch(dataset.features, u) >= 0.0
+    return _side(classifier.sample_batch(dataset.features, u), 1)
 
 
 def map_z_estimate(q: np.ndarray, weights: np.ndarray, labels):

@@ -8,18 +8,14 @@ import numpy as np
 import pytest
 
 from probboost import weak_learner
+from probboost._zstats import WStats, optimal_alphas, w_statistics, z_min, z_value
 from probboost.adaboost import (
     AdaboostModel,
     TrainConfig,
-    WStats,
     exact_expected_bound,
     mc_misclassification,
-    optimal_alphas,
     train_adaboost,
     update_weights,
-    w_statistics,
-    z_min,
-    z_value,
 )
 from probboost.core import Dataset, RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka

@@ -548,13 +548,22 @@ class TestInputErrors:
              "malformed ptree record (TypeError: malformed training set: "),
             ("old-edge", _set("a", "nodes", "", "classifier", "features", 0, 0),
              "malformed ptree record (TypeError: malformed training set: "),
+            # the ValueErrors of decoding name the file and the record kind too
+            ("tree", lambda record: {**record, "nodes": {**record["nodes"], "+x": record["nodes"][""]}},
+             "malformed ptree record (ValueError: path index must consist of '+'/'-', got '+x')"),
+            ("tree", lambda record: {**record, "nodes": {**record["nodes"], "+-+": record["nodes"][""]}},
+             "malformed ptree record (ValueError: node '+-+' has no parent in the record)"),
+            ("tree", _set("tree", "nodes", "", "classifier", "kind"),
+             "malformed ptree record (ValueError: unknown classifier kind 'tree')"),
+            ("tree", _set("tree", "kind"), "tree.json: unknown model kind 'tree'"),
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
              "alpha-past-float", "q-null", "ada-q-null", "q-above-one", "feature-string", "feature-beyond-columns",
              "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
              "epsilon-above-half", "inner-feature-beyond-columns", "inner-no-z-minus", "inner-alpha-string",
-             "table-feature-string", "table-label-string", "table-row-ragged", "inline-feature-string"],
+             "table-feature-string", "table-label-string", "table-row-ragged", "inline-feature-string",
+             "path-not-signs", "orphan-node", "unknown-classifier-kind", "unknown-model-kind"],
     )
     def test_malformed_model_file(self, runner, files, model, edit, message):
         record = edit(json.loads(files[model].read_text()))

@@ -1,0 +1,94 @@
+"""The paper's identities as properties of trained models: every trainer,
+both oracles, exact and sampled q.  A RuntimeWarning is an error here (as in
+the whole suite, by ``pyproject.toml``), so an overflow counts as a failure."""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from probboost.adaboost import AdaboostModel, exact_expected_bound, train_adaboost
+from probboost.core import make_synthetic_dataset
+from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
+from probboost.persist import load_model, save_model
+from probboost.ptree import CompositeNode, exact_tree_bound, grow_tree
+from probboost.weak_learner import TrainConfig, builtin_constant_edge_oracle, builtin_noisy_stump
+
+REL_TOL = 1e-9
+SIZES = {"adaboost-A": (2, 8), "adaboost-B": (2, 8), "ptree": (4, 16), "fixed2": (1, 4), "greedy": (4, 16)}
+
+
+def _train(trainer, dataset, learner, size, config):
+    if trainer.startswith("adaboost"):
+        return train_adaboost(dataset, learner, size, config)
+    if trainer == "ptree":
+        return grow_tree(dataset, learner, max_nodes=size, config=config)
+    if trainer == "fixed2":
+        return build_fixed_2_matryoshka(dataset, learner, size, config)
+    return build_greedy_matryoshka(dataset, learner, size, config=config)[0]
+
+
+@st.composite
+def _models(draw):
+    """(dataset, model): N from 2 to 48; a noiseless stump only with exact q
+    and no composites, whose edge fit overflows (the xfail case below)."""
+    trainer = draw(st.sampled_from(sorted(SIZES)))
+    composites = trainer in ("fixed2", "greedy")
+    exact_q = trainer != "adaboost-B" and draw(st.booleans())
+    if draw(st.booleans()):
+        learner = builtin_constant_edge_oracle(draw(st.floats(0.05, 0.45)))
+    elif exact_q and not composites and draw(st.booleans()):
+        learner = builtin_noisy_stump(0.0)
+    else:
+        learner = builtin_noisy_stump(draw(st.floats(0.05, 0.45)))
+    dataset = make_synthetic_dataset(draw(st.integers(2, 48)), seed=draw(st.integers(0, 2**16)))
+    strategy = "B" if trainer == "adaboost-B" else "A"
+    config = TrainConfig(seed=draw(st.integers(0, 2**16)), exact_q=exact_q, strategy=strategy)
+    return dataset, _train(trainer, dataset, learner, draw(st.integers(*SIZES[trainer])), config)
+
+
+def _composite_nodes(tree):
+    """Every tree node whose classifier is a composite, nested ones included."""
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            yield node
+            yield from _composite_nodes(node.classifier.inner)
+
+
+def _check_identities(dataset, model):
+    c = model.recorded_bound()
+    assert math.isfinite(c) and c >= 0.0
+    if isinstance(model, AdaboostModel):
+        assert math.isclose(c, exact_expected_bound(model, dataset), rel_tol=REL_TOL, abs_tol=0.0)
+    else:
+        assert math.isclose(c, exact_tree_bound(model, dataset), rel_tol=REL_TOL, abs_tol=0.0)
+        assert math.isclose(c, model.leaf_sum(), rel_tol=REL_TOL, abs_tol=0.0)
+        # a collect whose composite keeps alpha = 1 leaves C as it was in exact arithmetic
+        # (Z+ + Z- is the inner C), so restating C as the leaf sum may raise it by a few ulp
+        trajectory = model.trajectory
+        assert all(later <= earlier * (1.0 + REL_TOL) for earlier, later in zip(trajectory, trajectory[1:]))
+        for node in _composite_nodes(model):
+            assert node.z_plus + node.z_minus <= node.classifier.inner.leaf_sum() * (1.0 + REL_TOL)
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory, "first.json"), Path(directory, "second.json")
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_models())
+def test_trained_model_identities(case):
+    # C is finite, the exact bound and (for trees) the leaf sum, never rises,
+    # bounds each composite's Z from above by its inner C, and survives a file
+    _check_identities(*case)
+
+
+@pytest.mark.xfail(strict=True, reason="a noiseless composite's exp(alpha h) overflows in its edge fit")
+def test_noiseless_fixed2_identities():
+    dataset = make_synthetic_dataset(40, seed=1)
+    config = TrainConfig(seed=1, exact_q=True)
+    _check_identities(dataset, build_fixed_2_matryoshka(dataset, builtin_noisy_stump(0.0), 5, config))

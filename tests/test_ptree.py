@@ -863,7 +863,7 @@ def _reference_walks(tree, X, path="", reach=None, score=None):
     node = tree.nodes.get(path)
     if node is None:
         return reach, score
-    node_reach, node_scores = ptree._node_outcomes(node, X)
+    node_reach, node_scores = node.outcomes(X)
     walks = []
     for sign, child in ((1, "+"), (-1, "-")):
         side = ptree._side(node_scores, sign)
@@ -951,7 +951,7 @@ class TestWalkKernels:
             node = tree.nodes.get(path)
             if node is None:
                 return 1.0
-            reach, scores = ptree._node_outcomes(node, None)
+            reach, scores = node.outcomes()
             return sum(
                 _reference_edge_factor(reach, scores, y, sign, node.alpha(sign)) * below(path + child)
                 for sign, child in ((1, "+"), (-1, "-"))
