@@ -1,4 +1,4 @@
-"""W statistics, optimal alphas, and Z normalizers shared by all learners."""
+"""W statistics, optimal alphas, Z normalizers, edge kernels and the tie rule of all learners."""
 
 from __future__ import annotations
 
@@ -72,6 +72,39 @@ def _stage_factor(q: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: 
     """A plain stage's expected edge factor on each example, the sum of
     ``_scale_edges``' rows from [q, 1 - q]: q e^{-alpha+ y} + (1 - q) e^{alpha- y}."""
     return np.add(*_scale_edges(np.array((q, 1.0 - q)), y, alpha_plus, alpha_minus))
+
+
+def _side(scores: np.ndarray, sign: int) -> np.ndarray:
+    """The drawn or walk scores that take the edge ``sign``: sign(h), ties to +,
+    a NaN score on neither.  Every branch on a score reads this rule."""
+    return scores >= 0.0 if sign == 1 else scores < 0.0
+
+
+def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
+    """exp(-alpha * y * h_k) for y = +1, then for y = -1.  Labels are +/-1,
+    so these 2K values are every exp(-alpha * y_n * h_k), bit for bit."""
+    return np.exp(np.concatenate((-alpha * h, alpha * h)))
+
+
+def _edge_factor(
+    reach: np.ndarray, scores: np.ndarray, labels: np.ndarray, sign: int, alpha: float
+) -> np.ndarray:
+    """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
+    side = _side(scores, sign)
+    negative = (np.asarray(labels, dtype=float) < 0.0)[:, None]
+    return _table_factor(reach.compress(side, axis=1), negative, _exp_table(alpha, scores.compress(side)))
+
+
+def _table_factor(columns: np.ndarray, negative: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``_edge_factor`` from the reach's columns of the edge's outcomes and
+    ``_exp_table`` at its alpha.  ``columns`` is scaled in place: a C-ordered
+    copy (``compress``), so that each row sums in the same (pairwise) order
+    as any C-ordered (N, K) product; a boolean column selection is F-ordered.
+    ``negative`` is (labels < 0) as an (N, 1) column."""
+    k = columns.shape[1]
+    np.multiply(columns, table[:k], out=columns, where=~negative)
+    np.multiply(columns, table[k:], out=columns, where=negative)
+    return columns.sum(axis=1)
 
 
 def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:

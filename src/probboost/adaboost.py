@@ -206,12 +206,13 @@ def exact_expected_bound(model: AdaboostModel, dataset: Dataset) -> float:
     """Weighted expected exponential loss.  Given X the stage outputs are
     independent, so the expectation over their 2^T joint outputs factorizes
     per example: sum_n D(n) prod_t (q e^{-alpha+ y} + (1 - q) e^{alpha- y}).
-    Equals the product of recorded Z statistics (telescoping identity)."""
-    y = dataset.labels.astype(float)
-    factors = np.ones(dataset.n_examples)
+    Equals the product of recorded Z statistics (telescoping identity).  Rows
+    of weight 0 are left out, so a product that overflows there adds no 0 * inf."""
+    y, kept = dataset.labels.astype(float), dataset.weights > 0.0
+    factors = np.ones(np.count_nonzero(kept))
     for stage in model.stages:
-        factors *= np.add(*stage.edge_factors(y))
-    return float(np.sum(dataset.weights * factors))
+        factors *= np.add(*stage.edge_factors(y))[kept]
+    return float(np.sum(dataset.weights[kept] * factors))
 
 
 def mc_misclassification(
@@ -229,6 +230,6 @@ def mc_misclassification(
     examples, draws = np.arange(dataset.n_examples), np.arange(trials)[:, None]
     H = np.zeros((trials, dataset.n_examples))
     for t, stage in enumerate(model.stages, start=1):
-        plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.q_plus
+        plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.outcomes()[0][:, 0]  # q(+)
         H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
     return _mc_summary(H, dataset)

@@ -32,19 +32,17 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import LabelSplit, _scale_edges, _w_of_mass, _weighted_mass, optimal_alphas
+from ._zstats import LabelSplit, optimal_alphas
+from ._zstats import _exp_table, _scale_edges, _side, _table_factor, _w_of_mass, _weighted_mass
 from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
     _check_features,
     _Edges,
     _model_metadata,
-    _plain_outcomes,
     _read_metadata,
     _read_number,
     _read_training_sets,
-    _side,
-    _stored_rows,
     _train_step,
     _write_training_sets,
     node_q,
@@ -111,38 +109,6 @@ def _split_mass(mass: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus:
     return d_plus, z_plus, d_minus, z_minus
 
 
-def _sign(edge: str) -> int:
-    """The sign of an edge of a path: +1 for '+', -1 for '-'."""
-    return 1 if edge == "+" else -1
-
-
-def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
-    """exp(-alpha * y * h_k) for y = +1, then for y = -1.  Labels are +/-1,
-    so these 2K values are every exp(-alpha * y_n * h_k), bit for bit."""
-    return np.exp(np.concatenate((-alpha * h, alpha * h)))
-
-
-def _edge_factor(
-    reach: np.ndarray, scores: np.ndarray, labels: np.ndarray, sign: int, alpha: float
-) -> np.ndarray:
-    """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
-    side = _side(scores, sign)
-    negative = (np.asarray(labels, dtype=float) < 0.0)[:, None]
-    return _table_factor(reach.compress(side, axis=1), negative, _exp_table(alpha, scores.compress(side)))
-
-
-def _table_factor(columns: np.ndarray, negative: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``_edge_factor`` from the reach's columns of the edge's outcomes and
-    ``_exp_table`` at its alpha.  ``columns`` is scaled in place: a C-ordered
-    copy (``compress``), so that each row sums in the same (pairwise) order
-    as any C-ordered (N, K) product; a boolean column selection is F-ordered.
-    ``negative`` is (labels < 0) as an (N, 1) column."""
-    k = columns.shape[1]
-    np.multiply(columns, table[:k], out=columns, where=~negative)
-    np.multiply(columns, table[k:], out=columns, where=negative)
-    return columns.sum(axis=1)
-
-
 def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
     """Descend Z(a) = sum_k M+_k exp(-a h_k) + M-_k exp(a h_k) from a = 1, where
     ``label_mass`` is (M+, M-): each outcome's weight * reach summed over the
@@ -160,7 +126,7 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
     moments = np.empty((2, len(margins)))  # -dZ/da and d2Z/da2 by entry, less the exp factor
     np.multiply(label_mass, margins, out=moments[0])
     np.multiply(moments[0], margins, out=moments[1])
-    alpha, terms = 1.0, np.exp(-margins)
+    alpha, terms = 1.0, _exp_table(1.0, h)
     z = float((label_mass * terms).sum())
     for _ in range(SCALE_SEARCH_STEPS):
         minus_slope, curvature = (moments * terms).sum(axis=1).tolist()
@@ -170,7 +136,7 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
         if math.isfinite(z) and 0.5 * minus_slope * step <= FIT_STOP_ULPS * _EPS * z:
             break  # the step could lower Z only by rounding
         while abs(step) > tolerance:
-            trial_terms = np.exp(-(alpha + step) * margins)
+            trial_terms = _exp_table(alpha + step, h)
             trial_z = float((label_mass * trial_terms).sum())
             if trial_z < z:
                 alpha, z, terms = alpha + step, trial_z, trial_terms
@@ -224,29 +190,11 @@ class TreeNode(_Edges):
     def alpha(self, sign: int) -> float:
         return self.alpha_plus if sign == 1 else self.alpha_minus
 
-    def z(self, sign: int) -> float:
-        return self.z_plus if sign == 1 else self.z_minus
+    def z(self, edge: str) -> float:
+        return self.z_plus if edge == "+" else self.z_minus
 
-    def child_weights(self, sign: int) -> np.ndarray:
-        return self.weights_plus if sign == 1 else self.weights_minus
-
-    def outcomes(self, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(reach, scores) of the node's classifier on the rows X.  Without X the
-        rows are the training examples and come from what training stored.  A
-        plain node draws +1 with its q(+), stored or its classifier's ``_q(X)``,
-        and -1 otherwise; a composite draws its inner walks."""
-        if self.q_plus is None:  # a composite
-            return self.classifier.leaf_table if X is None else self.classifier.outcomes(X)
-        return _plain_outcomes(self.q_plus if X is None else self.classifier._q(X))
-
-    def edge_factors(self, y: np.ndarray):
-        """The + and - edge factors on the training examples: a plain node's from
-        its stored q, as training scaled its mass; a composite's from its walk table."""
-        if self.q_plus is not None:
-            return super().edge_factors(y)
-        reach, scores = self.outcomes()
-        _stored_rows(reach, y)
-        return [_edge_factor(reach, scores, y, sign, self.alpha(sign)) for sign in (1, -1)]
+    def child_weights(self, edge: str) -> np.ndarray:
+        return self.weights_plus if edge == "+" else self.weights_minus
 
     @classmethod
     def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
@@ -291,7 +239,7 @@ class TreeModel:
         """Product of Z_s over the edges of the path to the leaf."""
         product = 1.0
         for depth, edge in enumerate(leaf):
-            product *= self.nodes[leaf[:depth]].z(_sign(edge))
+            product *= self.nodes[leaf[:depth]].z(edge)
         return product
 
     def leaf_sum(self, root: str = "") -> float:
@@ -390,7 +338,7 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
     """Reach probabilities (rows, K) and scores H (K,) of every root-to-leaf
     walk, each composite on the way expanded into its inner walks.
 
-    The rows are X, each node asked for its ``TreeNode.outcomes(X)``; without
+    The rows are X, each node asked for its ``outcomes(X)`` (``_Edges``); without
     X they are the training examples, read from what training stored.  A tree
     without nodes has one walk, H = 0.
     """
@@ -457,7 +405,7 @@ def _frontier(tree: TreeModel) -> list[tuple[float, int, str]]:
     frontier = [
         _growth_key(leaf, product)
         for leaf, product in tree.leaf_products().items()
-        if not leaf or tree.nodes[leaf[:-1]].z(_sign(leaf[-1])) >= DEAD_BRANCH_THRESHOLD
+        if not leaf or tree.nodes[leaf[:-1]].z(leaf[-1]) >= DEAD_BRANCH_THRESHOLD
     ]
     heapq.heapify(frontier)
     return frontier
@@ -528,7 +476,7 @@ def _leaf_weights(tree: TreeModel, leaf: str, dataset: Dataset) -> np.ndarray:
     parent's weights for that edge."""
     if leaf == "":
         return dataset.weights.copy()
-    return tree.nodes[leaf[:-1]].child_weights(_sign(leaf[-1]))
+    return tree.nodes[leaf[:-1]].child_weights(leaf[-1])
 
 
 def attach_node(
@@ -583,17 +531,18 @@ def exact_tree_bound(tree: TreeModel, dataset: Dataset) -> float:
 
     Sum over examples of D(n) times the sum over leaves of the product of
     the edge factors along the path; a composite's factor sums over its
-    inner walks.  Equals the recorded leaf-sum of Z products.
+    inner walks.  Equals the recorded leaf-sum of Z products.  Rows of
+    weight 0 are left out, so a product that overflows there adds no 0 * inf.
     """
-    y = dataset.label_split.y
+    y, kept = dataset.label_split.y, dataset.weights > 0.0
 
     def below(path: str):
         node = tree.nodes.get(path)
         if node is None:
             return 1.0
-        return sum(factor * below(path + child) for factor, child in zip(node.edge_factors(y), "+-"))
+        return sum(factor[kept] * below(path + child) for factor, child in zip(node.edge_factors(y), "+-"))
 
-    return float(np.sum(dataset.weights * below("")))
+    return float(np.sum(dataset.weights[kept] * below("")))
 
 
 def predict_tree(

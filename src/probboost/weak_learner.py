@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import WStats, _scale_edges, optimal_alphas, w_statistics, z_value
+from ._zstats import WStats, _edge_factor, _scale_edges, _side, optimal_alphas, w_statistics, z_value
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 
 __all__ = [
@@ -42,12 +42,6 @@ __all__ = [
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
-
-
-def _side(scores: np.ndarray, sign: int) -> np.ndarray:
-    """The drawn or walk scores that take the edge ``sign``: sign(h), ties to +,
-    a NaN score on neither.  Every branch on a score reads this rule."""
-    return scores >= 0.0 if sign == 1 else scores < 0.0
 
 
 @dataclass
@@ -565,7 +559,8 @@ def _stored_rows(values: np.ndarray, y: np.ndarray) -> np.ndarray:
 @dataclass
 class _Edges:
     """A weak classifier and its domain-partitioned edge weights, the unit that an
-    AdaBoost stage and a tree node share; each adds the Z fields named in ``_Z``."""
+    AdaBoost stage and a tree node share; each adds the Z fields named in ``_Z``.
+    It is the one class that evaluates the unit: ``outcomes`` and ``edge_factors``."""
 
     classifier: ProbClassifier
     q_plus: np.ndarray | None  # q(+) per training example; None for a composite, whose outcomes are its walks
@@ -597,8 +592,24 @@ class _Edges:
                    _read_number(record["alpha_minus"], "alpha_minus"),
                    *[_read_number(record[name], name) for name in cls._Z])
 
-    def edge_factors(self, y: np.ndarray) -> np.ndarray:
-        """A plain classifier's (2, N) edge factors q e^{-alpha+ y} and (1 - q) e^{alpha- y}
-        on its training examples, from its stored q; ``y`` is their labels as floats."""
-        q = _stored_rows(self.q_plus, y)
-        return _scale_edges(np.array((q, 1.0 - q)), y, self.alpha_plus, self.alpha_minus)
+    def outcomes(self, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(reach, scores) of the classifier on the rows X.  Without X the rows
+        are the training examples and come from what training stored.  A plain
+        classifier draws +1 with its q(+), stored or its ``_q(X)``, and -1
+        otherwise; a composite draws its inner walks."""
+        if self.q_plus is None:  # a composite
+            return self.classifier.leaf_table if X is None else self.classifier.outcomes(X)
+        return _plain_outcomes(self.q_plus if X is None else self.classifier._q(X))
+
+    def edge_factors(self, y: np.ndarray):
+        """The + and - edge factors on the training examples, ``y`` their labels
+        as floats: a plain classifier's q e^{-alpha+ y} and (1 - q) e^{alpha- y}
+        from its stored q, one (2, N) array as training scaled its mass; a
+        composite's from its walk table, ``_edge_factor`` per side."""
+        if self.q_plus is not None:
+            q = _stored_rows(self.q_plus, y)
+            return _scale_edges(np.array((q, 1.0 - q)), y, self.alpha_plus, self.alpha_minus)
+        reach, scores = self.outcomes()
+        _stored_rows(reach, y)
+        return [_edge_factor(reach, scores, y, sign, alpha)
+                for sign, alpha in ((1, self.alpha_plus), (-1, self.alpha_minus))]

@@ -17,11 +17,11 @@ from probboost.adaboost import (
     train_adaboost,
     update_weights,
 )
-from probboost.core import Dataset, RandomStream, make_synthetic_dataset
+from probboost.core import Dataset, RandomStream, _mc_summary, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import save_model
 from probboost.ptree import grow_tree
-from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
+from probboost.weak_learner import _plain_outcomes, builtin_constant_edge_oracle, builtin_noisy_stump
 
 
 class TestWStatistics:
@@ -349,6 +349,41 @@ class TestExactExpectedBound:
         expected = float(np.sum(small_dataset.weights * (factors[0] * factors[1]) ** 11))
         model.stages = model.stages * 11  # 22 stages, past what enumeration can reach
         assert exact_expected_bound(model, small_dataset) == pytest.approx(expected, rel=1e-12)
+
+
+def _mc_on_stored_q(model, dataset, trials, seed):
+    """``mc_misclassification`` drawing each stage against its stored q(+)."""
+    stream = RandomStream(seed)
+    examples, draws = np.arange(dataset.n_examples), np.arange(trials)[:, None]
+    H = np.zeros((trials, dataset.n_examples))
+    for t, stage in enumerate(model.stages, start=1):
+        plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.q_plus
+        H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
+    return _mc_summary(H, dataset)
+
+
+class TestStageOutcomes:
+    """A stage gives its outcomes as a plain tree node does, from its stored q,
+    and the Monte-Carlo loss draws against their + column."""
+
+    @pytest.mark.parametrize("learner, config", [
+        (builtin_noisy_stump(0.1), TrainConfig(seed=4, exact_q=True)),
+        (builtin_noisy_stump(0.1), TrainConfig(seed=4)),
+        (builtin_noisy_stump(0.1), TrainConfig(seed=4, strategy="B")),
+        (builtin_constant_edge_oracle(0.3), TrainConfig(seed=4, exact_q=True)),
+    ], ids=["exact-q", "sampled-q", "strategy-B", "constant-edge-exact-q"])
+    def test_outcomes_are_the_stored_q(self, small_dataset, learner, config):
+        model = train_adaboost(small_dataset, learner, 5, config)
+        for stage in model.stages:
+            reach, scores = stage.outcomes()
+            expected_reach, expected_scores = _plain_outcomes(stage.q_plus)
+            assert reach.shape == expected_reach.shape and reach.tobytes() == expected_reach.tobytes()
+            assert scores.tobytes() == expected_scores.tobytes()
+            assert reach.flags.c_contiguous
+        for seed in (0, 7):
+            got = mc_misclassification(model, small_dataset, 300, seed=seed)
+            expected = _mc_on_stored_q(model, small_dataset, 300, seed)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestMcMisclassification:

@@ -360,6 +360,36 @@ class TestEval:
         assert r.output == "Error: dataset dimension 3 does not match model (2)\n"
 
 
+def _zero_weight_csv(path):
+    """``make_synthetic_dataset(20, seed=3)`` with weight 1 on its first row and 0 on the rest."""
+    dataset = make_synthetic_dataset(20, seed=3)
+    rows = [f"{f0!r},{f1!r},{label},{int(n == 0)}"
+            for n, ((f0, f1), label) in enumerate(zip(dataset.features.tolist(), dataset.labels.tolist()))]
+    path.write_text("\n".join(["f0,f1,label,weight", *rows]) + "\n")
+
+
+class TestZeroWeightRows:
+    """Rows of weight 0 add nothing to an exact bound, even where the product
+    of a row's edge factors overflows: eval prints the recorded bound, not nan."""
+
+    @pytest.mark.parametrize("args, recorded", [
+        (["--algo", "matryoshka", "--mode", "fixed2", "--L", "3", "--oracle", "constant-edge",
+          "--epsilon", "0.3"], 1.0642371728110667e-278),
+        (["--algo", "adaboost", "--T", "128", "--oracle", "stump", "--p-flip", "0"], 0.0),
+    ], ids=["fixed2-L3", "adaboost-T128"])
+    def test_exact_bound_is_the_recorded_bound(self, runner, tmp_path, args, recorded):
+        data, model = tmp_path / "zero-weights.csv", tmp_path / "m.json"
+        _zero_weight_csv(data)
+        r = runner.invoke(main, ["train", *args, "--exact-q", "--seed", "1", "--data", str(data),
+                                 "--out", str(model), "--trials", "50"])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["eval", "--model", str(model), "--data", str(data), "--trials", "50"])
+        assert r.exit_code == 0, r.output
+        values = dict(line.split(": ", 1) for line in r.output.splitlines())
+        assert float(values["recorded training bound"]) == recorded
+        assert float(values["exact exponential bound"]) == recorded
+
+
 class TestTreeMcLoss:
     def test_composite_beyond_walk_table_cap(self):
         # the root composite has 69,065 inner walks, so a table of its

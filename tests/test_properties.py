@@ -6,12 +6,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probboost.adaboost import AdaboostModel, exact_expected_bound, train_adaboost
-from probboost.core import make_synthetic_dataset
+from probboost.core import Dataset, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
 from probboost.ptree import CompositeNode, exact_tree_bound, grow_tree
@@ -32,9 +33,27 @@ def _train(trainer, dataset, learner, size, config):
 
 
 @st.composite
+def _datasets(draw):
+    """N from 1 to 48 rows of the synthetic blobs; labels of both classes, or
+    all +1 or all -1; uniform weights, or weight 0 on some rows (never all)."""
+    n = draw(st.integers(1, 48))
+    blobs = make_synthetic_dataset(max(n, 2), seed=draw(st.integers(0, 2**16)))
+    labels = draw(st.sampled_from([blobs.labels[:n], np.ones(n, dtype=int), -np.ones(n, dtype=int)]))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        weights[draw(st.integers(0, n - 1))] = 1.0
+    return Dataset.from_arrays(blobs.features[:n], labels, weights)
+
+
+@st.composite
 def _models(draw):
-    """(dataset, model): N from 2 to 48; a noiseless stump only with exact q
-    and no composites, whose edge fit overflows (the xfail case below)."""
+    """(dataset, model) on ``_datasets()``.  Two cases whose composite edge fit
+    overflows are left to the xfails below: a noiseless stump comes only with
+    exact q and no composites, and fixed-2 stops at L = 2 when the rows of
+    positive weight hold one label class (at L = 3 some such cases overflow,
+    at L = 4 every one probed did)."""
+    dataset = draw(_datasets())
     trainer = draw(st.sampled_from(sorted(SIZES)))
     composites = trainer in ("fixed2", "greedy")
     exact_q = trainer != "adaboost-B" and draw(st.booleans())
@@ -44,10 +63,12 @@ def _models(draw):
         learner = builtin_noisy_stump(0.0)
     else:
         learner = builtin_noisy_stump(draw(st.floats(0.05, 0.45)))
-    dataset = make_synthetic_dataset(draw(st.integers(2, 48)), seed=draw(st.integers(0, 2**16)))
     strategy = "B" if trainer == "adaboost-B" else "A"
     config = TrainConfig(seed=draw(st.integers(0, 2**16)), exact_q=exact_q, strategy=strategy)
-    return dataset, _train(trainer, dataset, learner, draw(st.integers(*SIZES[trainer])), config)
+    low, high = SIZES[trainer]
+    if trainer == "fixed2" and len(np.unique(dataset.labels[dataset.weights > 0.0])) == 1:
+        high = 2
+    return dataset, _train(trainer, dataset, learner, draw(st.integers(low, high)), config)
 
 
 def _composite_nodes(tree):
@@ -92,3 +113,12 @@ def test_noiseless_fixed2_identities():
     dataset = make_synthetic_dataset(40, seed=1)
     config = TrainConfig(seed=1, exact_q=True)
     _check_identities(dataset, build_fixed_2_matryoshka(dataset, builtin_noisy_stump(0.0), 5, config))
+
+
+@pytest.mark.xfail(strict=True, reason="with one label class a composite's exp(alpha h) overflows in its edge fit")
+@pytest.mark.parametrize("L, epsilon", [(4, 0.3), (3, 0.45)])
+def test_one_class_fixed2_identities(L, epsilon):
+    blobs = make_synthetic_dataset(24, seed=0)  # its first 12 rows are the +1 blob
+    dataset = Dataset.from_arrays(blobs.features[:12], np.ones(12, dtype=int))
+    config = TrainConfig(seed=0, exact_q=True)
+    _check_identities(dataset, build_fixed_2_matryoshka(dataset, builtin_constant_edge_oracle(epsilon), L, config))

@@ -798,9 +798,9 @@ class TestCompositeEdgeFit:
                 return float(np.sum(weights[:, None] * reach[:, side] * np.exp(-a * margins)))
 
             assert z == pytest.approx(z_at(outer), rel=1e-12)
-            assert z <= float(np.sum(weights * ptree._edge_factor(reach, h, y, sign, 1.0)))
+            assert z <= float(np.sum(weights * _zstats._edge_factor(reach, h, y, sign, 1.0)))
             expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
-            np.testing.assert_array_equal(ptree._edge_factor(reach, h, y, sign, alpha), expected)
+            np.testing.assert_array_equal(_zstats._edge_factor(reach, h, y, sign, alpha), expected)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_composite_cases())
@@ -990,7 +990,7 @@ class TestWalkKernels:
             np.testing.assert_array_equal(value, reference)
         for sign in (1, -1):
             np.testing.assert_array_equal(
-                ptree._edge_factor(reach, scores, y, sign, 0.8),
+                _zstats._edge_factor(reach, scores, y, sign, 0.8),
                 _reference_edge_factor(reach, scores, y, sign, 0.8),
             )
         if case == "no minus outcomes":
@@ -1024,13 +1024,13 @@ class TestPlainEdgeFactors:
         factors = _zstats._scale_edges(np.array((q, 1.0 - q)), y, a_plus, a_minus)
         reach, scores = _plain_outcomes(q)
         for factor, sign, alpha in ((factors[0], 1, a_plus), (factors[1], -1, a_minus)):
-            assert factor.tobytes() == ptree._edge_factor(reach, scores, y, sign, alpha).tobytes()
+            assert factor.tobytes() == _zstats._edge_factor(reach, scores, y, sign, alpha).tobytes()
         # an AdaBoost stage's factor is their sum
         assert _zstats._stage_factor(q, y, a_plus, a_minus).tobytes() == (factors[0] + factors[1]).tobytes()
         # and exact_tree_bound takes them so: a one-node tree's bound is the old sum
         dataset = Dataset.from_arrays(np.zeros((len(q), 1)), labels)
         tree = TreeModel(nodes={"": TreeNode(StumpClassifier(0, 0.0, 1, 0.5), q, a_plus, a_minus, 0.5, 0.5)})
-        expected = sum(ptree._edge_factor(reach, scores, y, sign, alpha) * 1.0
+        expected = sum(_zstats._edge_factor(reach, scores, y, sign, alpha) * 1.0
                        for sign, alpha in ((1, a_plus), (-1, a_minus)))
         assert exact_tree_bound(tree, dataset) == float(np.sum(dataset.weights * expected))
 
