@@ -76,8 +76,8 @@ def _stage_factor(q: np.ndarray, y: np.ndarray, alpha_plus: float, alpha_minus: 
 
 def _side(scores: np.ndarray, sign: int) -> np.ndarray:
     """The drawn or walk scores that take the edge ``sign``: sign(h), ties to +,
-    a NaN score on neither.  Every branch on a score reads this rule."""
-    return scores >= 0.0 if sign == 1 else scores < 0.0
+    a NaN score to -.  Every branch on a score reads this rule."""
+    return scores >= 0.0 if sign == 1 else ~(scores >= 0.0)
 
 
 def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
@@ -86,25 +86,21 @@ def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
     return np.exp(np.concatenate((-alpha * h, alpha * h)))
 
 
-def _edge_factor(
-    reach: np.ndarray, scores: np.ndarray, labels: np.ndarray, sign: int, alpha: float
+def _class_factor(
+    reach: np.ndarray, side: np.ndarray, table: np.ndarray, classes: np.ndarray, negative: np.ndarray
 ) -> np.ndarray:
-    """Per-example sum of p(outcome) * exp(-alpha * h * y) over the edge's outcomes."""
-    side = _side(scores, sign)
-    negative = (np.asarray(labels, dtype=float) < 0.0)[:, None]
-    return _table_factor(reach.compress(side, axis=1), negative, _exp_table(alpha, scores.compress(side)))
-
-
-def _table_factor(columns: np.ndarray, negative: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``_edge_factor`` from the reach's columns of the edge's outcomes and
-    ``_exp_table`` at its alpha.  ``columns`` is scaled in place: a C-ordered
-    copy (``compress``), so that each row sums in the same (pairwise) order
-    as any C-ordered (N, K) product; a boolean column selection is F-ordered.
-    ``negative`` is (labels < 0) as an (N, 1) column."""
-    k = columns.shape[1]
-    np.multiply(columns, table[:k], out=columns, where=~negative)
-    np.multiply(columns, table[k:], out=columns, where=negative)
-    return columns.sum(axis=1)
+    """Per-example sum of p(outcome) * exp(-alpha * h * y) over an edge's outcomes,
+    from a class table: ``reach`` (C, K) on each class of examples, ``side`` the
+    edge's outcomes, ``table`` their ``_exp_table`` at its alpha, ``classes`` each
+    example's class and ``negative`` (labels < 0).  Each class is summed once per
+    label, as a C-ordered row (``compress``) of products, so each example gets the
+    bits of the pairwise sum over its own row of the (N, K) table.  The -1 label
+    scales the columns in place."""
+    columns = reach.compress(side, axis=1)
+    k, sums = columns.shape[1], np.empty((len(columns), 2))  # y = +1, then y = -1
+    np.sum(columns * table[:k], axis=1, out=sums[:, 0])
+    np.sum(np.multiply(columns, table[k:], out=columns), axis=1, out=sums[:, 1])
+    return sums.ravel()[2 * classes + negative]
 
 
 def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:

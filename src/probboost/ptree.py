@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from ._zstats import LabelSplit, optimal_alphas
-from ._zstats import _exp_table, _scale_edges, _side, _table_factor, _w_of_mass, _weighted_mass
+from ._zstats import _class_factor, _exp_table, _scale_edges, _side, _w_of_mass, _weighted_mass
 from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
@@ -148,27 +148,35 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def _scored_children(
-    weights: np.ndarray, y: np.ndarray, reach: np.ndarray, scores: np.ndarray
+    weights: np.ndarray, y: np.ndarray, reach: np.ndarray, scores: np.ndarray, classes: np.ndarray
 ) -> tuple[float, float, np.ndarray, float, np.ndarray, float]:
-    """Edges of a node whose outcomes carry real scores (a composite); ``y``
-    is the labels as floats.
+    """Edges of a node whose outcomes carry real scores (a composite), from its
+    class table (``CompositeNode.leaf_table``): ``reach`` on each class of
+    examples and ``classes`` each example's; ``y`` is the labels as floats.
 
     Each alpha_s minimizes Z_s starting from alpha_s = 1, where
     Z_+ + Z_- is the inner tree's C on these weights.  Returns
     (alpha_+, alpha_-, D_{s+}, Z_{s+}, D_{s-}, Z_{s-}).
     """
     weights = np.asarray(weights, dtype=float)
-    # einsum without ``optimize`` adds the examples in row order and calls no
-    # BLAS, whose sum order varies with the thread count
-    positive = y > 0.0
-    label_sums = np.empty((2, reach.shape[1]))
-    np.einsum("n,nk->k", np.where(positive, weights, 0.0), reach, out=label_sums[0])
-    np.einsum("n,nk->k", np.where(positive, 0.0, weights), reach, out=label_sums[1])
-    negative = (y < 0.0)[:, None]
+    # einsum without ``optimize`` adds the examples in row order, given two or
+    # more columns (a lone column it adds in blocks, so it gets a zero column
+    # beside it), and calls no BLAS, whose sum order varies with the thread
+    # count.  It reads each example's row: a gather, freed before the edges
+    # are scaled, unless every example is its own class (then, numbered in
+    # order, the classes are the examples).
+    width = reach.shape[1]
+    rows = reach if width > 1 else np.pad(reach, ((0, 0), (0, 1)))
+    rows = rows if len(rows) == len(classes) else rows[classes]
+    positive, label_sums = y > 0.0, np.empty((2, rows.shape[1]))
+    np.einsum("n,nk->k", np.where(positive, weights, 0.0), rows, out=label_sums[0])
+    np.einsum("n,nk->k", np.where(positive, 0.0, weights), rows, out=label_sums[1])
+    label_sums = label_sums[:, :width]
+    del rows
     edges = []
     for side in (_side(scores, 1), _side(scores, -1)):
         alpha, table = _fit_edge(label_sums.compress(side, axis=1).ravel(), scores.compress(side))
-        mass = weights * _table_factor(reach.compress(side, axis=1), negative, table)
+        mass = weights * _class_factor(reach, side, table, classes, y < 0.0)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
     (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
@@ -293,19 +301,22 @@ class CompositeNode(ProbClassifier):
     outcomes on rows X are the inner walks: their probabilities on each row
     and their H_inner.  ``leaf_table`` holds them for the training
     examples, from what the inner nodes stored so that it agrees with the
-    inner tree's recorded C.  It is built on first read, and dropped when a
-    wrapping composite builds its table (these walks expanded) or the
-    matryoshka builder returns; a later read rebuilds it, bit for bit.
+    inner tree's recorded C, as a class table: (reach (C, K), H (K,), class of
+    each example (N,)), one row per class of ``_row_classes``, so that each
+    example's row is its class's, bit for bit.  It is built on first read, and
+    dropped when a wrapping composite builds its table (these walks expanded)
+    or the matryoshka builder returns; a later read rebuilds it, bit for bit.
     """
 
     def __init__(self, inner: TreeModel):
         self.inner = inner
-        self._leaf_table: tuple[np.ndarray, np.ndarray] | None = None
+        self._leaf_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
-    def leaf_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._leaf_table is None:
-            self._leaf_table = walk_table(self.inner)
+            classes = _row_classes(self.inner)
+            self._leaf_table = (*walk_table(self.inner, classes=classes), classes[1])
             _drop_walk_tables(self.inner)
         return self._leaf_table
 
@@ -334,15 +345,36 @@ def _drop_walk_tables(tree: TreeModel) -> None:
             node.classifier._leaf_table = None
 
 
-def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _row_classes(tree: TreeModel) -> tuple[np.ndarray, np.ndarray]:
+    """(first example of each class, class of each example) of the training
+    examples of a tree's walk table, classes numbered in order of appearance.
+    Examples whose inner outcomes are bitwise equal, every plain node's stored q
+    and every composite's class, have bitwise-equal rows, so a class is read at
+    one example.  The examples' keys are grouped in one pass, as byte strings.
+    A tree without nodes stores no rows: its one walk is one class of one example."""
+    if not tree.nodes:
+        return np.zeros(1, np.intp), np.zeros(1, np.intp)
+    keys = np.array([node.classifier.leaf_table[2] if node.q_plus is None else node.q_plus.view(np.uint64)
+                     for node in tree.nodes.values()], dtype=np.uint64).T.copy()
+    first = {}
+    owner = [first.setdefault(key, n) for n, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist())]
+    representatives = np.fromiter(first.values(), np.intp, len(first))
+    return representatives, np.searchsorted(representatives, owner)
+
+
+def walk_table(
+    tree: TreeModel, X: np.ndarray | None = None, classes: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Reach probabilities (rows, K) and scores H (K,) of every root-to-leaf
     walk, each composite on the way expanded into its inner walks.
 
     The rows are X, each node asked for its ``outcomes(X)`` (``_Edges``); without
-    X they are the training examples, read from what training stored.  A tree
-    without nodes has one walk, H = 0.
+    X they are the training examples, read from what training stored, or with
+    ``classes`` (``_row_classes``) one per class of them.  The cap counts the rows
+    of X or every training example.  A tree without nodes has one walk, H = 0.
     """
     root_rows = 1 if X is None else len(X)
+    rows = None if classes is None else classes[0]
     if "" not in tree.nodes:
         return np.ones((root_rows, 1)), np.zeros(1)
     # A walk is its parent's reach (1 at the root) times its edge's outcome
@@ -356,15 +388,15 @@ def walk_table(tree: TreeModel, X: np.ndarray | None = None) -> tuple[np.ndarray
             leaves.append((parent, columns, score))
             continue
         reach = _outer_walks(parent, columns)
-        rows = root_rows if reach is None else len(reach)
-        node_reach, node_scores = node.outcomes(X)
+        node_reach, node_scores = node.outcomes(X, rows)
+        examples = len(node_reach) if classes is None else len(classes[1])
         for sign, child in ((-1, "-"), (1, "+")):  # '+' is expanded first
             side = _side(node_scores, sign)
-            entries += max(rows, len(node_reach)) * len(score) * np.count_nonzero(side)
+            child_score = (score[:, None] + node.alpha(sign) * node_scores[side]).ravel()
+            entries += examples * len(child_score)
             if entries > MAX_WALK_ENTRIES:
                 raise ValueError(f"walk table exceeds {MAX_WALK_ENTRIES} entries; nesting too deep")
-            child_score = score[:, None] + node.alpha(sign) * node_scores[side]
-            stack.append((path + child, reach, node_reach.compress(side, axis=1), child_score.ravel()))
+            stack.append((path + child, reach, node_reach.compress(side, axis=1), child_score))
     scores = np.concatenate([score for _, _, score in leaves])
     table = np.empty((len(leaves[0][1]), len(scores)))
     start = 0
@@ -608,7 +640,7 @@ def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarra
                 start = stop
         level = []
         for path, node, at, h in drawn:
-            plus = _side(h, 1)  # a NaN score, on neither side, walks '-' here; walk tables drop it
+            plus = _side(h, 1)  # a NaN score walks '-', as walk tables and edge factors take it
             scores[at] += np.where(plus, node.alpha_plus, node.alpha_minus) * h
             level += [(child, walks) for child, walks in ((path + "+", at[plus]), (path + "-", at[~plus]))
                       if len(walks)]

@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import WStats, _edge_factor, _scale_edges, _side, optimal_alphas, w_statistics, z_value
+from ._zstats import WStats, _class_factor, _exp_table, _scale_edges, _side, optimal_alphas, w_statistics, z_value
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 
 __all__ = [
@@ -139,8 +139,9 @@ class ProbClassifier(ABC):
 
     #: None for a plain +/-1 classifier.  A classifier whose tree edges carry
     #: real-valued scores (a collected subtree) gives its ``outcomes`` on the
-    #: training examples here.
-    leaf_table: tuple[np.ndarray, np.ndarray] | None = None
+    #: training examples here, as a class table: (reach (C, K), scores (K,),
+    #: the class of each example (N,)).
+    leaf_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(reach (len(X), K), scores (K,)): the probability of each outcome
@@ -592,24 +593,31 @@ class _Edges:
                    _read_number(record["alpha_minus"], "alpha_minus"),
                    *[_read_number(record[name], name) for name in cls._Z])
 
-    def outcomes(self, X: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def outcomes(self, X: np.ndarray | None = None, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(reach, scores) of the classifier on the rows X.  Without X the rows
-        are the training examples and come from what training stored.  A plain
-        classifier draws +1 with its q(+), stored or its ``_q(X)``, and -1
-        otherwise; a composite draws its inner walks."""
+        are the training examples, or those indexed by ``rows``, and come from
+        what training stored.  A plain classifier draws +1 with its q(+), stored
+        or its ``_q(X)``, and -1 otherwise; a composite draws its inner walks,
+        each example its class's row of the ``leaf_table``."""
+        if X is not None:
+            return self.classifier.outcomes(X) if self.q_plus is None else _plain_outcomes(self.classifier._q(X))
         if self.q_plus is None:  # a composite
-            return self.classifier.leaf_table if X is None else self.classifier.outcomes(X)
-        return _plain_outcomes(self.q_plus if X is None else self.classifier._q(X))
+            reach, scores, classes = self.classifier.leaf_table
+            rows = classes if rows is None else classes[rows]
+            # classes are numbered in order of first example, so as many rows as
+            # classes are the classes in order
+            return reach if len(rows) == len(reach) else reach[rows], scores
+        return _plain_outcomes(self.q_plus if rows is None else self.q_plus[rows])
 
     def edge_factors(self, y: np.ndarray):
         """The + and - edge factors on the training examples, ``y`` their labels
         as floats: a plain classifier's q e^{-alpha+ y} and (1 - q) e^{alpha- y}
         from its stored q, one (2, N) array as training scaled its mass; a
-        composite's from its walk table, ``_edge_factor`` per side."""
+        composite's from its class table, ``_class_factor`` per side."""
         if self.q_plus is not None:
             q = _stored_rows(self.q_plus, y)
             return _scale_edges(np.array((q, 1.0 - q)), y, self.alpha_plus, self.alpha_minus)
-        reach, scores = self.outcomes()
-        _stored_rows(reach, y)
-        return [_edge_factor(reach, scores, y, sign, alpha)
-                for sign, alpha in ((1, self.alpha_plus), (-1, self.alpha_minus))]
+        reach, scores, classes = self.classifier.leaf_table
+        _stored_rows(classes, y)
+        return [_class_factor(reach, side, _exp_table(alpha, scores[side]), classes, y < 0.0)
+                for side, alpha in ((_side(scores, 1), self.alpha_plus), (_side(scores, -1), self.alpha_minus))]

@@ -397,7 +397,8 @@ class TestTreeMcLoss:
         model = build_fixed_2_matryoshka(
             make_synthetic_dataset(40, seed=0), builtin_noisy_stump(0.1), 6, TrainConfig(exact_q=True)
         )
-        assert model.nodes[""].classifier.leaf_table[0].shape == (40, 69_065)
+        reach, _, classes = model.nodes[""].classifier.leaf_table
+        assert reach[classes].shape == (40, 69_065)
         loss, se = _mc_loss(model, make_synthetic_dataset(200, seed=5), 2, 1)
         assert 0.0 <= loss <= 1.0 and math.isfinite(se)
 

@@ -1,5 +1,6 @@
 """Nested trees: composite nodes, fixed-2 building, greedy collection."""
 
+import json
 import math
 
 import numpy as np
@@ -161,12 +162,12 @@ class TestCompositeNode:
         assert any(
             isinstance(node.classifier, CompositeNode) for node in composite.inner.nodes.values()
         )
-        reach, scores = composite.leaf_table
+        reach, scores, classes = composite.leaf_table
         n = 4000
         for index in range(3):
             x = small_dataset.features[index]
             q = composite.q_plus(x)
-            assert q == pytest.approx(reach[index, scores >= 0.0].sum(), abs=1e-12)
+            assert q == pytest.approx(reach[classes[index], scores >= 0.0].sum(), abs=1e-12)
             freq = np.mean(_composite_draws(composite, x, n, seed=8) == 1)
             se = math.sqrt(max(q * (1.0 - q), 1e-12) / n)
             assert freq == pytest.approx(q, abs=max(4 * se, 1e-3))
@@ -180,8 +181,9 @@ class TestCompositeNode:
         )
         composite = tree.nodes[""].classifier
         reach, scores = composite.outcomes(small_dataset.features)
-        np.testing.assert_array_equal(reach, composite.leaf_table[0])
-        np.testing.assert_array_equal(scores, composite.leaf_table[1])
+        table, table_scores, classes = composite.leaf_table
+        np.testing.assert_array_equal(reach, table[classes])
+        np.testing.assert_array_equal(scores, table_scores)
 
     def test_inner_classifier_without_exact_q(self):
         class SampleOnly(ProbClassifier):
@@ -210,13 +212,34 @@ class TestCompositeNode:
         )
         record = tree.to_record()
         assert record["nodes"][""]["q_plus"] is None
-        reach, scores = tree.nodes[""].classifier.leaf_table
+        reach, scores, classes = tree.nodes[""].classifier.leaf_table
         for node in record["nodes"].values():
-            node["q_plus"] = reach[:, scores >= 0.0].sum(axis=1).tolist()
+            node["q_plus"] = reach[classes][:, scores >= 0.0].sum(axis=1).tolist()
         old = TreeModel.from_record(record)
         assert all(node.q_plus is None for node in old.nodes.values())
         assert old.to_record() == tree.to_record()
         assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
+
+    def test_inner_tree_without_nodes(self, small_dataset, tmp_path):
+        # an empty inner tree stores no rows: its table is one walk on one
+        # example, so data of any other size is refused by name, also in a
+        # file whose composite has an empty inner tree
+        composite = collect_leaves(TreeModel())
+        reach, scores, classes = composite.leaf_table
+        assert reach.tolist() == [[1.0]] and scores.tolist() == [0.0] and classes.tolist() == [0]
+        one_row = Dataset.from_arrays([[0.0]], [1])
+        outer = TreeModel(nodes={"": TreeNode(composite, None, 1.0, 0.5, 0.5, 0.5)})
+        assert exact_tree_bound(outer, one_row) == 1.0  # its walk scores H = 0
+        tree = build_fixed_2_matryoshka(
+            small_dataset, builtin_constant_edge_oracle(0.3), 2, TrainConfig(exact_q=True)
+        )
+        path = tmp_path / "m.json"
+        save_model(tree, path)
+        record = json.loads(path.read_text())
+        next(_composite_records(record))["inner"]["nodes"] = {}
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="dataset size does not match the stored model"):
+            exact_tree_bound(load_model(path), small_dataset)
 
     def test_record_holds_only_inner_nodes(self, small_dataset):
         fixed = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1))

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from probboost.adaboost import TrainConfig, train_adaboost
 from probboost.cli import main
-from probboost.core import make_synthetic_dataset
+from probboost.core import load_csv, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
 from probboost.ptree import CompositeNode, grow_tree
@@ -79,6 +79,16 @@ STUMP_FILES = {
         "recorded training bound: 3.536259898390953e-13",
     ],
 }
+
+
+def _duplicated_rows_csv(path):
+    """``make_synthetic_dataset(16, seed=3)``, then its first four rows again
+    with the other label; every row has weight 1 but the sixth, of weight 0."""
+    dataset = make_synthetic_dataset(16, seed=3)
+    rows = [(f0, f1, label) for (f0, f1), label in zip(dataset.features.tolist(), dataset.labels.tolist())]
+    rows += [(f0, f1, -label) for f0, f1, label in rows[:4]]
+    lines = [f"{f0!r},{f1!r},{label},{int(n != 5)}" for n, (f0, f1, label) in enumerate(rows)]
+    path.write_text("\n".join(["f0,f1,label,weight", *lines]) + "\n")
 
 
 def _eval_lines(model, data=DATA / "edge_data.csv", trials=200):
@@ -323,6 +333,34 @@ class TestTrainingSetTable:
             model = build_fixed_2_matryoshka(data, learner, size, config)
         else:
             model, log = build_greedy_matryoshka(data, learner, size, config=config)
+            assert any(entry.action == "collect" for entry in log)
+        save_model(model, tmp_path / "m.json")
+        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("greedy-16-exact", "8ee089499600907f5bed286d5ee1f688b13674f6bdabb9e60f226d3396315123"),
+            ("greedy-16-sampled", "9c6e64ef0029dec266faf61f6a3e81983c9a4d72676d291186f58935f97fee9f"),
+            ("fixed2-3-duplicated-rows", "77e6adf838d79f7340a6500d7af261cddc2017bdc6fc847663759d6cb10a8cba"),
+        ],
+    )
+    def test_nested_trees_row_classes_unchanged(self, tmp_path, case, digest):
+        # a composite's table has one row per class of training rows with
+        # bitwise-equal inner outcomes: here many classes (noisy stumps, and
+        # sampled q with its own q per row), and classes that hold both labels
+        # (feature rows repeated with the other label, one of weight 0)
+        mode, size, q = case.split("-", 2)
+        if q == "duplicated-rows":
+            _duplicated_rows_csv(tmp_path / "data.csv")
+            data = load_csv(tmp_path / "data.csv")
+        else:
+            data = make_synthetic_dataset(40, seed=1)
+        config = TrainConfig(seed=1, exact_q=q != "sampled")
+        if mode == "fixed2":
+            model = build_fixed_2_matryoshka(data, builtin_noisy_stump(), int(size), config)
+        else:
+            model, log = build_greedy_matryoshka(data, builtin_noisy_stump(), int(size), config=config)
             assert any(entry.action == "collect" for entry in log)
         save_model(model, tmp_path / "m.json")
         assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest

@@ -17,6 +17,7 @@ from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryosh
 from probboost.persist import load_model, save_model
 from probboost.ptree import CompositeNode, exact_tree_bound, grow_tree
 from probboost.weak_learner import TrainConfig, builtin_constant_edge_oracle, builtin_noisy_stump
+from test_ptree import _reference_walks
 
 REL_TOL = 1e-9
 SIZES = {"adaboost-A": (2, 8), "adaboost-B": (2, 8), "ptree": (4, 16), "fixed2": (1, 4), "greedy": (4, 16)}
@@ -47,14 +48,14 @@ def _datasets(draw):
 
 
 @st.composite
-def _models(draw):
-    """(dataset, model) on ``_datasets()``.  Two cases whose composite edge fit
+def _models(draw, trainers=tuple(sorted(SIZES))):
+    """(dataset, model) on ``_datasets()`` by one of ``trainers``.  Two cases whose composite edge fit
     overflows are left to the xfails below: a noiseless stump comes only with
     exact q and no composites, and fixed-2 stops at L = 2 when the rows of
     positive weight hold one label class (at L = 3 some such cases overflow,
     at L = 4 every one probed did)."""
     dataset = draw(_datasets())
-    trainer = draw(st.sampled_from(sorted(SIZES)))
+    trainer = draw(st.sampled_from(trainers))
     composites = trainer in ("fixed2", "greedy")
     exact_q = trainer != "adaboost-B" and draw(st.booleans())
     if draw(st.booleans()):
@@ -106,6 +107,38 @@ def test_trained_model_identities(case):
     # C is finite, the exact bound and (for trees) the leaf sum, never rises,
     # bounds each composite's Z from above by its inner C, and survives a file
     _check_identities(*case)
+
+
+def _q_signatures(tree):
+    """Each training row's stored q of every plain node in ``tree``, nested
+    composites' included, as its bits: one row of uint64 per example."""
+    columns = []
+    for node in tree.nodes.values():
+        if isinstance(node.classifier, CompositeNode):
+            columns.append(_q_signatures(node.classifier.inner))
+        else:
+            columns.append(node.q_plus.view(np.uint64)[:, None])
+    return np.hstack(columns)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_models(trainers=("fixed2", "greedy")))
+def test_composite_class_tables(case):
+    # every composite at every depth keeps one walk-table row per class of
+    # training rows; expanded to the rows it is the naive table bit for bit,
+    # and its classes are the rows' distinct inner q signatures
+    dataset, model = case
+    for node in _composite_nodes(model):
+        reach, scores, classes = node.classifier.leaf_table
+        expected_reach, expected_scores = _reference_walks(node.classifier.inner, None)
+        assert reach[classes].tobytes() == expected_reach.tobytes()
+        assert scores.tobytes() == expected_scores.tobytes()
+        signatures = _q_signatures(node.classifier.inner)
+        assert len(reach) == len(np.unique(signatures, axis=0))
+        assert len(reach) == len(np.unique(np.column_stack((classes.astype(np.uint64), signatures)), axis=0))
+    n = dataset.n_examples + 1
+    with pytest.raises(ValueError, match="dataset size does not match the stored model"):
+        exact_tree_bound(model, Dataset.from_arrays(np.zeros((n, dataset.dimension)), np.ones(n, dtype=int)))
 
 
 @pytest.mark.xfail(strict=True, reason="a noiseless composite's exp(alpha h) overflows in its edge fit")

@@ -56,6 +56,12 @@ def _leaf_values(tree):
     return dict(zip(sorted(tree.leaf_products()), walk_table(tree)[1].tolist()))
 
 
+def _edge_factor(reach, scores, y, sign, alpha):
+    """The class factor of one edge on a table whose every row is its own class."""
+    side = ptree._side(scores, sign)
+    return _zstats._class_factor(reach, side, ptree._exp_table(alpha, scores[side]), np.arange(len(reach)), y < 0.0)
+
+
 class TestLeafValue:
     def test_root(self):
         tree = TreeModel()
@@ -787,7 +793,7 @@ class TestCompositeEdgeFit:
         table = ptree._exp_table(0.7, h)
         by_label = np.where(y[:, None] > 0.0, table[: len(h)], table[len(h) :])
         np.testing.assert_array_equal(by_label, np.exp(-0.7 * np.outer(y, h)))
-        a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, reach, h)
+        a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, reach, h, np.arange(len(y)))
         for sign, alpha, z in ((1, a_plus, z_plus), (-1, a_minus, z_minus)):
             side = ptree._side(h, sign)
             margins = np.outer(y, h[side])
@@ -798,9 +804,9 @@ class TestCompositeEdgeFit:
                 return float(np.sum(weights[:, None] * reach[:, side] * np.exp(-a * margins)))
 
             assert z == pytest.approx(z_at(outer), rel=1e-12)
-            assert z <= float(np.sum(weights * _zstats._edge_factor(reach, h, y, sign, 1.0)))
+            assert z <= float(np.sum(weights * _edge_factor(reach, h, y, sign, 1.0)))
             expected = np.sum(reach[:, side] * np.exp(-alpha * np.outer(y, h[side])), axis=1)
-            np.testing.assert_array_equal(_zstats._edge_factor(reach, h, y, sign, alpha), expected)
+            np.testing.assert_array_equal(_edge_factor(reach, h, y, sign, alpha), expected)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_composite_cases())
@@ -809,17 +815,17 @@ class TestCompositeEdgeFit:
         # step; it takes the alpha of a search that recomputes them, and the
         # terms it returns are the edge's exp table
         weights, y, reach, scores = case
-        original, tables = ptree._table_factor, []
+        original, tables = ptree._class_factor, []
 
-        def table_factor(columns, negative, table):
+        def class_factor(reach, side, table, classes, negative):
             tables.append(table)
-            return original(columns, negative, table)
+            return original(reach, side, table, classes, negative)
 
         # with one label class absent Z falls without bound and the fit runs
         # into exp overflow
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ptree, "_table_factor", table_factor)
-            a_plus, a_minus, *_ = ptree._scored_children(weights, y, reach, scores)
+            patch.setattr(ptree, "_class_factor", class_factor)
+            a_plus, a_minus, *_ = ptree._scored_children(weights, y, reach, scores, np.arange(len(y)))
             for sign, alpha, table in ((1, a_plus, tables[0]), (-1, a_minus, tables[1])):
                 side = ptree._side(scores, sign)
                 h = scores[side]
@@ -935,10 +941,11 @@ class TestWalkKernels:
                 if node.classifier.leaf_table is None:
                     continue
                 weights = ptree._leaf_weights(tree, path, small_dataset)
-                reach, scores = node.classifier.leaf_table
-                got = ptree._scored_children(weights, y, reach, scores)
-                for value, expected in zip(got, _reference_scored_children(weights, y, reach, scores)):
-                    np.testing.assert_array_equal(value, expected)
+                reach, scores, classes = node.classifier.leaf_table
+                got = ptree._scored_children(weights, y, reach, scores, classes)
+                expected = _reference_scored_children(weights, y, reach[classes], scores)
+                for value, reference in zip(got, expected):
+                    np.testing.assert_array_equal(value, reference)
                 # the fitted edges are the ones training stored
                 assert got[:2] == (node.alpha_plus, node.alpha_minus)
             assert exact_tree_bound(tree, small_dataset) == self._reference_bound(tree, small_dataset)
@@ -982,15 +989,19 @@ class TestWalkKernels:
         else:
             weights[[1, 4]] = 0.0
         # with one label class absent Z falls without bound on both edges and
-        # the fit runs into exp overflow; both forms still agree bit for bit
+        # the fit runs into exp overflow; both forms still agree bit for bit,
+        # also where classes of rows repeat and hold both labels
+        classes = np.arange(n) % 4
         with np.errstate(over="ignore", invalid="ignore"):
-            got = ptree._scored_children(weights, y, reach, scores)
+            got = ptree._scored_children(weights, y, reach, scores, np.arange(n))
             expected = _reference_scored_children(weights, y, reach, scores)
-        for value, reference in zip(got, expected):
+            by_class = ptree._scored_children(weights, y, reach[:4], scores, classes)
+            by_class_expected = _reference_scored_children(weights, y, reach[classes], scores)
+        for value, reference in (*zip(got, expected), *zip(by_class, by_class_expected)):
             np.testing.assert_array_equal(value, reference)
         for sign in (1, -1):
             np.testing.assert_array_equal(
-                _zstats._edge_factor(reach, scores, y, sign, 0.8),
+                _edge_factor(reach, scores, y, sign, 0.8),
                 _reference_edge_factor(reach, scores, y, sign, 0.8),
             )
         if case == "no minus outcomes":
@@ -1024,13 +1035,13 @@ class TestPlainEdgeFactors:
         factors = _zstats._scale_edges(np.array((q, 1.0 - q)), y, a_plus, a_minus)
         reach, scores = _plain_outcomes(q)
         for factor, sign, alpha in ((factors[0], 1, a_plus), (factors[1], -1, a_minus)):
-            assert factor.tobytes() == _zstats._edge_factor(reach, scores, y, sign, alpha).tobytes()
+            assert factor.tobytes() == _edge_factor(reach, scores, y, sign, alpha).tobytes()
         # an AdaBoost stage's factor is their sum
         assert _zstats._stage_factor(q, y, a_plus, a_minus).tobytes() == (factors[0] + factors[1]).tobytes()
         # and exact_tree_bound takes them so: a one-node tree's bound is the old sum
         dataset = Dataset.from_arrays(np.zeros((len(q), 1)), labels)
         tree = TreeModel(nodes={"": TreeNode(StumpClassifier(0, 0.0, 1, 0.5), q, a_plus, a_minus, 0.5, 0.5)})
-        expected = sum(_zstats._edge_factor(reach, scores, y, sign, alpha) * 1.0
+        expected = sum(_edge_factor(reach, scores, y, sign, alpha) * 1.0
                        for sign, alpha in ((1, a_plus), (-1, a_minus)))
         assert exact_tree_bound(tree, dataset) == float(np.sum(dataset.weights * expected))
 
@@ -1040,6 +1051,37 @@ class TestPlainEdgeFactors:
                          config=TrainConfig(seed=2, exact_q=exact))
         assert all(node.q_plus is not None for node in tree.nodes.values())
         assert exact_tree_bound(tree, small_dataset) == TestWalkKernels._reference_bound(tree, small_dataset)
+
+
+class TestNanScore:
+    """A walk score of NaN takes the '-' edge everywhere: in walk tables, edge
+    factors and row classes, as a drawn walk takes it.  A composite whose inner
+    node has an alpha_plus of nan scores its inner '+' walk NaN."""
+
+    @staticmethod
+    def _tree():
+        X = np.array([[1.0], [-1.0], [0.5]])
+        dataset = Dataset.from_arrays(X, [1, -1, -1])
+        stump = StumpClassifier(0, 0.0, 1, 0.25)
+        inner = TreeModel(nodes={"": TreeNode(stump, stump._q(X), math.nan, 0.5, 0.5, 0.5)})
+        return TreeModel(nodes={"": TreeNode(CompositeNode(inner), None, 1.0, 1.0, 0.5, 0.5)}), dataset
+
+    def test_walk_table_rows_sum_to_one(self):
+        tree, dataset = self._tree()
+        for X in (None, dataset.features):
+            reach, scores = walk_table(tree, X)
+            assert np.isnan(scores).any()
+            np.testing.assert_allclose(reach.sum(axis=1), 1.0, rtol=1e-15)
+
+    def test_exact_bound_is_nan(self):
+        tree, dataset = self._tree()
+        assert math.isnan(exact_tree_bound(tree, dataset))
+
+    def test_walk_takes_minus(self):
+        tree, dataset = self._tree()
+        scores, leaves = predict_tree(tree, dataset.features, RandomStream(0), "p", 200)
+        drew_nan = np.isnan(scores)
+        assert drew_nan.any() and (leaves[drew_nan] == "-").all()
 
 
 class TestPredictTree:
@@ -1268,8 +1310,8 @@ class TestTableLifetime:
 
     @staticmethod
     def _recording(built):
-        def recording(tree, X=None):
-            table = walk_table(tree, X)
+        def recording(tree, X=None, classes=None):
+            table = walk_table(tree, X, classes)
             if X is None:
                 built.setdefault(id(tree), tuple(array.copy() for array in table))
             return table
@@ -1287,12 +1329,12 @@ class TestTableLifetime:
         monkeypatch.setattr(ptree, "walk_table", self._recording(built))
 
         def assert_rebuilt(composite):
-            reach, scores = composite.leaf_table
+            reach, scores, classes = composite.leaf_table
             expected_reach, expected_scores = built[id(composite.inner)]
             assert reach.tobytes() == expected_reach.tobytes()
             assert scores.tobytes() == expected_scores.tobytes()
             reference_reach, reference_scores = _reference_walks(composite.inner, None)
-            assert reach.tobytes() == reference_reach.tobytes()
+            assert reach[classes].tobytes() == reference_reach.tobytes()
             assert scores.tobytes() == reference_scores.tobytes()
 
         for tree in self._models(small_dataset):
@@ -1310,9 +1352,9 @@ class TestTableLifetime:
     def test_loading_and_predicting_build_no_table(self, small_dataset, tmp_path, monkeypatch):
         calls = []
 
-        def counting(tree, X=None):
+        def counting(tree, X=None, classes=None):
             calls.append(X is None)
-            return walk_table(tree, X)
+            return walk_table(tree, X, classes)
 
         for index, tree in enumerate(self._models(small_dataset)):
             path = tmp_path / f"model-{index}.json"
