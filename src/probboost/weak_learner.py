@@ -104,34 +104,54 @@ def _check_features(classifiers, metadata: dict[str, Any]) -> None:
                 raise TypeError(f"feature must be below the model's dimension {dimension}, got {plain.feature}")
 
 
-def _write_q(classifier, q: np.ndarray | None) -> list[float] | None:
-    """The ``q_plus`` a node or stage record stores: null where q is, bit for
-    bit, the q the classifier rebuilds from the model file (``_training_q``),
-    or where there is none (a composite); otherwise q's numbers."""
+def _write_q(classifier, q: np.ndarray | None) -> dict[str, Any]:
+    """The stored q fields of a node or stage record.  ``q_plus`` is null where
+    q is, bit for bit, the q the classifier rebuilds from the model file
+    (``_training_q``), or where there is none (a composite).  A q that repeats
+    a value is its distinct values (bitwise, so ``0.0`` and ``-0.0`` stay apart)
+    in ``q_plus`` and each example's place among them in ``q_index``; any other
+    q is its list of numbers."""
     if q is None:
-        return None
+        return {"q_plus": None}
     rebuilt = classifier._training_q()
     if rebuilt is not None and q.dtype == rebuilt.dtype and q.shape == rebuilt.shape \
             and q.tobytes() == rebuilt.tobytes():
-        return None
-    return q.tolist()
+        return {"q_plus": None}
+    bits, index = np.unique(np.asarray(q, dtype=float).view(np.uint64), return_inverse=True)
+    if len(bits) == len(q):
+        return {"q_plus": q.tolist()}
+    return {"q_plus": bits.view(float).tolist(), "q_index": index.tolist()}
 
 
-def _read_q(values, classifier) -> np.ndarray:
+def _read_q(record: dict[str, Any], classifier) -> np.ndarray:
     """The q(+) of a node or stage record: where it stores null, the q its
     classifier rebuilds from the file; otherwise the stored numbers, in [0, 1]
-    (a nan fails both bounds), as floats.  A null that the file cannot
-    rebuild is refused as any other value that is not such a list."""
-    rebuilt = classifier._training_q() if values is None else None
+    (a nan fails both bounds), as floats, and where the record has a
+    ``q_index``, those numbers at its indices.  A null that the file cannot
+    rebuild, or that stands beside a ``q_index``, is refused as any other value
+    that is not such a list."""
+    values, index = record["q_plus"], record.get("q_index")
+    rebuilt = classifier._training_q() if values is None and index is None else None
     if rebuilt is not None:
         return rebuilt
-    try:
-        q = np.asarray(values)
-    except ValueError:  # a ragged nesting of lists
-        q = np.empty(())
+    q = _array(values)
     if q.ndim != 1 or q.dtype.kind not in "iuf" or not q.min(initial=0.0) >= 0.0 or not q.max(initial=1.0) <= 1.0:
         raise TypeError("q_plus must be a list of numbers in [0, 1]")
-    return q.astype(float, copy=False)
+    q = q.astype(float, copy=False)
+    if index is None:
+        return q
+    index = _array(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu" or index.min(initial=0) < 0 or index.max(initial=0) >= len(q):
+        raise TypeError(f"q_index must be a list of ints in [0, {len(q)})")
+    return q[index]
+
+
+def _array(values) -> np.ndarray:
+    """``values`` of a record as numpy reads them; a ragged nesting of lists is a 0-d array."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        return np.empty(())
 
 
 class ProbClassifier(ABC):
@@ -572,7 +592,7 @@ class _Edges:
     def to_record(self) -> dict[str, Any]:
         record = {
             "classifier": self.classifier.to_record(),
-            "q_plus": _write_q(self.classifier, self.q_plus),
+            **_write_q(self.classifier, self.q_plus),
             "alpha_plus": self.alpha_plus,
             "alpha_minus": self.alpha_minus,
         }
@@ -584,7 +604,7 @@ class _Edges:
     def from_record(cls, record: dict[str, Any], training_sets: dict[str, TrainingSet]):
         """The edges of a plain classifier's record; ``training_sets`` is the model's table."""
         classifier = classifier_from_record(record["classifier"], training_sets)
-        return cls._read(record, classifier, _read_q(record["q_plus"], classifier))
+        return cls._read(record, classifier, _read_q(record, classifier))
 
     @classmethod
     def _read(cls, record: dict[str, Any], classifier, q_plus):

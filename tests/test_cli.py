@@ -522,6 +522,17 @@ class TestInputErrors:
 
         return edit
 
+    @staticmethod
+    def _edit_q_index(edit):
+        """``edit`` of the root node's or first stage's ``q_index``, given it and the
+        count of stored q values; the fixture's sampled q repeats values, so it has one."""
+        def edit_record(record):
+            plain = record["nodes"][""] if "nodes" in record else record["stages"][0]
+            plain["q_index"] = edit(plain["q_index"], len(plain["q_plus"]))
+            return record
+
+        return edit_record
+
     @pytest.mark.parametrize(
         "model, edit, message",
         [
@@ -547,6 +558,28 @@ class TestInputErrors:
              "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
             ("ada", _set(None, "stages", 0, "q_plus"),
              "malformed adaboost record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            ("tree", lambda record: TestInputErrors._delete("nodes", "", "q_index")(
+                TestInputErrors._set(None, "nodes", "", "q_plus")(record)),
+             "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            # a null beside a q_index is refused where the file could rebuild q too
+            ("edge", lambda record: TestInputErrors._set(None, "nodes", "", "q_plus")(
+                TestInputErrors._edit_q_index(lambda index, k: index)(record)),
+             "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
+            # q_index: a list of ints, each an index of the stored q values
+            ("tree", _edit_q_index(lambda index, k: [float(i) for i in index]),
+             "malformed ptree record (TypeError: q_index must be a list of ints in [0, "),
+            ("ada", _edit_q_index(lambda index, k: [i > 0 for i in index]),
+             "malformed adaboost record (TypeError: q_index must be a list of ints in [0, "),
+            ("tree", _edit_q_index(lambda index, k: [[i] for i in index]),
+             "malformed ptree record (TypeError: q_index must be a list of ints in [0, "),
+            ("tree", _edit_q_index(lambda index, k: [[0], *index[1:]]),
+             "malformed ptree record (TypeError: q_index must be a list of ints in [0, "),
+            ("tree", _edit_q_index(lambda index, k: [-1, *index[1:]]),
+             "malformed ptree record (TypeError: q_index must be a list of ints in [0, "),
+            ("ada", _edit_q_index(lambda index, k: [*index[:-1], k]),
+             "malformed adaboost record (TypeError: q_index must be a list of ints in [0, "),
+            ("tree", _edit_q_index(lambda index, k: "0"),
+             "malformed ptree record (TypeError: q_index must be a list of ints in [0, "),
             ("tree", _set_every_q(2.0),
              "malformed ptree record (TypeError: q_plus must be a list of numbers in [0, 1])"),
             ("tree", _set("a", "nodes", "", "classifier", "feature"),
@@ -590,7 +623,9 @@ class TestInputErrors:
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
-             "alpha-past-float", "q-null", "ada-q-null", "q-above-one", "feature-string", "feature-beyond-columns",
+             "alpha-past-float", "q-null", "ada-q-null", "q-null-no-index", "edge-q-null-beside-index",
+             "q-index-floats", "ada-q-index-bools", "q-index-nested", "q-index-ragged", "q-index-negative",
+             "ada-q-index-past-values", "q-index-string", "q-above-one", "feature-string", "feature-beyond-columns",
              "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
              "epsilon-above-half", "inner-feature-beyond-columns", "inner-no-z-minus", "inner-alpha-string",
              "table-feature-string", "table-label-string", "table-row-ragged", "inline-feature-string",
@@ -604,6 +639,17 @@ class TestInputErrors:
         assert result.output.startswith("Error: ") and message in result.output
         assert len(result.output.splitlines()) == 1
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("model", ["tree", "ada"])
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_q_index_of_another_length(self, runner, files, model, change):
+        # a q_index one example short or long reads as a model of another dataset
+        record = self._edit_q_index(lambda index, k: index[:-1] if change < 0 else [*index, 0])(
+            json.loads(files[model].read_text()))
+        files[model].write_text(json.dumps(record))
+        result = runner.invoke(main, ["eval", "--model", str(files[model])])
+        assert result.exit_code == 1
+        assert result.output == "Error: dataset size does not match the stored model\n"
 
     def test_non_finite_numbers_load(self, runner, files):
         # training records nan where a bound cancels or an edge's 0 * inf

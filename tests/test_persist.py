@@ -5,18 +5,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from probboost.adaboost import TrainConfig, train_adaboost
+from probboost.adaboost import AdaboostModel, StageRecord, TrainConfig, train_adaboost
 from probboost.cli import main
 from probboost.core import load_csv, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
-from probboost.ptree import CompositeNode, grow_tree
-from probboost.weak_learner import ConstantEdgeClassifier, builtin_constant_edge_oracle, builtin_noisy_stump
+from probboost.ptree import CompositeNode, TreeModel, TreeNode, grow_tree
+from probboost.weak_learner import (ConstantEdgeClassifier, StumpClassifier, builtin_constant_edge_oracle,
+                                    builtin_noisy_stump)
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -119,10 +124,35 @@ def _plain_records(records, prefix=""):
             yield prefix + str(path), record
 
 
+def _model_plain_records(record):
+    """(path, record) of every plain node or stage record of a model record."""
+    return _plain_records(enumerate(record["stages"]) if "stages" in record else record["nodes"].items())
+
+
 def _plain_q(record):
     """The stored ``q_plus`` of every plain record of a model record, by path."""
-    records = enumerate(record["stages"]) if "stages" in record else record["nodes"].items()
-    return {path: plain["q_plus"] for path, plain in _plain_records(records)}
+    return {path: plain["q_plus"] for path, plain in _model_plain_records(record)}
+
+
+def _q_lists_filled_back(text):
+    """A model file's text with each ``q_index`` expanded back into the
+    per-example ``q_plus`` list, as ``save_record`` dumps it: the file that
+    versions before ``q_index`` wrote."""
+    record = json.loads(text)
+    for _, plain in _model_plain_records(record):
+        if "q_index" in plain:
+            plain["q_plus"] = [plain["q_plus"][i] for i in plain.pop("q_index")]
+    return json.dumps(record, sort_keys=True, separators=(",", ": ")) + "\n"
+
+
+def _check_digest(path, digest):
+    """Pin a model file's SHA-256.  A pair (file, lists) pins a file that stores
+    ``q_index`` and, as ``lists``, the digest it had before: that of the file
+    with its q lists filled back in."""
+    new, lists = (digest, digest) if isinstance(digest, str) else digest
+    text = path.read_text(encoding="utf-8")
+    assert hashlib.sha256(text.encode()).hexdigest() == new
+    assert hashlib.sha256(_q_lists_filled_back(text).encode()).hexdigest() == lists
 
 
 def _plain_nodes(model, prefix=""):
@@ -218,8 +248,12 @@ class TestConstantEdgeQ:
         data = make_synthetic_dataset(20, seed=1)
         model = grow_tree(data, builtin_constant_edge_oracle(0.3), max_nodes=4, config=TrainConfig(seed=1))
         save_model(model, tmp_path / "m.json")
-        stored = _plain_q(json.loads((tmp_path / "m.json").read_text()))
-        assert all(len(q) == 20 for q in stored.values())
+        text = (tmp_path / "m.json").read_text()
+        # a MAP estimate takes few values: each is stored once, with each example's index
+        records = dict(_model_plain_records(json.loads(text)))
+        assert all(len(plain["q_plus"]) < len(plain["q_index"]) == 20 for plain in records.values())
+        stored = _plain_q(json.loads(_q_lists_filled_back(text)))
+        assert stored.keys() == records.keys() and all(len(q) == 20 for q in stored.values())
         for path, node in _plain_nodes(load_model(tmp_path / "m.json")):
             assert node.q_plus.tolist() == stored[path]
 
@@ -239,6 +273,40 @@ class TestConstantEdgeQ:
                                                 zip(data.features.tolist(), data.labels.tolist())))
         lines = _eval_lines(tmp_path / "null.json", csv)
         assert lines[0] == 0 and lines == _eval_lines(tmp_path / "lists.json", csv)
+
+
+# q values in [0, 1], with 0.0, -0.0, 1.0 and subnormals drawn often
+_Q_VALUES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(q=st.lists(_Q_VALUES, min_size=1, max_size=40), stage=st.booleans())
+@example(q=[0.25, 0.75, 0.25, 0.25], stage=False)  # repeated values
+@example(q=[0.0, -0.0, 0.0, -0.0], stage=True)  # both zeros, each repeated
+@example(q=[0.0, 1.0, 1.0, 0.0], stage=False)  # 0 and 1
+@example(q=[5e-324, 1e-310, 5e-324], stage=True)  # subnormals
+@example(q=[0.5], stage=False)  # N = 1
+@example(q=[0.0, -0.0, 0.1, 1.0], stage=True)  # every value distinct
+def test_stored_q_round_trip(q, stage):
+    # a stump's q is stored: its distinct values and each example's index
+    # where a value repeats, its list otherwise; loading gives q's bytes and
+    # saving again the same file
+    q = np.array(q)
+    stump = StumpClassifier(0, 0.0, 1, 0.1)
+    model = AdaboostModel([StageRecord(stump, q, 0.5, 0.25, 0.75)]) if stage else \
+        TreeModel(nodes={"": TreeNode(stump, q, 0.5, 0.25, 0.75, 0.5)})
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory, "first.json"), Path(directory, "second.json")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        (_, plain), = _model_plain_records(json.loads(first.read_text()))
+        assert first.read_bytes() == second.read_bytes()
+    held = loaded.stages[0] if stage else loaded.nodes[""]
+    assert held.q_plus.dtype == np.float64 and held.q_plus.tobytes() == q.tobytes()
+    distinct = len(np.unique(q.view(np.uint64)))
+    assert ("q_index" in plain) == (distinct < len(q))
+    assert len(plain["q_plus"]) == distinct
 
 
 class TestStumpFiles:
@@ -267,15 +335,20 @@ class TestTrainingSetTable:
         "args, digest",
         [
             ("train --algo ptree --T 8 --seed 3",
-             "d06e7f62d82a0884e2261bc2f2540e02cb1d46fd537046ae0ca7d85f85ab0473"),
+             ("8528613c54ecb12204b754b282b47f6b7d2e23b86deb93bf0c0c2eccc7e5d1d1",
+              "d06e7f62d82a0884e2261bc2f2540e02cb1d46fd537046ae0ca7d85f85ab0473")),
             ("train --algo adaboost --T 4 --seed 3",
-             "d3606e98a1ed241be833021ddfd59b58653a5bf4a78b9cea786e165268907820"),
+             ("16cd78ae11f03a207c5d753105054fd171fad2a6782ffff95cea313925daa316",
+              "d3606e98a1ed241be833021ddfd59b58653a5bf4a78b9cea786e165268907820")),
             ("train --algo adaboost --T 4 --strategy B --seed 3",
-             "94e8fae07ca20ee5626e4dc01bec76d446d6265ac3a4370648a85d20abdf2fde"),
+             ("297986104efe05644bd3e38245b61cd4f14a796e50368362f4c8ac57fe4a7dd0",
+              "94e8fae07ca20ee5626e4dc01bec76d446d6265ac3a4370648a85d20abdf2fde")),
             ("train --algo adaboost --T 4 --strategy B --estimator ml --seed 3",
-             "bc243f9b5a660f1c2401f01c9f13d03b4d78dc3edf57eafe1050e6a446d48d43"),
+             ("59ca0220217b7aec3c75827a9db2871455889f9a87d6201aad801bec257d87b0",
+              "bc243f9b5a660f1c2401f01c9f13d03b4d78dc3edf57eafe1050e6a446d48d43")),
             ("train --algo adaboost --T 4 --estimator ml --seed 3",
-             "74690d04b67cefb166d2fc4cc140846265777d5e803eed283440ad380890b0f2"),
+             ("487c0cd2a9545543285ec6e978efbd7990f3db1a5ddecb358cb8eb6e21bd46c7",
+              "74690d04b67cefb166d2fc4cc140846265777d5e803eed283440ad380890b0f2")),
         ],
         ids=["ptree", "adaboost", "adaboost-B", "adaboost-B-ml", "adaboost-ml"],
     )
@@ -287,7 +360,7 @@ class TestTrainingSetTable:
         result = CliRunner().invoke(main, [*args.split(), "--trials", "50", "--out", str(out)])
         assert result.exit_code == 0
         assert "training_sets" not in json.loads(out.read_text())
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        _check_digest(out, digest)
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -297,7 +370,8 @@ class TestTrainingSetTable:
             ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
              "1a22f0b0fd545c9d2f9db87522afab3bcd0bd0ed1e8ca54d4fc439bd7b2c434b"),
             ("--mode fixed2 --L 3 --seed 3",
-             "420380eaf41298ab088504ce905a5d4d4e74925294acf1e8c3de33aaa16b0bff"),
+             ("61d51502108f0a336b72a4b0bc854258bb39b562a0aa3eae033d275e84c7806f",
+              "420380eaf41298ab088504ce905a5d4d4e74925294acf1e8c3de33aaa16b0bff")),
         ],
         ids=["fixed2-edge", "greedy-edge", "fixed2-stump-sampled"],
     )
@@ -309,7 +383,7 @@ class TestTrainingSetTable:
             main, ["train", "--algo", "matryoshka", *args.split(), "--trials", "50", "--out", str(out)]
         )
         assert result.exit_code == 0, result.output
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        _check_digest(out, digest)
 
     @pytest.mark.parametrize(
         "mode, size, n, oracle, digest",
@@ -319,7 +393,8 @@ class TestTrainingSetTable:
             ("greedy", 28, 20, "constant-edge",
              "fcbff65d99aa38d529d03f336761e79c62e585f084959218ed6ce1965425611a"),
             ("fixed2", 5, 40, "stump",
-             "c73455acdde2d9048cb8eb47cc5ac161236ef33adb9f85de61f1868c7f48f2f1"),
+             ("548a6dcae62c34f57407acc06314885c3fa5883366de69c3d1bdc22f2e622f7e",
+              "c73455acdde2d9048cb8eb47cc5ac161236ef33adb9f85de61f1868c7f48f2f1")),
         ],
         ids=["fixed2-L6-edge", "greedy-28-edge", "fixed2-L5-stump"],
     )
@@ -335,15 +410,22 @@ class TestTrainingSetTable:
             model, log = build_greedy_matryoshka(data, learner, size, config=config)
             assert any(entry.action == "collect" for entry in log)
         save_model(model, tmp_path / "m.json")
-        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+        _check_digest(tmp_path / "m.json", digest)
 
     @pytest.mark.parametrize(
         "case, digest",
         [
-            ("greedy-16-exact", "8ee089499600907f5bed286d5ee1f688b13674f6bdabb9e60f226d3396315123"),
-            ("greedy-16-sampled", "9c6e64ef0029dec266faf61f6a3e81983c9a4d72676d291186f58935f97fee9f"),
-            ("fixed2-3-duplicated-rows", "77e6adf838d79f7340a6500d7af261cddc2017bdc6fc847663759d6cb10a8cba"),
+            ("greedy-16-exact",
+             ("20ca6c6d07dc62406223c4b3bbf91d12efb614d135072e48cfbb58df9c23e447",
+              "8ee089499600907f5bed286d5ee1f688b13674f6bdabb9e60f226d3396315123")),
+            ("greedy-16-sampled",
+             ("fc53ebddd04d1c33fd53fc0228c33098a5fb424a72e9f5a6d724d5409af8b392",
+              "9c6e64ef0029dec266faf61f6a3e81983c9a4d72676d291186f58935f97fee9f")),
+            ("fixed2-3-duplicated-rows",
+             ("61f4509df039b317df2742f8c9bd133fa41a266a138b66d94a14fb65a5bab642",
+              "77e6adf838d79f7340a6500d7af261cddc2017bdc6fc847663759d6cb10a8cba")),
         ],
+        ids=["greedy-16-exact", "greedy-16-sampled", "fixed2-3-duplicated-rows"],
     )
     def test_nested_trees_row_classes_unchanged(self, tmp_path, case, digest):
         # a composite's table has one row per class of training rows with
@@ -363,15 +445,21 @@ class TestTrainingSetTable:
             model, log = build_greedy_matryoshka(data, builtin_noisy_stump(), int(size), config=config)
             assert any(entry.action == "collect" for entry in log)
         save_model(model, tmp_path / "m.json")
-        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+        _check_digest(tmp_path / "m.json", digest)
 
     @pytest.mark.parametrize(
         "shape, digest",
         [
             ("ptree-128-edge", "37e9556ff617cdf180145ebe63a5f43014ba425f7be1d017cd1bb6210af1e741"),
-            ("ptree-64-stump-exact", "5aa52eb0363b5dea072634d3dff4590c72baf1b309e63bafa3e2da380d017d07"),
-            ("ptree-64-stump-sampled", "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b"),
-            ("adaboost-3-sampled", "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1"),
+            ("ptree-64-stump-exact",
+             ("3e6617b022612f7398a0352bbe58197e09615d735830e7f117cec08eb4ade2d4",
+              "5aa52eb0363b5dea072634d3dff4590c72baf1b309e63bafa3e2da380d017d07")),
+            ("ptree-64-stump-sampled",
+             ("b1e2e84c7b0acf6037a222aafd6d5fc5ace9f9df1e2e9b5925e0dccfc2106c9d",
+              "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b")),
+            ("adaboost-3-sampled",
+             ("b4362bcc9fe2fe59cdf19a010edaba7694bd3a98a30d54f0149c7f998cfece8b",
+              "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1")),
         ],
         ids=["ptree-128-edge", "ptree-64-stump-exact", "ptree-64-stump-sampled", "adaboost-3-sampled"],
     )
@@ -387,7 +475,7 @@ class TestTrainingSetTable:
             config = TrainConfig(seed=1, exact_q=q != ["sampled"])
             model = grow_tree(make_synthetic_dataset(40, seed=1), learner, max_nodes=int(nodes), config=config)
         save_model(model, tmp_path / "m.json")
-        assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == digest
+        _check_digest(tmp_path / "m.json", digest)
 
     def test_foreign_rows_are_one_error_line(self, tmp_path):
         # as many rows as the training set, each moved off its training row

@@ -1257,10 +1257,11 @@ class TestTreeSerialization:
         assert clone.to_record() == record
         assert list(clone.leaf_products()) == list(tree.leaf_products())
         assert clone.recorded_bound() == tree.recorded_bound()
-        # a node record holds no training weights
+        # a node record holds no training weights; its sampled q repeats values,
+        # so it stores them once with each example's index
         for node in record["nodes"].values():
             assert set(node) == {
-                "classifier", "q_plus", "alpha_plus", "alpha_minus", "z_plus", "z_minus"
+                "classifier", "q_plus", "q_index", "alpha_plus", "alpha_minus", "z_plus", "z_minus"
             }
         # records that still carry training weights load and give the same bounds
         n = small_dataset.n_examples
