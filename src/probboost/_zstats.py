@@ -86,21 +86,60 @@ def _exp_table(alpha: float, h: np.ndarray) -> np.ndarray:
     return np.exp(np.concatenate((-alpha * h, alpha * h)))
 
 
-def _class_factor(
-    reach: np.ndarray, side: np.ndarray, table: np.ndarray, classes: np.ndarray, negative: np.ndarray
-) -> np.ndarray:
-    """Per-example sum of p(outcome) * exp(-alpha * h * y) over an edge's outcomes,
-    from a class table: ``reach`` (C, K) on each class of examples, ``side`` the
-    edge's outcomes, ``table`` their ``_exp_table`` at its alpha, ``classes`` each
-    example's class and ``negative`` (labels < 0).  Each class is summed once per
-    label, as a C-ordered row (``compress``) of products, so each example gets the
-    bits of the pairwise sum over its own row of the (N, K) table.  The -1 label
-    scales the columns in place."""
-    columns = reach.compress(side, axis=1)
-    k, sums = columns.shape[1], np.empty((len(columns), 2))  # y = +1, then y = -1
-    np.sum(columns * table[:k], axis=1, out=sums[:, 0])
-    np.sum(np.multiply(columns, table[k:], out=columns), axis=1, out=sums[:, 1])
-    return sums.ravel()[2 * classes + negative]
+def _check_size(stored: np.ndarray, y: np.ndarray) -> None:
+    """Refuse labels ``y`` unless as many as ``stored``, a model's values per training example."""
+    if len(stored) != len(y):
+        raise ValueError("dataset size does not match the stored model")
+
+
+class ClassTable(NamedTuple):
+    """A composite's outcomes on the training examples, by class of examples:
+    ``reach`` (C, K) of its K walks on each class, their ``scores`` (K,), and
+    each example's class (N,), numbered in order of first example."""
+
+    reach: np.ndarray
+    scores: np.ndarray
+    classes: np.ndarray
+
+    def rows(self, index: np.ndarray | None = None) -> np.ndarray:
+        """The reach of every training example, or of those ``index`` picks: the
+        table as it is where the classes read are 0..C-1 in order, as all N are when C = N."""
+        classes = self.classes if index is None else self.classes[index]
+        in_order = len(classes) == len(self.reach) and (index is None or (classes == np.arange(len(classes))).all())
+        return self.reach if in_order else self.reach[classes]
+
+    def label_sums(self, weights: np.ndarray, positive: np.ndarray) -> np.ndarray:
+        """(2, K): weight * reach summed over the examples where ``positive``, then
+        the others.  einsum without ``optimize`` adds the rows in order, given two
+        or more columns (a lone column it adds in blocks, so it gets a zero column
+        beside it), and calls no BLAS, whose sum order varies with the thread
+        count.  The (N, K) gather of ``rows`` is freed on return."""
+        rows, width = self.rows(), self.reach.shape[1]
+        rows = rows if width > 1 else np.pad(rows, ((0, 0), (0, 1)))
+        sums = np.empty((2, rows.shape[1]))
+        np.einsum("n,nk->k", np.where(positive, weights, 0.0), rows, out=sums[0])
+        np.einsum("n,nk->k", np.where(positive, 0.0, weights), rows, out=sums[1])
+        return sums[:, :width]
+
+    def factor(self, side: np.ndarray, exps: np.ndarray, negative: np.ndarray) -> np.ndarray:
+        """Per-example sum of p(outcome) * exp(-alpha * h * y) over an edge's
+        outcomes ``side``, from ``exps``, their ``_exp_table`` at its alpha, and
+        ``negative`` (labels < 0).  Each class is summed once per label, as a
+        C-ordered row (``compress``) of products, so each example gets the bits of
+        the pairwise sum over its own row of the (N, K) table.  The -1 label
+        scales the columns in place."""
+        columns = self.reach.compress(side, axis=1)
+        k, sums = columns.shape[1], np.empty((len(columns), 2))  # y = +1, then y = -1
+        np.sum(columns * exps[:k], axis=1, out=sums[:, 0])
+        np.sum(np.multiply(columns, exps[k:], out=columns), axis=1, out=sums[:, 1])
+        return sums.ravel()[2 * self.classes + negative]
+
+    def edge_factors(self, y: np.ndarray, alpha_plus: float, alpha_minus: float) -> list[np.ndarray]:
+        """The + and - ``factor`` at their alphas, ``y`` the training labels as floats."""
+        _check_size(self.classes, y)
+        scores, negative = self.scores, y < 0.0
+        return [self.factor(side, _exp_table(alpha, scores[side]), negative)
+                for side, alpha in ((_side(scores, 1), alpha_plus), (_side(scores, -1), alpha_minus))]
 
 
 def _w_of_mass(mass: np.ndarray, labels: LabelSplit) -> WStats:

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import LabelSplit, _stage_factor, optimal_alphas, w_statistics
+from ._zstats import LabelSplit, _check_size, _stage_factor, optimal_alphas, w_statistics
 from .core import Dataset, RandomStream, _check_trials, _mc_summary
 from .weak_learner import (
     R_MAX_DEFAULT,
@@ -230,6 +230,7 @@ def mc_misclassification(
     examples, draws = np.arange(dataset.n_examples), np.arange(trials)[:, None]
     H = np.zeros((trials, dataset.n_examples))
     for t, stage in enumerate(model.stages, start=1):
+        _check_size(stage.q_plus, dataset.labels)
         plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.outcomes()[0][:, 0]  # q(+)
         H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
     return _mc_summary(H, dataset)

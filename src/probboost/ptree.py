@@ -32,8 +32,8 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import LabelSplit, optimal_alphas
-from ._zstats import _class_factor, _exp_table, _scale_edges, _side, _w_of_mass, _weighted_mass
+from ._zstats import ClassTable, LabelSplit, optimal_alphas
+from ._zstats import _exp_table, _scale_edges, _side, _w_of_mass, _weighted_mass
 from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
@@ -148,35 +148,21 @@ def _fit_edge(label_mass: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]
 
 
 def _scored_children(
-    weights: np.ndarray, y: np.ndarray, reach: np.ndarray, scores: np.ndarray, classes: np.ndarray
+    weights: np.ndarray, y: np.ndarray, table: ClassTable
 ) -> tuple[float, float, np.ndarray, float, np.ndarray, float]:
     """Edges of a node whose outcomes carry real scores (a composite), from its
-    class table (``CompositeNode.leaf_table``): ``reach`` on each class of
-    examples and ``classes`` each example's; ``y`` is the labels as floats.
+    class table (``CompositeNode.leaf_table``); ``y`` is the labels as floats.
 
     Each alpha_s minimizes Z_s starting from alpha_s = 1, where
     Z_+ + Z_- is the inner tree's C on these weights.  Returns
     (alpha_+, alpha_-, D_{s+}, Z_{s+}, D_{s-}, Z_{s-}).
     """
-    weights = np.asarray(weights, dtype=float)
-    # einsum without ``optimize`` adds the examples in row order, given two or
-    # more columns (a lone column it adds in blocks, so it gets a zero column
-    # beside it), and calls no BLAS, whose sum order varies with the thread
-    # count.  It reads each example's row: a gather, freed before the edges
-    # are scaled, unless every example is its own class (then, numbered in
-    # order, the classes are the examples).
-    width = reach.shape[1]
-    rows = reach if width > 1 else np.pad(reach, ((0, 0), (0, 1)))
-    rows = rows if len(rows) == len(classes) else rows[classes]
-    positive, label_sums = y > 0.0, np.empty((2, rows.shape[1]))
-    np.einsum("n,nk->k", np.where(positive, weights, 0.0), rows, out=label_sums[0])
-    np.einsum("n,nk->k", np.where(positive, 0.0, weights), rows, out=label_sums[1])
-    label_sums = label_sums[:, :width]
-    del rows
+    weights, scores = np.asarray(weights, dtype=float), table.scores
+    label_sums, negative = table.label_sums(weights, y > 0.0), y < 0.0
     edges = []
     for side in (_side(scores, 1), _side(scores, -1)):
-        alpha, table = _fit_edge(label_sums.compress(side, axis=1).ravel(), scores.compress(side))
-        mass = weights * _class_factor(reach, side, table, classes, y < 0.0)
+        alpha, exps = _fit_edge(label_sums.compress(side, axis=1).ravel(), scores.compress(side))
+        mass = weights * table.factor(side, exps, negative)
         z = float(mass.sum())
         edges.append((alpha, mass / z if z >= DEAD_BRANCH_THRESHOLD else np.zeros_like(weights), z))
     (a_plus, d_plus, z_plus), (a_minus, d_minus, z_minus) = edges
@@ -301,22 +287,21 @@ class CompositeNode(ProbClassifier):
     outcomes on rows X are the inner walks: their probabilities on each row
     and their H_inner.  ``leaf_table`` holds them for the training
     examples, from what the inner nodes stored so that it agrees with the
-    inner tree's recorded C, as a class table: (reach (C, K), H (K,), class of
-    each example (N,)), one row per class of ``_row_classes``, so that each
-    example's row is its class's, bit for bit.  It is built on first read, and
-    dropped when a wrapping composite builds its table (these walks expanded)
-    or the matryoshka builder returns; a later read rebuilds it, bit for bit.
+    inner tree's recorded C, as a ``ClassTable`` of the classes of
+    ``_row_classes``.  It is built on first read, and dropped when a wrapping
+    composite builds its table (these walks expanded) or the matryoshka
+    builder returns; a later read rebuilds it, bit for bit.
     """
 
     def __init__(self, inner: TreeModel):
         self.inner = inner
-        self._leaf_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._leaf_table: ClassTable | None = None
 
     @property
-    def leaf_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def leaf_table(self) -> ClassTable:
         if self._leaf_table is None:
             classes = _row_classes(self.inner)
-            self._leaf_table = (*walk_table(self.inner, classes=classes), classes[1])
+            self._leaf_table = ClassTable(*walk_table(self.inner, classes=classes), classes[1])
             _drop_walk_tables(self.inner)
         return self._leaf_table
 
@@ -354,12 +339,21 @@ def _row_classes(tree: TreeModel) -> tuple[np.ndarray, np.ndarray]:
     A tree without nodes stores no rows: its one walk is one class of one example."""
     if not tree.nodes:
         return np.zeros(1, np.intp), np.zeros(1, np.intp)
-    keys = np.array([node.classifier.leaf_table[2] if node.q_plus is None else node.q_plus.view(np.uint64)
+    keys = np.array([node.classifier.leaf_table.classes if node.q_plus is None else node.q_plus.view(np.uint64)
                      for node in tree.nodes.values()], dtype=np.uint64).T.copy()
     first = {}
     owner = [first.setdefault(key, n) for n, key in enumerate(keys.view(f"V{keys.shape[1] * 8}").ravel().tolist())]
     representatives = np.fromiter(first.values(), np.intp, len(first))
     return representatives, np.searchsorted(representatives, owner)
+
+
+def _feature_rows(tree: TreeModel, X) -> np.ndarray:
+    """X as float rows, refused unless 2-D and of the tree's recorded feature dimension, if any."""
+    X = np.asarray(X, dtype=float)
+    dim = tree.metadata.get("dimension")
+    if X.ndim != 2 or (dim is not None and X.shape[1] != dim):
+        raise ValueError(f"expected rows of feature dimension {dim}, got shape {X.shape}")
+    return X
 
 
 def walk_table(
@@ -373,6 +367,7 @@ def walk_table(
     ``classes`` (``_row_classes``) one per class of them.  The cap counts the rows
     of X or every training example.  A tree without nodes has one walk, H = 0.
     """
+    X = None if X is None else _feature_rows(tree, X)
     root_rows = 1 if X is None else len(X)
     rows = None if classes is None else classes[0]
     if "" not in tree.nodes:
@@ -537,7 +532,7 @@ def attach_node(
         a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _plain_children(weights, q, labels)
     else:
         a_plus, a_minus, d_plus, z_plus, d_minus, z_minus = _scored_children(
-            weights, labels.y, *classifier.leaf_table
+            weights, labels.y, classifier.leaf_table
         )
     node = tree.nodes[leaf] = TreeNode(
         classifier=classifier,
@@ -592,10 +587,7 @@ def predict_tree(
     ``purpose``, so the result does not depend on the order in which walks
     or nodes are visited, and fewer trials give the first trials' walks.
     """
-    X = np.asarray(X, dtype=float)
-    dim = tree.metadata.get("dimension")
-    if X.ndim != 2 or (dim is not None and X.shape[1] != dim):
-        raise ValueError(f"expected rows of feature dimension {dim}, got shape {X.shape}")
+    X = _feature_rows(tree, X)
     _check_trials(trials)
     trial, row = np.divmod(np.arange(trials * len(X)), len(X))
     draws = np.zeros(len(row), dtype=np.uint64)

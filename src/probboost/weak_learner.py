@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from ._zstats import WStats, _class_factor, _exp_table, _scale_edges, _side, optimal_alphas, w_statistics, z_value
+from ._zstats import ClassTable, WStats, _check_size, _scale_edges, _side, optimal_alphas, w_statistics, z_value
 from .core import MAX_BLOCK_DRAWS, Dataset, RandomStream
 
 __all__ = [
@@ -159,9 +159,8 @@ class ProbClassifier(ABC):
 
     #: None for a plain +/-1 classifier.  A classifier whose tree edges carry
     #: real-valued scores (a collected subtree) gives its ``outcomes`` on the
-    #: training examples here, as a class table: (reach (C, K), scores (K,),
-    #: the class of each example (N,)).
-    leaf_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    #: training examples here, as a ``ClassTable``.
+    leaf_table: ClassTable | None = None
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(reach (len(X), K), scores (K,)): the probability of each outcome
@@ -570,13 +569,6 @@ def classifier_from_record(
     return _PLAIN_KINDS[kind].from_record(record, training_sets)
 
 
-def _stored_rows(values: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``values``, stored per training example, where ``y`` has as many rows."""
-    if len(values) != len(y):
-        raise ValueError("dataset size does not match the stored model")
-    return values
-
-
 @dataclass
 class _Edges:
     """A weak classifier and its domain-partitioned edge weights, the unit that an
@@ -622,22 +614,15 @@ class _Edges:
         if X is not None:
             return self.classifier.outcomes(X) if self.q_plus is None else _plain_outcomes(self.classifier._q(X))
         if self.q_plus is None:  # a composite
-            reach, scores, classes = self.classifier.leaf_table
-            rows = classes if rows is None else classes[rows]
-            # classes are numbered in order of first example, so as many rows as
-            # classes are the classes in order
-            return reach if len(rows) == len(reach) else reach[rows], scores
+            table = self.classifier.leaf_table
+            return table.rows(rows), table.scores
         return _plain_outcomes(self.q_plus if rows is None else self.q_plus[rows])
 
     def edge_factors(self, y: np.ndarray):
         """The + and - edge factors on the training examples, ``y`` their labels
-        as floats: a plain classifier's q e^{-alpha+ y} and (1 - q) e^{alpha- y}
-        from its stored q, one (2, N) array as training scaled its mass; a
-        composite's from its class table, ``_class_factor`` per side."""
-        if self.q_plus is not None:
-            q = _stored_rows(self.q_plus, y)
-            return _scale_edges(np.array((q, 1.0 - q)), y, self.alpha_plus, self.alpha_minus)
-        reach, scores, classes = self.classifier.leaf_table
-        _stored_rows(classes, y)
-        return [_class_factor(reach, side, _exp_table(alpha, scores[side]), classes, y < 0.0)
-                for side, alpha in ((_side(scores, 1), self.alpha_plus), (_side(scores, -1), self.alpha_minus))]
+        as floats: a composite's ``ClassTable.edge_factors``; a plain classifier's
+        q e^{-alpha+ y} and (1 - q) e^{alpha- y}, one (2, N) array as training scaled its mass."""
+        if self.q_plus is None:
+            return self.classifier.leaf_table.edge_factors(y, self.alpha_plus, self.alpha_minus)
+        _check_size(self.q_plus, y)
+        return _scale_edges(np.array((self.q_plus, 1.0 - self.q_plus)), y, self.alpha_plus, self.alpha_minus)

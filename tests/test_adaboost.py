@@ -437,3 +437,13 @@ class TestMcMisclassification:
         model = train_adaboost(tiny_dataset, builtin_noisy_stump(0.0), 1, TrainConfig(exact_q=True))
         with pytest.raises(ValueError, match="trials must be >= 1 and below 2\\^32"):
             mc_misclassification(model, tiny_dataset, trials)
+
+    @pytest.mark.parametrize("n", [19, 21])
+    def test_dataset_size_checked(self, small_dataset, n):
+        # a dataset of another size than the model's training set is refused
+        # by the Monte-Carlo loss as by the exact bound
+        model = train_adaboost(small_dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1))
+        other = make_synthetic_dataset(n=n, seed=3)
+        for evaluate in (exact_expected_bound, lambda *args: mc_misclassification(*args, 10)):
+            with pytest.raises(ValueError, match="dataset size does not match the stored model"):
+                evaluate(model, other)

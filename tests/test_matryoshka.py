@@ -185,6 +185,22 @@ class TestCompositeNode:
         np.testing.assert_array_equal(reach, table[classes])
         np.testing.assert_array_equal(scores, table_scores)
 
+    def test_training_rows_by_index_gather_the_leaf_table(self):
+        # the table is read as it is only where the classes read are 0..C-1 in
+        # order: a permutation of the classes' first examples, as many as the
+        # classes, reads each example's own row
+        dataset = make_synthetic_dataset(n=40, seed=1)
+        tree = build_fixed_2_matryoshka(dataset, builtin_noisy_stump(0.1), 3, TrainConfig(seed=1, exact_q=True))
+        node = tree.nodes[""]
+        table, table_scores, classes = node.classifier.leaf_table
+        first = np.unique(classes, return_index=True)[1]
+        assert len(table) == len(first) == 8 < len(classes)
+        for index in (None, first, first[::-1], np.roll(first, 1), np.arange(8), first[[0, 0, 1]]):
+            reach, scores = node.outcomes(None, index)
+            np.testing.assert_array_equal(reach, table[classes if index is None else classes[index]])
+            assert scores is table_scores
+        assert node.outcomes(None, first)[0] is table
+
     def test_inner_classifier_without_exact_q(self):
         class SampleOnly(ProbClassifier):
             def sample_batch(self, X, u):

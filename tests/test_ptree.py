@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probboost import _zstats, core, ptree
-from probboost._zstats import LabelSplit, WStats, optimal_alphas, w_statistics
+from probboost._zstats import ClassTable, LabelSplit, WStats, optimal_alphas, w_statistics
 from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
@@ -59,7 +59,7 @@ def _leaf_values(tree):
 def _edge_factor(reach, scores, y, sign, alpha):
     """The class factor of one edge on a table whose every row is its own class."""
     side = ptree._side(scores, sign)
-    return _zstats._class_factor(reach, side, ptree._exp_table(alpha, scores[side]), np.arange(len(reach)), y < 0.0)
+    return ClassTable(reach, scores, np.arange(len(reach))).factor(side, ptree._exp_table(alpha, scores[side]), y < 0.0)
 
 
 class TestLeafValue:
@@ -783,6 +783,9 @@ class TestCompositeEdgeFit:
         # (example, outcome) pair; the fit matches its naive form bit for bit
         y, h, reach, weights = self._case(seed)
         mass = self._label_sums(weights, y, reach)
+        # the row-order label sums are the loop's, bit for bit, one column (K = 1) included
+        table = ClassTable(reach, h, np.arange(len(y)))
+        np.testing.assert_array_equal(table.label_sums(weights, y > 0.0).ravel(), mass)
         assert ptree._fit_edge(mass, h)[0] == self._one_trial_at_a_time(mass, h)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -793,7 +796,8 @@ class TestCompositeEdgeFit:
         table = ptree._exp_table(0.7, h)
         by_label = np.where(y[:, None] > 0.0, table[: len(h)], table[len(h) :])
         np.testing.assert_array_equal(by_label, np.exp(-0.7 * np.outer(y, h)))
-        a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, reach, h, np.arange(len(y)))
+        class_table = ClassTable(reach, h, np.arange(len(y)))
+        a_plus, a_minus, _, z_plus, _, z_minus = ptree._scored_children(weights, y, class_table)
         for sign, alpha, z in ((1, a_plus, z_plus), (-1, a_minus, z_minus)):
             side = ptree._side(h, sign)
             margins = np.outer(y, h[side])
@@ -815,25 +819,27 @@ class TestCompositeEdgeFit:
         # step; it takes the alpha of a search that recomputes them, and the
         # terms it returns are the edge's exp table
         weights, y, reach, scores = case
-        original, tables = ptree._class_factor, []
+        original, tables = ClassTable.factor, []
 
-        def class_factor(reach, side, table, classes, negative):
-            tables.append(table)
-            return original(reach, side, table, classes, negative)
+        def factor(table, side, exps, negative):
+            tables.append(exps)
+            return original(table, side, exps, negative)
 
         # with one label class absent Z falls without bound and the fit runs
         # into exp overflow
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ptree, "_class_factor", class_factor)
-            a_plus, a_minus, *_ = ptree._scored_children(weights, y, reach, scores, np.arange(len(y)))
-            for sign, alpha, table in ((1, a_plus, tables[0]), (-1, a_minus, tables[1])):
+            patch.setattr(ClassTable, "factor", factor)
+            table = ClassTable(reach, scores, np.arange(len(y)))
+            a_plus, a_minus, *_ = ptree._scored_children(weights, y, table)
+            for sign, alpha, exps in ((1, a_plus, tables[0]), (-1, a_minus, tables[1])):
                 side = ptree._side(scores, sign)
                 h = scores[side]
                 mass = self._label_sums(weights, y, reach[:, side])
+                np.testing.assert_array_equal(table.label_sums(weights, y > 0.0).compress(side, axis=1).ravel(), mass)
                 expected = self._one_trial_at_a_time(mass, h)
                 assert ptree._fit_edge(mass, h)[0] == expected
                 assert alpha == expected
-                np.testing.assert_array_equal(table, ptree._exp_table(alpha, h))
+                np.testing.assert_array_equal(exps, ptree._exp_table(alpha, h))
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(_composite_cases(), st.sampled_from([None, 1e-238]))
@@ -942,7 +948,7 @@ class TestWalkKernels:
                     continue
                 weights = ptree._leaf_weights(tree, path, small_dataset)
                 reach, scores, classes = node.classifier.leaf_table
-                got = ptree._scored_children(weights, y, reach, scores, classes)
+                got = ptree._scored_children(weights, y, node.classifier.leaf_table)
                 expected = _reference_scored_children(weights, y, reach[classes], scores)
                 for value, reference in zip(got, expected):
                     np.testing.assert_array_equal(value, reference)
@@ -993,9 +999,9 @@ class TestWalkKernels:
         # also where classes of rows repeat and hold both labels
         classes = np.arange(n) % 4
         with np.errstate(over="ignore", invalid="ignore"):
-            got = ptree._scored_children(weights, y, reach, scores, np.arange(n))
+            got = ptree._scored_children(weights, y, ClassTable(reach, scores, np.arange(n)))
             expected = _reference_scored_children(weights, y, reach, scores)
-            by_class = ptree._scored_children(weights, y, reach[:4], scores, classes)
+            by_class = ptree._scored_children(weights, y, ClassTable(reach[:4], scores, classes))
             by_class_expected = _reference_scored_children(weights, y, reach[classes], scores)
         for value, reference in (*zip(got, expected), *zip(by_class, by_class_expected)):
             np.testing.assert_array_equal(value, reference)
@@ -1126,15 +1132,22 @@ class TestPredictTree:
             se = math.sqrt(max(reach * (1.0 - reach), 1e-12) / n)
             assert freq == pytest.approx(reach, abs=max(4 * se, 1e-3))
 
-    def test_dimension_mismatch(self, small_dataset):
-        tree = grow_tree(
-            small_dataset,
-            builtin_constant_edge_oracle(0.3),
-            max_nodes=1,
-            config=TrainConfig(exact_q=True),
-        )
-        with pytest.raises(ValueError):
-            predict_tree(tree, np.array([[1.0, 2.0, 3.0]]), RandomStream(0), "p", 1)
+    @pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
+    @pytest.mark.parametrize("read", ["predict_tree", "walk_table"])
+    def test_dimension_mismatch(self, small_dataset, read, nested):
+        # both refuse rows of another feature dimension by one check, before a
+        # stump reads a column past the rows or of another feature
+        if nested:
+            tree = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3,
+                                            TrainConfig(seed=1, exact_q=True))
+        else:
+            tree = grow_tree(small_dataset, builtin_constant_edge_oracle(0.3), max_nodes=1,
+                             config=TrainConfig(exact_q=True))
+        reads = {"predict_tree": lambda X: predict_tree(tree, X, RandomStream(0), "p", 1),
+                 "walk_table": lambda X: walk_table(tree, X)}
+        for X in (np.array([[1.0, 2.0, 3.0]]), np.zeros((3, 5)), np.zeros((3, 1)), np.zeros(2)):
+            with pytest.raises(ValueError, match=r"expected rows of feature dimension 2, got shape"):
+                reads[read](X)
 
     def test_walks_are_keyed_by_row_and_trial(self, small_dataset):
         # each walk's draws are keyed by (row, trial, draw index), so the
