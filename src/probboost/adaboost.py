@@ -22,15 +22,15 @@ from .weak_learner import (
     ProbClassifier,
     TrainConfig,
     WeakLearner,
-    _check_features,
     _draw_plus,
     _Edges,
     _model_metadata,
+    _plain_records,
     _q_estimate,
     _read_metadata,
-    _read_training_sets,
+    _read_tables,
     _train_step,
-    _write_training_sets,
+    _write_tables,
     map_z_estimate,
     node_q,
 )
@@ -81,24 +81,20 @@ class AdaboostModel:
         return math.prod(stage.z for stage in self.stages)
 
     def to_record(self) -> dict[str, Any]:
-        """The model's record; each constant-edge training set is written
-        once, in ``training_sets``."""
-        record = {
-            "kind": "adaboost",
-            "metadata": self.metadata,
-            "stages": [stage.to_record() for stage in self.stages],
-        }
-        return _write_training_sets(record, (stage.classifier for stage in self.stages))
+        """The model's record; each constant-edge training set, and each
+        classifier record that stages repeat, is written once, in
+        ``training_sets`` and ``classifiers``."""
+        stages = [stage.to_record() for stage in self.stages]
+        record = {"kind": "adaboost", "metadata": self.metadata, "stages": stages}
+        return _write_tables(record, _plain_records(self.stages, stages))
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "AdaboostModel":
         if record.get("kind") != "adaboost":
             raise ValueError("not an adaboost model record")
         metadata = _read_metadata(record)
-        training_sets = _read_training_sets(record)
-        stages = [StageRecord.from_record(s, training_sets) for s in record["stages"]]
-        _check_features((stage.classifier for stage in stages), metadata)
-        return cls(stages=stages, metadata=metadata)
+        tables = _read_tables(record, metadata.get("dimension"))
+        return cls(stages=[StageRecord.from_record(s, tables) for s in record["stages"]], metadata=metadata)
 
 
 def _make_stage(

@@ -192,7 +192,7 @@ def build_greedy_matryoshka(
 def _collect_subtree(tree: TreeModel, p: str, dataset: Dataset) -> None:
     """Replace the subtree rooted at ``p`` by one composite node."""
     inner = {path[len(p):]: tree.nodes.pop(path) for path in list(tree.nodes) if path.startswith(p)}
-    composite = collect_leaves(TreeModel(nodes=inner))
+    composite = collect_leaves(TreeModel(nodes=inner, metadata={"dimension": dataset.dimension}))
     # a composite's edges come from its walk table; nothing is sampled
     attach_node(tree, p, composite, None, _leaf_weights(tree, p, dataset), dataset.label_split,
                 tree.leaf_product(p))

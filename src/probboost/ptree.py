@@ -37,14 +37,14 @@ from ._zstats import _exp_table, _scale_edges, _side, _w_of_mass, _weighted_mass
 from .core import Dataset, RandomStream, _check_trials, validate_path
 from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
 from .weak_learner import (
-    _check_features,
     _Edges,
     _model_metadata,
+    _plain_records,
     _read_metadata,
     _read_number,
-    _read_training_sets,
+    _read_tables,
     _train_step,
-    _write_training_sets,
+    _write_tables,
     node_q,
 )
 
@@ -191,10 +191,12 @@ class TreeNode(_Edges):
         return self.weights_plus if edge == "+" else self.weights_minus
 
     @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets) -> "TreeNode":
-        if record["classifier"].get("kind") != "composite":  # a composite's q, which older files store, is unread
-            return super().from_record(record, training_sets)
-        return cls._read(record, CompositeNode.from_record(record["classifier"], training_sets), None)
+    def from_record(cls, record: dict[str, Any], tables) -> "TreeNode":
+        classifier = record["classifier"]
+        if not isinstance(classifier, dict) or classifier.get("kind") != "composite":
+            return super().from_record(record, tables)
+        # a composite's q, which older files store, is unread
+        return cls._read(record, CompositeNode.from_record(classifier, tables), None)
 
 
 @dataclass
@@ -248,31 +250,31 @@ class TreeModel:
         self.trajectory[-1], self.c_error = self.leaf_sum(), 0.0
 
     def to_record(self) -> dict[str, Any]:
-        """The model's record; each constant-edge training set, composites'
-        inner nodes included, is written once, in ``training_sets``."""
+        """The model's record; each constant-edge training set, and each plain
+        classifier record that nodes repeat, composites' inner nodes included,
+        is written once, in ``training_sets`` and ``classifiers``."""
+        nodes = {path: node.to_record() for path, node in self.nodes.items()}
         record = {
             "kind": self.metadata.get("kind", "ptree"),
             "metadata": self.metadata,
             "trajectory": list(self.trajectory),
-            "nodes": {path: node.to_record() for path, node in self.nodes.items()},
+            "nodes": nodes,
         }
-        return _write_training_sets(record, (node.classifier for node in self.nodes.values()))
+        return _write_tables(record, _plain_records(self.nodes.values(), nodes.values()))
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "TreeModel":
-        tree = cls(
-            metadata=_read_metadata(record),
-            nodes=_nodes_from_record(record["nodes"], _read_training_sets(record)),
+        metadata = _read_metadata(record)
+        return cls(
+            metadata=metadata,
+            nodes=_nodes_from_record(record["nodes"], _read_tables(record, metadata.get("dimension"))),
             trajectory=[_read_number(c, "trajectory") for c in record.get("trajectory", [])],
         )
-        _check_features((node.classifier for node in tree.nodes.values()), tree.metadata)
-        return tree
 
 
-def _nodes_from_record(nodes: dict[str, Any], training_sets) -> dict[str, TreeNode]:
-    """A tree's nodes from their records; ``training_sets`` is the model's
-    table that constant-edge classifiers name."""
-    nodes = {validate_path(path): TreeNode.from_record(node, training_sets) for path, node in nodes.items()}
+def _nodes_from_record(nodes: dict[str, Any], tables) -> dict[str, TreeNode]:
+    """A tree's nodes from their records; ``tables`` are the model's (``_read_tables``)."""
+    nodes = {validate_path(path): TreeNode.from_record(node, tables) for path, node in nodes.items()}
     for path in nodes:
         if path and path[:-1] not in nodes:
             raise ValueError(f"node {path!r} has no parent in the record")
@@ -308,19 +310,20 @@ class CompositeNode(ProbClassifier):
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
 
-    def plain_classifiers(self):
-        for node in self.inner.nodes.values():
-            yield from node.classifier.plain_classifiers()
+    def _plain_records(self, record: dict[str, Any], found: dict) -> None:
+        _plain_records(self.inner.nodes.values(), record["classifier"]["inner"]["nodes"].values(), found)
 
     def to_record(self) -> dict[str, Any]:
         # the inner nodes only: walk tables and bounds read nothing else;
-        # their training sets go in the table of the model record
+        # their training sets and repeated classifiers go in the tables of the model record
         nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
         return {"kind": "composite", "inner": {"nodes": nodes}}
 
     @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets) -> "CompositeNode":
-        return cls(TreeModel(nodes=_nodes_from_record(record["inner"]["nodes"], training_sets)))
+    def from_record(cls, record: dict[str, Any], tables) -> "CompositeNode":
+        """The inner tree takes the model's feature dimension, which its walks on given rows check."""
+        nodes = _nodes_from_record(record["inner"]["nodes"], tables)
+        return cls(TreeModel(nodes=nodes, metadata={"dimension": tables.dimension}))
 
 
 def _drop_walk_tables(tree: TreeModel) -> None:

@@ -13,10 +13,11 @@ strategy B's rule and loop are ``adaboost._train_strategy_B``.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
+# a record's JSON text as ``core.save_record`` writes it
+_record_text = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
 
 
 @dataclass
@@ -94,33 +97,42 @@ def _read_number(value, name: str, valid=None, what: str = "a number"):
     return value
 
 
-def _check_features(classifiers, metadata: dict[str, Any]) -> None:
-    """Refuse a stump among the classifiers' ``plain_classifiers()`` whose feature
-    is beyond the model's recorded dimension (older AdaBoost files record none)."""
-    dimension = metadata.get("dimension")
-    for classifier in classifiers:
-        for plain in classifier.plain_classifiers():
-            if dimension is not None and isinstance(plain, StumpClassifier) and plain.feature >= dimension:
-                raise TypeError(f"feature must be below the model's dimension {dimension}, got {plain.feature}")
-
-
 def _write_q(classifier, q: np.ndarray | None) -> dict[str, Any]:
     """The stored q fields of a node or stage record.  ``q_plus`` is null where
     q is, bit for bit, the q the classifier rebuilds from the model file
     (``_training_q``), or where there is none (a composite).  A q that repeats
     a value is its distinct values (bitwise, so ``0.0`` and ``-0.0`` stay apart)
-    in ``q_plus`` and each example's place among them in ``q_index``; any other
-    q is its list of numbers."""
+    in ``q_plus`` and each example's place among them in ``q_index`` where that
+    text is shorter than the list; any other q is its list of numbers."""
     if q is None:
         return {"q_plus": None}
     rebuilt = classifier._training_q()
     if rebuilt is not None and q.dtype == rebuilt.dtype and q.shape == rebuilt.shape \
             and q.tobytes() == rebuilt.tobytes():
         return {"q_plus": None}
-    bits, index = np.unique(np.asarray(q, dtype=float).view(np.uint64), return_inverse=True)
+    # q's distinct bit patterns in ascending order, as np.unique gives them; at
+    # this size its hash path is slower, and its first call takes about 14 ms
+    q_bits = np.asarray(q, dtype=float).view(np.uint64)
+    ordered = np.sort(q_bits)
+    first = np.empty(len(q), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    bits = ordered[first]
     if len(bits) == len(q):
         return {"q_plus": q.tolist()}
-    return {"q_plus": bits.view(float).tolist(), "q_index": index.tolist()}
+    index, values = bits.searchsorted(q_bits), bits.view(float).tolist()
+    # Beside the list, the indexed form writes each example's index instead of
+    # its value, each value once more, a comma between values and the 14
+    # characters of ',"q_index": []'.  JSON writes a float as its repr, of 3
+    # characters or more, so the values' text is read only where that bound
+    # leaves the choice open.
+    extra = len(values) - 1 + 14
+    if 3 * (len(q) - len(values)) - len(q) * len(str(len(values) - 1)) <= extra:
+        saved = sum((count - 1) * len(repr(value)) - count * len(str(k))
+                    for k, (value, count) in enumerate(zip(values, np.bincount(index).tolist())))
+        if saved <= extra:
+            return {"q_plus": q.tolist()}
+    return {"q_plus": values, "q_index": index.tolist()}
 
 
 def _read_q(record: dict[str, Any], classifier) -> np.ndarray:
@@ -185,10 +197,14 @@ class ProbClassifier(ABC):
         else -1; a classifier without exact q overrides this."""
         return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
 
-    def plain_classifiers(self):
-        """The plain classifiers (those that draw +/-1) this one is made of:
-        itself, or a collected subtree's inner ones."""
-        return (self,)
+    def _plain_records(self, record: dict[str, Any], found: dict) -> None:
+        """Add to ``found`` (``_plain_records``) the plain classifiers (those that
+        draw +/-1) this one is made of, ``record`` being a node or stage record
+        that writes this one: itself, or a collected subtree's inner ones."""
+        group = found.get(id(self))
+        if group is None:
+            group = found[id(self)] = (self, [])
+        group[1].append(record)
 
     def _training_q(self) -> np.ndarray | None:
         """Exact q(+) on the rows the classifier was trained on, where its
@@ -369,20 +385,41 @@ class TrainingSet:
         return self._search(_row_keys(X))
 
 
-def _write_training_sets(record: dict[str, Any], classifiers) -> dict[str, Any]:
-    """``record`` with its ``training_sets`` table: the rows and labels of each
-    training set the classifiers' ``plain_classifiers()`` name, once each, by
-    fingerprint.  A record whose classifiers name none gets no table."""
-    table = {}
-    for classifier in classifiers:
-        for plain in classifier.plain_classifiers():
-            if isinstance(plain, ConstantEdgeClassifier) and plain.training_set.fingerprint not in table:
-                table[plain.training_set.fingerprint] = {
-                    "features": plain.training_set.features.tolist(),
-                    "labels": plain.training_set.labels.tolist(),
-                }
-    if table:
-        record["training_sets"] = table
+def _plain_records(units, records, found: dict | None = None) -> dict:
+    """Each plain classifier of a model's nodes or stages ``units``, composites'
+    inner ones included, by object: (classifier, the node or stage records that
+    write it), added to ``found``; ``records`` are the units' records, in order."""
+    found = {} if found is None else found
+    for unit, record in zip(units, records):
+        unit.classifier._plain_records(record, found)
+    return found
+
+
+def _write_tables(record: dict[str, Any], plain_records: dict) -> dict[str, Any]:
+    """``record`` with the tables of its plain classifiers, as ``_plain_records``
+    gives them: ``training_sets``, the rows and labels of each training set they
+    name, once each, by fingerprint; and ``classifiers``, each classifier record
+    that two or more nodes or stages write as the same JSON text (so ``0.0`` and
+    ``-0.0`` stay apart), once, in the order of that text, those records'
+    ``classifier`` then its index in the table.  A record written once stays
+    inline, and a table with no entry is not written."""
+    training_sets, holders = {}, {}
+    for plain, records in plain_records.values():
+        if isinstance(plain, ConstantEdgeClassifier) and plain.training_set.fingerprint not in training_sets:
+            training_sets[plain.training_set.fingerprint] = {
+                "features": plain.training_set.features.tolist(),
+                "labels": plain.training_set.labels.tolist(),
+            }
+        # each classifier is encoded once, however many nodes hold it
+        holders.setdefault(_record_text(records[0]["classifier"]), []).extend(records)
+    if training_sets:
+        record["training_sets"] = training_sets
+    shared = sorted(text for text, group in holders.items() if len(group) > 1)
+    if shared:
+        record["classifiers"] = [holders[text][0]["classifier"] for text in shared]
+        for index, text in enumerate(shared):
+            for holder in holders[text]:
+                holder["classifier"] = index
     return record
 
 
@@ -396,6 +433,44 @@ def _read_training_sets(record: dict[str, Any]) -> dict[str, TrainingSet]:
             raise ValueError(f"malformed training set {key!r}: its rows hash to {training_set.fingerprint!r}")
         training_sets[key] = training_set
     return training_sets
+
+
+class _ModelTables(NamedTuple):
+    """What the node and stage records of a model record read beyond
+    themselves: the lookups of its ``training_sets`` table, the classifiers of
+    its ``classifiers`` table, and its feature dimension (None where an older
+    AdaBoost file records none)."""
+
+    training_sets: dict[str, TrainingSet]
+    classifiers: list[ProbClassifier]
+    dimension: int | None
+
+    def classifier(self, entry) -> ProbClassifier:
+        """A plain classifier from a record's ``classifier``: an inline record,
+        decoded, or an index into the ``classifiers`` table, whose classifier
+        every record that names it shares.  A stump whose feature is beyond
+        the dimension is refused."""
+        if not isinstance(entry, dict):
+            if isinstance(entry, bool) or not isinstance(entry, int) or not 0 <= entry < len(self.classifiers):
+                raise TypeError(f"classifier must be a record or an index in [0, {len(self.classifiers)}), "
+                                f"got {entry!r}")
+            return self.classifiers[entry]
+        classifier = classifier_from_record(entry, self.training_sets)
+        if self.dimension is not None and isinstance(classifier, StumpClassifier) \
+                and classifier.feature >= self.dimension:
+            raise TypeError(f"feature must be below the model's dimension {self.dimension}, got {classifier.feature}")
+        return classifier
+
+
+def _read_tables(record: dict[str, Any], dimension: int | None = None) -> _ModelTables:
+    """A model record's tables, each entry decoded once: ``_read_training_sets``,
+    then each entry of ``classifiers``, a list of plain classifier records."""
+    tables = _ModelTables(_read_training_sets(record), [], dimension)
+    shared = record.get("classifiers", [])
+    if not isinstance(shared, list) or not all(isinstance(entry, dict) for entry in shared):
+        raise TypeError("classifiers must be a list of plain classifier records")
+    tables.classifiers.extend(map(tables.classifier, shared))
+    return tables
 
 
 class ConstantEdgeClassifier(_PlainClassifier):
@@ -449,13 +524,14 @@ class ConstantEdgeLearner(WeakLearner):
         if not 0.0 < epsilon <= 0.5:
             raise ValueError(f"epsilon must be in (0, 1/2], got {epsilon}")
         self.epsilon = epsilon
-        self._training_set: TrainingSet | None = None  # of the last dataset trained on
+        # the one classifier of the last dataset trained on, which every node trained on it shares
+        self._classifier: ConstantEdgeClassifier | None = None
 
     def train(self, dataset: Dataset, weights) -> ConstantEdgeClassifier:
-        known = self._training_set
+        known = self._classifier and self._classifier.training_set
         if known is None or known.features is not dataset.features or known.labels is not dataset.labels:
-            known = self._training_set = TrainingSet(dataset.features, dataset.labels)
-        return ConstantEdgeClassifier(self.epsilon, known)
+            self._classifier = ConstantEdgeClassifier(self.epsilon, TrainingSet(dataset.features, dataset.labels))
+        return self._classifier
 
 
 def builtin_constant_edge_oracle(epsilon: float) -> ConstantEdgeLearner:
@@ -593,9 +669,9 @@ class _Edges:
         return record
 
     @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets: dict[str, TrainingSet]):
-        """The edges of a plain classifier's record; ``training_sets`` is the model's table."""
-        classifier = classifier_from_record(record["classifier"], training_sets)
+    def from_record(cls, record: dict[str, Any], tables: _ModelTables):
+        """The edges of a plain classifier's record; ``tables`` are the model's (``_read_tables``)."""
+        classifier = tables.classifier(record["classifier"])
         return cls._read(record, classifier, _read_q(record, classifier))
 
     @classmethod

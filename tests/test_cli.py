@@ -477,12 +477,20 @@ class TestInputErrors:
         assert "Traceback" not in result.output
 
     @staticmethod
+    def _parent(record, key_path):
+        """What holds the last key of ``key_path``; a classifier that records
+        repeat is an index into the ``classifiers`` table, and read there."""
+        parent = record
+        for key in key_path[:-1]:
+            parent = parent[key]
+            if key == "classifier" and isinstance(parent, int):
+                parent = record["classifiers"][parent]
+        return parent
+
+    @staticmethod
     def _delete(*key_path):
         def edit(record):
-            parent = record
-            for key in key_path[:-1]:
-                parent = parent[key]
-            del parent[key_path[-1]]
+            del TestInputErrors._parent(record, key_path)[key_path[-1]]
             return record
 
         return edit
@@ -496,10 +504,7 @@ class TestInputErrors:
     @staticmethod
     def _set(value, *key_path):
         def edit(record):
-            parent = record
-            for key in key_path[:-1]:
-                parent = parent[key]
-            parent[key_path[-1]] = value
+            TestInputErrors._parent(record, key_path)[key_path[-1]] = value
             return record
 
         return edit
@@ -620,6 +625,27 @@ class TestInputErrors:
             ("tree", _set("tree", "nodes", "", "classifier", "kind"),
              "malformed ptree record (ValueError: unknown classifier kind 'tree')"),
             ("tree", _set("tree", "kind"), "tree.json: unknown model kind 'tree'"),
+            # the edge fixture's two nodes repeat one classifier record: each names index 0
+            ("edge", _set(1, "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 1), got 1)"),
+            ("edge", _set(-1, "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 1), got -1)"),
+            ("edge", _set(False, "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 1), got False)"),
+            ("edge", _set(0.0, "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 1), got 0.0)"),
+            ("edge", _set("0", "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 1), got '0')"),
+            ("tree", _set(0, "nodes", "", "classifier"),
+             "malformed ptree record (TypeError: classifier must be a record or an index in [0, 0), got 0)"),
+            ("edge", lambda record: {**record, "classifiers": {"0": record["classifiers"][0]}},
+             "malformed ptree record (TypeError: classifiers must be a list of plain classifier records)"),
+            ("edge", lambda record: {**record, "classifiers": [0]},
+             "malformed ptree record (TypeError: classifiers must be a list of plain classifier records)"),
+            ("fixed2", lambda record: {**record, "classifiers": [record["nodes"][""]["classifier"]]},
+             "malformed matryoshka record (ValueError: unknown classifier kind 'composite')"),
+            ("edge", _set("tree", "classifiers", 0, "kind"),
+             "malformed ptree record (ValueError: unknown classifier kind 'tree')"),
         ],
         ids=["no-nodes", "no-stump-feature", "no-z-minus", "json-list", "tree-metadata-list",
              "ada-metadata-list", "fingerprint-mismatch", "missing-training-set", "alpha-string", "alpha-null",
@@ -629,7 +655,9 @@ class TestInputErrors:
              "ada-feature-beyond-columns", "p-flip-two", "trajectory-string", "ada-z-string",
              "epsilon-above-half", "inner-feature-beyond-columns", "inner-no-z-minus", "inner-alpha-string",
              "table-feature-string", "table-label-string", "table-row-ragged", "inline-feature-string",
-             "path-not-signs", "orphan-node", "unknown-classifier-kind", "unknown-model-kind"],
+             "path-not-signs", "orphan-node", "unknown-classifier-kind", "unknown-model-kind",
+             "index-past-table", "index-negative", "index-bool", "index-float", "index-string", "index-without-table",
+             "table-not-list", "table-entry-not-record", "table-composite", "table-unknown-kind"],
     )
     def test_malformed_model_file(self, runner, files, model, edit, message):
         record = edit(json.loads(files[model].read_text()))

@@ -32,8 +32,8 @@ from probboost.weak_learner import (
     ConstantEdgeClassifier,
     ProbClassifier,
     TrainingSet,
-    _read_training_sets,
-    _write_training_sets,
+    _read_tables,
+    _write_tables,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
 )
@@ -64,9 +64,10 @@ def _composites(tree):
 
 
 def _composite_records(record):
-    """Every composite record under a tree record, nested ones included."""
+    """Every composite record under a tree record, nested ones included; a
+    plain classifier that nodes repeat is an index into the ``classifiers`` table."""
     for node in record["nodes"].values():
-        if node["classifier"]["kind"] == "composite":
+        if isinstance(node["classifier"], dict) and node["classifier"]["kind"] == "composite":
             yield node["classifier"]
             yield from _composite_records(node["classifier"]["inner"])
 
@@ -145,8 +146,10 @@ class TestCompositeNode:
             config=TrainConfig(exact_q=True),
         )
         composite = collect_leaves(inner)
-        training_sets = _read_training_sets(_write_training_sets({}, [composite]))
-        clone = CompositeNode.from_record(composite.to_record(), training_sets)
+        record, plain = composite.to_record(), {}
+        composite._plain_records({"classifier": record}, plain)
+        tables = _read_tables(_write_tables({}, plain))
+        clone = CompositeNode.from_record(record, tables)
         assert isinstance(clone, CompositeNode)
         x = small_dataset.features[0]
         assert clone.q_plus(x) == composite.q_plus(x)

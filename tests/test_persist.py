@@ -1,5 +1,6 @@
 """Model files: one training-set table per file, and files from earlier versions."""
 
+import copy
 import hashlib
 import json
 import os
@@ -20,8 +21,8 @@ from probboost.core import load_csv, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
 from probboost.persist import load_model, save_model
 from probboost.ptree import CompositeNode, TreeModel, TreeNode, grow_tree
-from probboost.weak_learner import (ConstantEdgeClassifier, StumpClassifier, builtin_constant_edge_oracle,
-                                    builtin_noisy_stump)
+from probboost.weak_learner import (ConstantEdgeClassifier, StumpClassifier, TrainingSet,
+                                    builtin_constant_edge_oracle, builtin_noisy_stump)
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -116,9 +117,10 @@ def _constant_edge_classifiers(model):
 
 
 def _plain_records(records, prefix=""):
-    """(path, record) of every plain node or stage record, composites' inner nodes included."""
+    """(path, record) of every plain node or stage record, composites' inner nodes
+    included; a classifier that records repeat is an index into ``classifiers``."""
     for path, record in records:
-        if record["classifier"]["kind"] == "composite":
+        if isinstance(record["classifier"], dict) and record["classifier"]["kind"] == "composite":
             yield from _plain_records(record["classifier"]["inner"]["nodes"].items(), f"{prefix}{path}/")
         else:
             yield prefix + str(path), record
@@ -136,23 +138,28 @@ def _plain_q(record):
 
 def _q_lists_filled_back(text):
     """A model file's text with each ``q_index`` expanded back into the
-    per-example ``q_plus`` list, as ``save_record`` dumps it: the file that
-    versions before ``q_index`` wrote."""
+    per-example ``q_plus`` list, and each index into the ``classifiers`` table
+    replaced by the record it names, as ``save_record`` dumps it: the file that
+    versions before ``q_index`` and the table wrote."""
     record = json.loads(text)
+    shared = record.pop("classifiers", [])
     for _, plain in _model_plain_records(record):
         if "q_index" in plain:
             plain["q_plus"] = [plain["q_plus"][i] for i in plain.pop("q_index")]
+        if not isinstance(plain["classifier"], dict):
+            plain["classifier"] = shared[plain["classifier"]]
     return json.dumps(record, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
 def _check_digest(path, digest):
     """Pin a model file's SHA-256.  A pair (file, lists) pins a file that stores
-    ``q_index`` and, as ``lists``, the digest it had before: that of the file
-    with its q lists filled back in."""
+    ``q_index`` or a ``classifiers`` table and, as ``lists``, the digest it had
+    before: that of the file with its q lists and classifier records filled
+    back in (``_q_lists_filled_back``), which is checked first."""
     new, lists = (digest, digest) if isinstance(digest, str) else digest
     text = path.read_text(encoding="utf-8")
-    assert hashlib.sha256(text.encode()).hexdigest() == new
     assert hashlib.sha256(_q_lists_filled_back(text).encode()).hexdigest() == lists
+    assert hashlib.sha256(text.encode()).hexdigest() == new
 
 
 def _plain_nodes(model, prefix=""):
@@ -281,16 +288,19 @@ _Q_VALUES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.5,
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(q=st.lists(_Q_VALUES, min_size=1, max_size=40), stage=st.booleans())
-@example(q=[0.25, 0.75, 0.25, 0.25], stage=False)  # repeated values
+@example(q=[0.25, 0.75, 0.25, 0.25], stage=False)  # repeated values, shorter as a list
 @example(q=[0.0, -0.0, 0.0, -0.0], stage=True)  # both zeros, each repeated
+@example(q=[0.0, -0.0] * 8, stage=False)  # both zeros, shorter indexed
+@example(q=[0.9, 0.1, 0.1, 0.9] * 10, stage=True)  # a stump's two values
 @example(q=[0.0, 1.0, 1.0, 0.0], stage=False)  # 0 and 1
 @example(q=[5e-324, 1e-310, 5e-324], stage=True)  # subnormals
 @example(q=[0.5], stage=False)  # N = 1
+@example(q=[0.5, 0.5], stage=False)  # 22 characters as a list, 36 indexed
 @example(q=[0.0, -0.0, 0.1, 1.0], stage=True)  # every value distinct
 def test_stored_q_round_trip(q, stage):
     # a stump's q is stored: its distinct values and each example's index
-    # where a value repeats, its list otherwise; loading gives q's bytes and
-    # saving again the same file
+    # where that text is shorter than its list, its list otherwise; loading
+    # gives q's bytes and saving again the same file
     q = np.array(q)
     stump = StumpClassifier(0, 0.0, 1, 0.1)
     model = AdaboostModel([StageRecord(stump, q, 0.5, 0.25, 0.75)]) if stage else \
@@ -304,9 +314,75 @@ def test_stored_q_round_trip(q, stage):
         assert first.read_bytes() == second.read_bytes()
     held = loaded.stages[0] if stage else loaded.nodes[""]
     assert held.q_plus.dtype == np.float64 and held.q_plus.tobytes() == q.tobytes()
-    distinct = len(np.unique(q.view(np.uint64)))
-    assert ("q_index" in plain) == (distinct < len(q))
-    assert len(plain["q_plus"]) == distinct
+    values, index = np.unique(q.view(np.uint64), return_inverse=True)
+    as_list = json.dumps({"q_plus": q.tolist()}, separators=(",", ": "))
+    indexed = json.dumps({"q_index": index.tolist(), "q_plus": values.view(float).tolist()}, separators=(",", ": "))
+    assert ("q_index" in plain) == (len(indexed) < len(as_list))
+    assert len(plain["q_plus"]) == (len(values) if "q_index" in plain else len(q))
+
+
+_SHARED_ROWS = TrainingSet(np.array([[0.5, -1.0], [-0.5, 1.0], [1.5, 0.0]]), np.array([1, -1, 1]))
+# plain classifiers whose records differ, some only in the sign of a zero
+_POOL = [StumpClassifier(0, 0.0, 1, 0.1), StumpClassifier(0, -0.0, 1, 0.1), StumpClassifier(1, 0.5, -1, 0.2),
+         StumpClassifier(0, 0.0, 1, 0.1, constant=-1), ConstantEdgeClassifier(0.3, _SHARED_ROWS)]
+_PATHS = ["", "+", "-", "++", "+-", "-+", "--"]
+
+
+def _pool_classifier(draw):
+    """One of the pool's classifiers, or a copy of it: a record that nodes
+    repeat may come from one object or from several."""
+    classifier = draw(st.sampled_from(_POOL))
+    return copy.copy(classifier) if draw(st.booleans()) else classifier
+
+
+@st.composite
+def _pool_models(draw):
+    """A tree (its root a composite of plain nodes, or not) or an AdaBoost
+    model of 1 to 7 plain nodes or stages from ``_POOL``."""
+    q = np.array([0.25, 0.75, 0.25])
+    units = draw(st.integers(1, len(_PATHS)))
+    if draw(st.booleans()):
+        return AdaboostModel([StageRecord(_pool_classifier(draw), q, 0.5, 0.25, 0.75) for _ in range(units)])
+    nodes = {path: TreeNode(_pool_classifier(draw), q, 0.5, 0.25, 0.75, 0.5) for path in _PATHS[:units]}
+    if draw(st.booleans()):
+        inner = {path: TreeNode(_pool_classifier(draw), q, 0.5, 0.25, 0.75, 0.5)
+                 for path in _PATHS[:draw(st.integers(1, 3))]}
+        nodes[""] = TreeNode(CompositeNode(TreeModel(nodes=inner)), None, 1.0, 1.0, 0.5, 0.25)
+    return TreeModel(nodes=nodes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=_pool_models())
+def test_shared_classifiers_round_trip(model):
+    # a plain classifier record that nodes or stages repeat is written once,
+    # in the classifiers table, and each of them names its index
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory, "first.json"), Path(directory, "second.json")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        record = json.loads(first.read_text())
+        assert first.read_bytes() == second.read_bytes()
+    def text(classifier_record):  # as the file writes it
+        return json.dumps(classifier_record, sort_keys=True, separators=(",", ": "))
+
+    saved = {path: text(node.classifier.to_record()) for path, node in _plain_nodes(model)}
+    assert {path: text(node.classifier.to_record()) for path, node in _plain_nodes(loaded)} == saved
+    saved = list(saved.values())
+    repeated = sorted({entry for entry in saved if saved.count(entry) > 1})
+    for entry in repeated:  # decoded once, and shared by the nodes that name it
+        assert len({id(node.classifier) for _, node in _plain_nodes(loaded)
+                    if text(node.classifier.to_record()) == entry}) == 1
+    table = record.get("classifiers")
+    assert ("classifiers" in record) == bool(repeated)
+    if table is not None:
+        assert [text(entry) for entry in table] == repeated
+    for _, plain in _model_plain_records(record):
+        entry = plain["classifier"]
+        if isinstance(entry, dict):
+            assert saved.count(text(entry)) == 1
+        else:
+            assert saved.count(text(table[entry])) > 1
 
 
 class TestStumpFiles:
@@ -328,26 +404,30 @@ class TestTrainingSetTable:
             (key, entry), = record["training_sets"].items()
             assert entry == {"features": data.features.tolist(), "labels": data.labels.tolist()}
             text = json.dumps(record["nodes"])
-            assert '"features"' not in text and text.count(f'"training_set": "{key}"') == raw_nodes
+            # the raw nodes repeat one classifier record, which names the training set once per file
+            assert '"features"' not in text and json.dumps(record).count(f'"training_set": "{key}"') == 1
+            (shared,) = record["classifiers"]
+            assert shared["training_set"] == key
+            assert [plain["classifier"] for _, plain in _model_plain_records(record)] == [0] * raw_nodes
             assert load_model(tmp_path / "m.json").to_record() == model.to_record()
 
     @pytest.mark.parametrize(
         "args, digest",
         [
             ("train --algo ptree --T 8 --seed 3",
-             ("8528613c54ecb12204b754b282b47f6b7d2e23b86deb93bf0c0c2eccc7e5d1d1",
+             ("733cbb1934c9a146feada8358b8fd3f404c9a594794329560a8ec93add470d9b",
               "d06e7f62d82a0884e2261bc2f2540e02cb1d46fd537046ae0ca7d85f85ab0473")),
             ("train --algo adaboost --T 4 --seed 3",
-             ("16cd78ae11f03a207c5d753105054fd171fad2a6782ffff95cea313925daa316",
+             ("1618cf87197a6f219e57e9ca3ee47871c89fe63f1c1ba670704d389f8534d6d8",
               "d3606e98a1ed241be833021ddfd59b58653a5bf4a78b9cea786e165268907820")),
             ("train --algo adaboost --T 4 --strategy B --seed 3",
-             ("297986104efe05644bd3e38245b61cd4f14a796e50368362f4c8ac57fe4a7dd0",
+             ("886d1c6599c0f60435e1bfe2d860a85d85535af9034e2f79a3f4c70f9dfca0fb",
               "94e8fae07ca20ee5626e4dc01bec76d446d6265ac3a4370648a85d20abdf2fde")),
             ("train --algo adaboost --T 4 --strategy B --estimator ml --seed 3",
-             ("59ca0220217b7aec3c75827a9db2871455889f9a87d6201aad801bec257d87b0",
+             ("b04f4856f769985d076636b80c05d51e0733691acc4847e322108057b2faf230",
               "bc243f9b5a660f1c2401f01c9f13d03b4d78dc3edf57eafe1050e6a446d48d43")),
             ("train --algo adaboost --T 4 --estimator ml --seed 3",
-             ("487c0cd2a9545543285ec6e978efbd7990f3db1a5ddecb358cb8eb6e21bd46c7",
+             ("83d7c5bc702b412c4c40a5448a3389fb10e6121ff53ef64e1bfaf87eef7c9080",
               "74690d04b67cefb166d2fc4cc140846265777d5e803eed283440ad380890b0f2")),
         ],
         ids=["ptree", "adaboost", "adaboost-B", "adaboost-B-ml", "adaboost-ml"],
@@ -366,11 +446,13 @@ class TestTrainingSetTable:
         "args, digest",
         [
             ("--mode fixed2 --L 4 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "7f0ce1608021e76fde98ee98d4deea86921c235e0476fb7f3b4a8f8e0de8f5bd"),
+             ("6479dac38047c69562e76cee2e899688f3d853cfa13a87b897e9102a969c4d57",
+              "7f0ce1608021e76fde98ee98d4deea86921c235e0476fb7f3b4a8f8e0de8f5bd")),
             ("--mode greedy --T 16 --oracle constant-edge --epsilon 0.3 --exact-q --seed 3",
-             "1a22f0b0fd545c9d2f9db87522afab3bcd0bd0ed1e8ca54d4fc439bd7b2c434b"),
+             ("7716f7a22dde32e4f4502ea4b5d47d04f22adc47a8b6b34fd1570e25aa72ffe7",
+              "1a22f0b0fd545c9d2f9db87522afab3bcd0bd0ed1e8ca54d4fc439bd7b2c434b")),
             ("--mode fixed2 --L 3 --seed 3",
-             ("61d51502108f0a336b72a4b0bc854258bb39b562a0aa3eae033d275e84c7806f",
+             ("8ba7f6ba584c1394e1d2314c0a67aed85dad338055f67df44728362ea6fb8042",
               "420380eaf41298ab088504ce905a5d4d4e74925294acf1e8c3de33aaa16b0bff")),
         ],
         ids=["fixed2-edge", "greedy-edge", "fixed2-stump-sampled"],
@@ -389,11 +471,13 @@ class TestTrainingSetTable:
         "mode, size, n, oracle, digest",
         [
             ("fixed2", 6, 40, "constant-edge",
-             "0c2579db6d8ba0bf8791b74583ab04a2daa9080232db1af7e90b277f955a472f"),
+             ("2928d1dca06684f97354291536fd398c2de8e84e4111f85c42e16408d5976e55",
+              "0c2579db6d8ba0bf8791b74583ab04a2daa9080232db1af7e90b277f955a472f")),
             ("greedy", 28, 20, "constant-edge",
-             "fcbff65d99aa38d529d03f336761e79c62e585f084959218ed6ce1965425611a"),
+             ("7731c48129937290b0f3a0c2e09a4726c2a4eed5173fff8e96e4c46042324c4b",
+              "fcbff65d99aa38d529d03f336761e79c62e585f084959218ed6ce1965425611a")),
             ("fixed2", 5, 40, "stump",
-             ("548a6dcae62c34f57407acc06314885c3fa5883366de69c3d1bdc22f2e622f7e",
+             ("6ff9bc8addf48e6b780922979fe2030768baa248bce5a23ddb3aa34a48ff6a8c",
               "c73455acdde2d9048cb8eb47cc5ac161236ef33adb9f85de61f1868c7f48f2f1")),
         ],
         ids=["fixed2-L6-edge", "greedy-28-edge", "fixed2-L5-stump"],
@@ -416,10 +500,10 @@ class TestTrainingSetTable:
         "case, digest",
         [
             ("greedy-16-exact",
-             ("20ca6c6d07dc62406223c4b3bbf91d12efb614d135072e48cfbb58df9c23e447",
+             ("d7dfee9fa1728eb0d2c36111b4e1fd053d9a9a67182560199e0fcd8ece68f8b9",
               "8ee089499600907f5bed286d5ee1f688b13674f6bdabb9e60f226d3396315123")),
             ("greedy-16-sampled",
-             ("fc53ebddd04d1c33fd53fc0228c33098a5fb424a72e9f5a6d724d5409af8b392",
+             ("148b4ede66a4d3cfc3d4b3a5de0234471705d8b6eed6a77448ca0688a0601aea",
               "9c6e64ef0029dec266faf61f6a3e81983c9a4d72676d291186f58935f97fee9f")),
             ("fixed2-3-duplicated-rows",
              ("61f4509df039b317df2742f8c9bd133fa41a266a138b66d94a14fb65a5bab642",
@@ -450,15 +534,16 @@ class TestTrainingSetTable:
     @pytest.mark.parametrize(
         "shape, digest",
         [
-            ("ptree-128-edge", "37e9556ff617cdf180145ebe63a5f43014ba425f7be1d017cd1bb6210af1e741"),
+            ("ptree-128-edge", ("2f682e1b6551cfeb9c58315dc6e142131c97ef34b7700b43847d2c305b63a183",
+                                 "37e9556ff617cdf180145ebe63a5f43014ba425f7be1d017cd1bb6210af1e741")),
             ("ptree-64-stump-exact",
-             ("3e6617b022612f7398a0352bbe58197e09615d735830e7f117cec08eb4ade2d4",
+             ("c16577093a5135683940c9ad42cf6adb99f1ad86ffcbef7849a2b4e4c4415f78",
               "5aa52eb0363b5dea072634d3dff4590c72baf1b309e63bafa3e2da380d017d07")),
             ("ptree-64-stump-sampled",
-             ("b1e2e84c7b0acf6037a222aafd6d5fc5ace9f9df1e2e9b5925e0dccfc2106c9d",
+             ("0674e695b2faa18f7271b5a247c51e6c336ae57ebb3137bda4187356e893c6ea",
               "d67a1217a41176a75e65eb62c2f80ae2024ec02d2900231d5e405c7ba0cdac8b")),
             ("adaboost-3-sampled",
-             ("b4362bcc9fe2fe59cdf19a010edaba7694bd3a98a30d54f0149c7f998cfece8b",
+             ("d7af68d89249ec110a65975fae18fd831830a5a96bbcfa2fd2bc650c91057361",
               "7a5860d71bed9533b1c453970983dd94f2a693bdcc3226f70ba49b9a6e0869f1")),
         ],
         ids=["ptree-128-edge", "ptree-64-stump-exact", "ptree-64-stump-sampled", "adaboost-3-sampled"],

@@ -1132,19 +1132,33 @@ class TestPredictTree:
             se = math.sqrt(max(reach * (1.0 - reach), 1e-12) / n)
             assert freq == pytest.approx(reach, abs=max(4 * se, 1e-3))
 
-    @pytest.mark.parametrize("nested", [False, True], ids=["plain", "nested"])
-    @pytest.mark.parametrize("read", ["predict_tree", "walk_table"])
-    def test_dimension_mismatch(self, small_dataset, read, nested):
-        # both refuse rows of another feature dimension by one check, before a
-        # stump reads a column past the rows or of another feature
-        if nested:
-            tree = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3,
-                                            TrainConfig(seed=1, exact_q=True))
-        else:
+    @pytest.mark.parametrize(
+        "read, model",
+        [("predict_tree", "plain"), ("predict_tree", "nested"), ("walk_table", "plain"), ("walk_table", "nested"),
+         ("composite", "reloaded"), ("composite", "greedy")],
+        ids=["predict_tree-plain", "predict_tree-nested", "walk_table-plain", "walk_table-nested",
+             "composite-reloaded", "composite-greedy"],
+    )
+    def test_dimension_mismatch(self, small_dataset, read, model):
+        # each refuses rows of another feature dimension by one check, before a
+        # stump reads a column past the rows or of another feature; so does a
+        # composite's own outcomes, loaded from a file or collected by the
+        # greedy builder, whose inner tree holds no training metadata
+        config = TrainConfig(seed=1, exact_q=True)
+        if model == "plain":
             tree = grow_tree(small_dataset, builtin_constant_edge_oracle(0.3), max_nodes=1,
                              config=TrainConfig(exact_q=True))
+        elif model == "greedy":
+            tree, _ = build_greedy_matryoshka(small_dataset, builtin_noisy_stump(0.1), 12, config=config)
+        else:
+            tree = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3, config)
+            if model == "reloaded":
+                tree = TreeModel.from_record(tree.to_record())
+        composite = next((node.classifier for node in tree.nodes.values()
+                          if isinstance(node.classifier, CompositeNode)), None)
+        assert (composite is None) == (model == "plain")
         reads = {"predict_tree": lambda X: predict_tree(tree, X, RandomStream(0), "p", 1),
-                 "walk_table": lambda X: walk_table(tree, X)}
+                 "walk_table": lambda X: walk_table(tree, X), "composite": lambda X: composite.outcomes(X)}
         for X in (np.array([[1.0, 2.0, 3.0]]), np.zeros((3, 5)), np.zeros((3, 1)), np.zeros(2)):
             with pytest.raises(ValueError, match=r"expected rows of feature dimension 2, got shape"):
                 reads[read](X)

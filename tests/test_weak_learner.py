@@ -23,7 +23,7 @@ from probboost.weak_learner import (
     _draw_plus,
     _q_estimate,
     _read_training_sets,
-    _write_training_sets,
+    _write_tables,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
     classifier_from_record,
@@ -667,8 +667,10 @@ class TestConstantEdgeOracle:
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
-        training_sets = _read_training_sets(_write_training_sets({}, [clf]))
-        clone = classifier_from_record(clf.to_record(), training_sets)
+        record, plain = clf.to_record(), {}
+        clf._plain_records({"classifier": record}, plain)
+        training_sets = _read_training_sets(_write_tables({}, plain))
+        clone = classifier_from_record(record, training_sets)
         assert isinstance(clone, ConstantEdgeClassifier)
         assert clone.q_plus(tiny_dataset.features[0]) == clf.q_plus(tiny_dataset.features[0])
 
