@@ -25,12 +25,8 @@ from .weak_learner import (
     _draw_plus,
     _Edges,
     _model_metadata,
-    _plain_records,
     _q_estimate,
-    _read_metadata,
-    _read_tables,
     _train_step,
-    _write_tables,
     map_z_estimate,
     node_q,
 )
@@ -65,7 +61,6 @@ def update_weights(
 @dataclass
 class StageRecord(_Edges):
     z: float
-    _Z = ("z",)
 
 
 @dataclass
@@ -81,20 +76,8 @@ class AdaboostModel:
         return math.prod(stage.z for stage in self.stages)
 
     def to_record(self) -> dict[str, Any]:
-        """The model's record; each constant-edge training set, and each
-        classifier record that stages repeat, is written once, in
-        ``training_sets`` and ``classifiers``."""
-        stages = [stage.to_record() for stage in self.stages]
-        record = {"kind": "adaboost", "metadata": self.metadata, "stages": stages}
-        return _write_tables(record, _plain_records(self.stages, stages))
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "AdaboostModel":
-        if record.get("kind") != "adaboost":
-            raise ValueError("not an adaboost model record")
-        metadata = _read_metadata(record)
-        tables = _read_tables(record, metadata.get("dimension"))
-        return cls(stages=[StageRecord.from_record(s, tables) for s in record["stages"]], metadata=metadata)
+        """The model's record (``persist.model_record``)."""
+        return persist.model_record(self)
 
 
 def _make_stage(
@@ -230,3 +213,7 @@ def mc_misclassification(
         plus = stream.uniforms(f"mc-stage-{t}", examples, draws) < stage.outcomes()[0][:, 0]  # q(+)
         H += np.where(plus, stage.alpha_plus, -stage.alpha_minus)
     return _mc_summary(H, dataset)
+
+
+# persist reads this module's classes; imported once they are defined, it breaks the cycle
+from . import persist  # noqa: E402

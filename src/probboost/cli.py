@@ -10,6 +10,7 @@ from itertools import accumulate
 from operator import mul
 
 import click
+from click.core import ParameterSource
 
 from . import bounds
 from .adaboost import (
@@ -154,16 +155,24 @@ def _load_dataset(data: str | None, seed: int) -> Dataset:
 def cmd_train(algo, data, oracle, epsilon, p_flip, t_stop, levels, mode, estimator,
               strategy, exact_q, seed, out, log_path, trials) -> None:
     """Train a model and report its recorded bound and training error."""
+    trainer = mode if algo == "matryoshka" else algo
+    name = {"fixed2": "fixed-2 matryoshka", "greedy": "greedy matryoshka"}.get(trainer, trainer)
+    # an option the trainer or oracle would ignore is refused; --mode, --epsilon and --p-flip have defaults
+    for param, option, ignored, by in (("levels", "--L", trainer != "fixed2", name),
+                                       ("t_stop", "--T", trainer == "fixed2", name),
+                                       ("mode", "--mode", algo != "matryoshka", algo),
+                                       ("epsilon", "--epsilon", oracle != "constant-edge", "the stump oracle"),
+                                       ("p_flip", "--p-flip", oracle != "stump", "the constant-edge oracle")):
+        if ignored and click.get_current_context().get_parameter_source(param) is ParameterSource.COMMANDLINE:
+            raise click.ClickException(f"{option} does not apply to {by}")
     _check_trials(trials)  # before training, which the report would otherwise throw away
     dataset = _load_dataset(data, seed)
     base = builtin_constant_edge_oracle(epsilon) if oracle == "constant-edge" else builtin_noisy_stump(p_flip)
     learner = CountingLearner(base)
     config = TrainConfig(seed=seed, exact_q=exact_q, estimator=estimator, strategy=strategy)
 
-    trainer = mode if algo == "matryoshka" else algo
     option, size = ("--L", levels) if trainer == "fixed2" else ("--T", t_stop)
     if size is None:
-        name = {"fixed2": "fixed-2 matryoshka", "greedy": "greedy matryoshka"}.get(trainer, trainer)
         raise click.ClickException(f"{option} is required for {name}")
     trace = None  # read off the finished model unless the trainer returns one
     if trainer == "adaboost":

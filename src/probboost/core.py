@@ -1,16 +1,13 @@
-"""Datasets, path indices, deterministic randomness, and model persistence."""
+"""Datasets, path indices and deterministic randomness."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -22,12 +19,8 @@ __all__ = [
     "load_csv",
     "validate_path",
     "RandomStream",
-    "save_record",
-    "load_record",
     "make_synthetic_dataset",
 ]
-
-MODEL_FORMAT_VERSION = 1
 
 _SIGNS = ("+", "-")
 
@@ -317,38 +310,6 @@ class RandomStream:
         draws only with ``uniforms``; this stays for the benchmark's tracer."""
         tag = int.from_bytes(hashlib.blake2s(purpose.encode("utf-8"), digest_size=8).digest(), "big")
         return np.random.default_rng(np.random.SeedSequence([self.seed, tag, int(example), int(counter)]))
-
-
-# ---------------------------------------------------------------------------
-# Persistence: models serialize to one-line JSON documents with stable key
-# order and an explicit version field, so identical runs produce identical
-# bytes.  Without indentation ``json`` uses its C encoder; older indented
-# files load the same.
-
-def save_record(record: dict[str, Any], path: str | Path) -> None:
-    record = dict(record)
-    record["format_version"] = MODEL_FORMAT_VERSION
-    text = json.dumps(record, sort_keys=True, separators=(",", ": "))
-    # Overwrite in place, then cut to length.  Truncating an existing file to
-    # zero first makes ext4 start its writeback on close (auto_da_alloc):
-    # about 1 ms a save, with a tail past 10 ms.
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-    with open(os.open(path, flags, 0o666), "wb") as fh:
-        fh.write((text + "\n").encode("utf-8"))
-        fh.truncate()
-
-
-def load_record(path: str | Path) -> dict[str, Any]:
-    try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ValueError(f"{path}: not a JSON model file ({exc})") from None
-    if not isinstance(record, dict):
-        raise ValueError(f"{path}: a model file holds one JSON object")
-    version = record.pop("format_version", None)
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
-    return record
 
 
 def make_synthetic_dataset(n: int = 40, dim: int = 2, seed: int = 0) -> Dataset:

@@ -34,19 +34,8 @@ import numpy as np
 
 from ._zstats import ClassTable, LabelSplit, optimal_alphas
 from ._zstats import _exp_table, _scale_edges, _side, _w_of_mass, _weighted_mass
-from .core import Dataset, RandomStream, _check_trials, validate_path
-from .weak_learner import ProbClassifier, TrainConfig, WeakLearner
-from .weak_learner import (
-    _Edges,
-    _model_metadata,
-    _plain_records,
-    _read_metadata,
-    _read_number,
-    _read_tables,
-    _train_step,
-    _write_tables,
-    node_q,
-)
+from .core import Dataset, RandomStream, _check_trials
+from .weak_learner import ProbClassifier, TrainConfig, WeakLearner, _Edges, _model_metadata, _train_step, node_q
 
 __all__ = [
     "DEAD_BRANCH_THRESHOLD",
@@ -179,8 +168,6 @@ class TreeNode(_Edges):
     weights_plus: np.ndarray | None = None
     weights_minus: np.ndarray | None = None
 
-    _Z = ("z_plus", "z_minus")
-
     def alpha(self, sign: int) -> float:
         return self.alpha_plus if sign == 1 else self.alpha_minus
 
@@ -189,14 +176,6 @@ class TreeNode(_Edges):
 
     def child_weights(self, edge: str) -> np.ndarray:
         return self.weights_plus if edge == "+" else self.weights_minus
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], tables) -> "TreeNode":
-        classifier = record["classifier"]
-        if not isinstance(classifier, dict) or classifier.get("kind") != "composite":
-            return super().from_record(record, tables)
-        # a composite's q, which older files store, is unread
-        return cls._read(record, CompositeNode.from_record(classifier, tables), None)
 
 
 @dataclass
@@ -250,35 +229,8 @@ class TreeModel:
         self.trajectory[-1], self.c_error = self.leaf_sum(), 0.0
 
     def to_record(self) -> dict[str, Any]:
-        """The model's record; each constant-edge training set, and each plain
-        classifier record that nodes repeat, composites' inner nodes included,
-        is written once, in ``training_sets`` and ``classifiers``."""
-        nodes = {path: node.to_record() for path, node in self.nodes.items()}
-        record = {
-            "kind": self.metadata.get("kind", "ptree"),
-            "metadata": self.metadata,
-            "trajectory": list(self.trajectory),
-            "nodes": nodes,
-        }
-        return _write_tables(record, _plain_records(self.nodes.values(), nodes.values()))
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any]) -> "TreeModel":
-        metadata = _read_metadata(record)
-        return cls(
-            metadata=metadata,
-            nodes=_nodes_from_record(record["nodes"], _read_tables(record, metadata.get("dimension"))),
-            trajectory=[_read_number(c, "trajectory") for c in record.get("trajectory", [])],
-        )
-
-
-def _nodes_from_record(nodes: dict[str, Any], tables) -> dict[str, TreeNode]:
-    """A tree's nodes from their records; ``tables`` are the model's (``_read_tables``)."""
-    nodes = {validate_path(path): TreeNode.from_record(node, tables) for path, node in nodes.items()}
-    for path in nodes:
-        if path and path[:-1] not in nodes:
-            raise ValueError(f"node {path!r} has no parent in the record")
-    return nodes
+        """The model's record (``persist.model_record``)."""
+        return persist.model_record(self)
 
 
 class CompositeNode(ProbClassifier):
@@ -309,21 +261,6 @@ class CompositeNode(ProbClassifier):
 
     def outcomes(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return walk_table(self.inner, X)
-
-    def _plain_records(self, record: dict[str, Any], found: dict) -> None:
-        _plain_records(self.inner.nodes.values(), record["classifier"]["inner"]["nodes"].values(), found)
-
-    def to_record(self) -> dict[str, Any]:
-        # the inner nodes only: walk tables and bounds read nothing else;
-        # their training sets and repeated classifiers go in the tables of the model record
-        nodes = {path: node.to_record() for path, node in self.inner.nodes.items()}
-        return {"kind": "composite", "inner": {"nodes": nodes}}
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], tables) -> "CompositeNode":
-        """The inner tree takes the model's feature dimension, which its walks on given rows check."""
-        nodes = _nodes_from_record(record["inner"]["nodes"], tables)
-        return cls(TreeModel(nodes=nodes, metadata={"dimension": tables.dimension}))
 
 
 def _drop_walk_tables(tree: TreeModel) -> None:
@@ -640,3 +577,7 @@ def _walk(tree, X, row, trial, draws, stream, purpose, leaves=None) -> np.ndarra
             level += [(child, walks) for child, walks in ((path + "+", at[plus]), (path + "-", at[~plus]))
                       if len(walks)]
     return scores
+
+
+# persist reads this module's classes; imported once they are defined, it breaks the cycle
+from . import persist  # noqa: E402

@@ -13,11 +13,10 @@ strategy B's rule and loop are ``adaboost._train_strategy_B``.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "ConstantEdgeClassifier",
     "TrainingSet",
     "StumpClassifier",
-    "classifier_from_record",
 ]
 
 # Strategy A may stop once it has sampled more than R_MIN_DEFAULT rounds and
@@ -43,8 +41,6 @@ __all__ = [
 R_MIN_DEFAULT = 2
 R_MAX_DEFAULT = 10_000
 PLAIN_SCORES = np.array([1.0, -1.0])  # the outcomes of a plain node: +1, then -1
-# a record's JSON text as ``core.save_record`` writes it
-_record_text = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
 
 
 @dataclass
@@ -78,94 +74,6 @@ def _model_metadata(config: TrainConfig, dataset: Dataset, **fields) -> dict[str
     }
 
 
-def _read_metadata(record: dict[str, Any]) -> dict[str, Any]:
-    """The ``metadata`` object of a model record, {} when there is none."""
-    metadata = record.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise TypeError("metadata must be a JSON object")
-    return metadata
-
-
-def _read_number(value, name: str, valid=None, what: str = "a number"):
-    """A number of a model record as JSON gave it; a TypeError refuses any
-    other value (a bool is not a number) and any that ``valid``, if given, rejects, and
-    an integer past a float raises OverflowError.  A nan or an infinity is a
-    number: training records one where a bound or an edge fit overflows."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or valid and not valid(value):
-        raise TypeError(f"{name} must be {what}, got {value!r}")
-    float(value)
-    return value
-
-
-def _write_q(classifier, q: np.ndarray | None) -> dict[str, Any]:
-    """The stored q fields of a node or stage record.  ``q_plus`` is null where
-    q is, bit for bit, the q the classifier rebuilds from the model file
-    (``_training_q``), or where there is none (a composite).  A q that repeats
-    a value is its distinct values (bitwise, so ``0.0`` and ``-0.0`` stay apart)
-    in ``q_plus`` and each example's place among them in ``q_index`` where that
-    text is shorter than the list; any other q is its list of numbers."""
-    if q is None:
-        return {"q_plus": None}
-    rebuilt = classifier._training_q()
-    if rebuilt is not None and q.dtype == rebuilt.dtype and q.shape == rebuilt.shape \
-            and q.tobytes() == rebuilt.tobytes():
-        return {"q_plus": None}
-    # q's distinct bit patterns in ascending order, as np.unique gives them; at
-    # this size its hash path is slower, and its first call takes about 14 ms
-    q_bits = np.asarray(q, dtype=float).view(np.uint64)
-    ordered = np.sort(q_bits)
-    first = np.empty(len(q), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    bits = ordered[first]
-    if len(bits) == len(q):
-        return {"q_plus": q.tolist()}
-    index, values = bits.searchsorted(q_bits), bits.view(float).tolist()
-    # Beside the list, the indexed form writes each example's index instead of
-    # its value, each value once more, a comma between values and the 14
-    # characters of ',"q_index": []'.  JSON writes a float as its repr, of 3
-    # characters or more, so the values' text is read only where that bound
-    # leaves the choice open.
-    extra = len(values) - 1 + 14
-    if 3 * (len(q) - len(values)) - len(q) * len(str(len(values) - 1)) <= extra:
-        saved = sum((count - 1) * len(repr(value)) - count * len(str(k))
-                    for k, (value, count) in enumerate(zip(values, np.bincount(index).tolist())))
-        if saved <= extra:
-            return {"q_plus": q.tolist()}
-    return {"q_plus": values, "q_index": index.tolist()}
-
-
-def _read_q(record: dict[str, Any], classifier) -> np.ndarray:
-    """The q(+) of a node or stage record: where it stores null, the q its
-    classifier rebuilds from the file; otherwise the stored numbers, in [0, 1]
-    (a nan fails both bounds), as floats, and where the record has a
-    ``q_index``, those numbers at its indices.  A null that the file cannot
-    rebuild, or that stands beside a ``q_index``, is refused as any other value
-    that is not such a list."""
-    values, index = record["q_plus"], record.get("q_index")
-    rebuilt = classifier._training_q() if values is None and index is None else None
-    if rebuilt is not None:
-        return rebuilt
-    q = _array(values)
-    if q.ndim != 1 or q.dtype.kind not in "iuf" or not q.min(initial=0.0) >= 0.0 or not q.max(initial=1.0) <= 1.0:
-        raise TypeError("q_plus must be a list of numbers in [0, 1]")
-    q = q.astype(float, copy=False)
-    if index is None:
-        return q
-    index = _array(index)
-    if index.ndim != 1 or index.dtype.kind not in "iu" or index.min(initial=0) < 0 or index.max(initial=0) >= len(q):
-        raise TypeError(f"q_index must be a list of ints in [0, {len(q)})")
-    return q[index]
-
-
-def _array(values) -> np.ndarray:
-    """``values`` of a record as numpy reads them; a ragged nesting of lists is a 0-d array."""
-    try:
-        return np.asarray(values)
-    except ValueError:
-        return np.empty(())
-
-
 class ProbClassifier(ABC):
     """A per-input Bernoulli oracle over {-1, +1}."""
 
@@ -197,23 +105,11 @@ class ProbClassifier(ABC):
         else -1; a classifier without exact q overrides this."""
         return np.where(np.asarray(u) < self._q(X), 1.0, -1.0)
 
-    def _plain_records(self, record: dict[str, Any], found: dict) -> None:
-        """Add to ``found`` (``_plain_records``) the plain classifiers (those that
-        draw +/-1) this one is made of, ``record`` being a node or stage record
-        that writes this one: itself, or a collected subtree's inner ones."""
-        group = found.get(id(self))
-        if group is None:
-            group = found[id(self)] = (self, [])
-        group[1].append(record)
-
     def _training_q(self) -> np.ndarray | None:
         """Exact q(+) on the rows the classifier was trained on, where its
         record and the model file rebuild it: a node or stage with that q
         then stores none.  None where the file cannot."""
         return None
-
-    @abstractmethod
-    def to_record(self) -> dict[str, Any]: ...
 
 
 def _plain_outcomes(q_plus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,94 +281,6 @@ class TrainingSet:
         return self._search(_row_keys(X))
 
 
-def _plain_records(units, records, found: dict | None = None) -> dict:
-    """Each plain classifier of a model's nodes or stages ``units``, composites'
-    inner ones included, by object: (classifier, the node or stage records that
-    write it), added to ``found``; ``records`` are the units' records, in order."""
-    found = {} if found is None else found
-    for unit, record in zip(units, records):
-        unit.classifier._plain_records(record, found)
-    return found
-
-
-def _write_tables(record: dict[str, Any], plain_records: dict) -> dict[str, Any]:
-    """``record`` with the tables of its plain classifiers, as ``_plain_records``
-    gives them: ``training_sets``, the rows and labels of each training set they
-    name, once each, by fingerprint; and ``classifiers``, each classifier record
-    that two or more nodes or stages write as the same JSON text (so ``0.0`` and
-    ``-0.0`` stay apart), once, in the order of that text, those records'
-    ``classifier`` then its index in the table.  A record written once stays
-    inline, and a table with no entry is not written."""
-    training_sets, holders = {}, {}
-    for plain, records in plain_records.values():
-        if isinstance(plain, ConstantEdgeClassifier) and plain.training_set.fingerprint not in training_sets:
-            training_sets[plain.training_set.fingerprint] = {
-                "features": plain.training_set.features.tolist(),
-                "labels": plain.training_set.labels.tolist(),
-            }
-        # each classifier is encoded once, however many nodes hold it
-        holders.setdefault(_record_text(records[0]["classifier"]), []).extend(records)
-    if training_sets:
-        record["training_sets"] = training_sets
-    shared = sorted(text for text, group in holders.items() if len(group) > 1)
-    if shared:
-        record["classifiers"] = [holders[text][0]["classifier"] for text in shared]
-        for index, text in enumerate(shared):
-            for holder in holders[text]:
-                holder["classifier"] = index
-    return record
-
-
-def _read_training_sets(record: dict[str, Any]) -> dict[str, TrainingSet]:
-    """The lookups of a model record's ``training_sets`` table, each entry
-    built once; an entry whose rows do not hash to its key is refused."""
-    training_sets = {}
-    for key, entry in record.get("training_sets", {}).items():
-        training_set = TrainingSet(entry["features"], entry["labels"])
-        if training_set.fingerprint != key:
-            raise ValueError(f"malformed training set {key!r}: its rows hash to {training_set.fingerprint!r}")
-        training_sets[key] = training_set
-    return training_sets
-
-
-class _ModelTables(NamedTuple):
-    """What the node and stage records of a model record read beyond
-    themselves: the lookups of its ``training_sets`` table, the classifiers of
-    its ``classifiers`` table, and its feature dimension (None where an older
-    AdaBoost file records none)."""
-
-    training_sets: dict[str, TrainingSet]
-    classifiers: list[ProbClassifier]
-    dimension: int | None
-
-    def classifier(self, entry) -> ProbClassifier:
-        """A plain classifier from a record's ``classifier``: an inline record,
-        decoded, or an index into the ``classifiers`` table, whose classifier
-        every record that names it shares.  A stump whose feature is beyond
-        the dimension is refused."""
-        if not isinstance(entry, dict):
-            if isinstance(entry, bool) or not isinstance(entry, int) or not 0 <= entry < len(self.classifiers):
-                raise TypeError(f"classifier must be a record or an index in [0, {len(self.classifiers)}), "
-                                f"got {entry!r}")
-            return self.classifiers[entry]
-        classifier = classifier_from_record(entry, self.training_sets)
-        if self.dimension is not None and isinstance(classifier, StumpClassifier) \
-                and classifier.feature >= self.dimension:
-            raise TypeError(f"feature must be below the model's dimension {self.dimension}, got {classifier.feature}")
-        return classifier
-
-
-def _read_tables(record: dict[str, Any], dimension: int | None = None) -> _ModelTables:
-    """A model record's tables, each entry decoded once: ``_read_training_sets``,
-    then each entry of ``classifiers``, a list of plain classifier records."""
-    tables = _ModelTables(_read_training_sets(record), [], dimension)
-    shared = record.get("classifiers", [])
-    if not isinstance(shared, list) or not all(isinstance(entry, dict) for entry in shared):
-        raise TypeError("classifiers must be a list of plain classifier records")
-    tables.classifiers.extend(map(tables.classifier, shared))
-    return tables
-
-
 class ConstantEdgeClassifier(_PlainClassifier):
     """Synthetic oracle: outputs the true label with probability 1/2 + eps."""
 
@@ -494,28 +302,6 @@ class ConstantEdgeClassifier(_PlainClassifier):
 
     def _training_q(self) -> np.ndarray:
         return self._q(self.training_set.features)
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "kind": "constant-edge",
-            "epsilon": self.epsilon,
-            "training_set": self.training_set.fingerprint,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets: dict[str, TrainingSet]):
-        if "training_set" not in record:  # older files carry the rows in every record
-            training_set = TrainingSet(record["features"], record["labels"])
-            training_set = training_sets.setdefault(training_set.fingerprint, training_set)
-        elif record["training_set"] in training_sets:
-            training_set = training_sets[record["training_set"]]
-        else:
-            raise ValueError(
-                f"malformed constant-edge record: training set {record['training_set']!r} "
-                "is not in the model's training_sets table"
-            )
-        return cls(_read_number(record["epsilon"], "epsilon", lambda e: 0.0 < e <= 0.5, "in (0, 0.5]"), training_set)
-
 
 class ConstantEdgeLearner(WeakLearner):
     """Training ignores the weights entirely; the error is 1/2 - eps always."""
@@ -565,28 +351,6 @@ class StumpClassifier(_PlainClassifier):
     def _q(self, X: np.ndarray) -> np.ndarray:
         return np.where(self.decisions(X) == 1, 1.0 - self.p_flip, self.p_flip)
 
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "kind": "stump",
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "polarity": self.polarity,
-            "p_flip": self.p_flip,
-            "constant": self.constant,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], training_sets) -> "StumpClassifier":
-        constant = record["constant"]
-        return cls(
-            _read_number(record["feature"], "feature", lambda f: isinstance(f, int) and f >= 0, "an int >= 0"),
-            _read_number(record["threshold"], "threshold"),
-            _read_number(record["polarity"], "polarity", lambda p: p in (1, -1), "1 or -1"),
-            _read_number(record["p_flip"], "p_flip", lambda p: 0.0 <= p < 0.5, "in [0, 0.5)"),
-            constant if constant is None else _read_number(constant, "constant", lambda c: c in (1, -1), "1 or -1"),
-        )
-
-
 class NoisyStumpLearner(WeakLearner):
     """Exhaustive scan over (feature, midpoint threshold, polarity)."""
 
@@ -630,56 +394,16 @@ def builtin_noisy_stump(p_flip: float = 0.1) -> NoisyStumpLearner:
     return NoisyStumpLearner(p_flip)
 
 
-_PLAIN_KINDS = {"constant-edge": ConstantEdgeClassifier, "stump": StumpClassifier}
-
-
-def classifier_from_record(
-    record: dict[str, Any], training_sets: dict[str, TrainingSet]
-) -> ProbClassifier:
-    """A plain classifier from its record (``ptree.TreeNode`` decodes
-    composites); ``training_sets`` is the model's table, by fingerprint,
-    that constant-edge records name."""
-    kind = record.get("kind")
-    if kind not in _PLAIN_KINDS:
-        raise ValueError(f"unknown classifier kind {kind!r}")
-    return _PLAIN_KINDS[kind].from_record(record, training_sets)
-
-
 @dataclass
 class _Edges:
     """A weak classifier and its domain-partitioned edge weights, the unit that an
-    AdaBoost stage and a tree node share; each adds the Z fields named in ``_Z``.
-    It is the one class that evaluates the unit: ``outcomes`` and ``edge_factors``."""
+    AdaBoost stage and a tree node share; each adds its Z fields.  It is the
+    one class that evaluates the unit: ``outcomes`` and ``edge_factors``."""
 
     classifier: ProbClassifier
     q_plus: np.ndarray | None  # q(+) per training example; None for a composite, whose outcomes are its walks
     alpha_plus: float
     alpha_minus: float
-    _Z = ()  # the subclass's Z fields, in record order
-
-    def to_record(self) -> dict[str, Any]:
-        record = {
-            "classifier": self.classifier.to_record(),
-            **_write_q(self.classifier, self.q_plus),
-            "alpha_plus": self.alpha_plus,
-            "alpha_minus": self.alpha_minus,
-        }
-        for name in self._Z:
-            record[name] = getattr(self, name)
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict[str, Any], tables: _ModelTables):
-        """The edges of a plain classifier's record; ``tables`` are the model's (``_read_tables``)."""
-        classifier = tables.classifier(record["classifier"])
-        return cls._read(record, classifier, _read_q(record, classifier))
-
-    @classmethod
-    def _read(cls, record: dict[str, Any], classifier, q_plus):
-        """The edges around a decoded classifier, its numbers read in record order."""
-        return cls(classifier, q_plus, _read_number(record["alpha_plus"], "alpha_plus"),
-                   _read_number(record["alpha_minus"], "alpha_minus"),
-                   *[_read_number(record[name], name) for name in cls._Z])
 
     def outcomes(self, X: np.ndarray | None = None, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(reach, scores) of the classifier on the rows X.  Without X the rows

@@ -19,7 +19,7 @@ from probboost.adaboost import (
 )
 from probboost.core import Dataset, RandomStream, _mc_summary, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
-from probboost.persist import save_model
+from probboost.persist import model_from_record, save_model
 from probboost.ptree import grow_tree
 from probboost.weak_learner import _plain_outcomes, builtin_constant_edge_oracle, builtin_noisy_stump
 
@@ -226,7 +226,7 @@ class TestTrainAdaboost:
         assert all("w" not in stage for stage in record["stages"])
         for stage in record["stages"]:
             stage["w"] = [0.4, 0.3, 0.2, 0.1]  # older files store each stage's W statistics
-        loaded = AdaboostModel.from_record(record)
+        loaded = model_from_record(record)
         assert loaded.to_record() == model.to_record()
         assert exact_expected_bound(loaded, small_dataset) == exact_expected_bound(model, small_dataset)
 

@@ -467,6 +467,13 @@ class TestInputErrors:
             # a synthetic dataset needs a seed >= 0; training seeds may be negative
             ("train --algo matryoshka --L 2 --seed -1", "--seed must be >= 0 for a synthetic dataset"),
             ("eval --model {tree} --seed -3", "--seed must be >= 0 for a synthetic dataset"),
+            # an option that the trainer or the oracle would ignore, defaults or not
+            ("train --algo adaboost --T 3 --L 4", "Error: --L does not apply to adaboost\n"),
+            ("train --algo matryoshka --mode fixed2 --L 2 --T 3", "Error: --T does not apply to fixed-2 matryoshka\n"),
+            ("train --algo ptree --T 3 --mode greedy", "Error: --mode does not apply to ptree\n"),
+            ("train --algo ptree --T 3 --epsilon 0.2", "Error: --epsilon does not apply to the stump oracle\n"),
+            ("train --algo ptree --T 3 --oracle constant-edge --p-flip 0.1",
+             "Error: --p-flip does not apply to the constant-edge oracle\n"),
         ],
     )
     def test_one_line_error(self, runner, files, args, message):

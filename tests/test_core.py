@@ -19,15 +19,13 @@ from probboost.core import (
     Dataset,
     RandomStream,
     load_csv,
-    load_record,
     make_synthetic_dataset,
     normalize_weights,
-    save_record,
     validate_path,
 )
 from probboost.core import _key_schedule, _philox4x32
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
-from probboost.persist import save_model
+from probboost.persist import load_record, save_model, save_record
 from probboost.ptree import grow_tree
 from probboost.weak_learner import builtin_constant_edge_oracle, builtin_noisy_stump
 

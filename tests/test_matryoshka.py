@@ -16,7 +16,8 @@ from probboost.matryoshka import (
     build_greedy_matryoshka,
     collect_leaves,
 )
-from probboost.persist import load_model, save_model
+from probboost.persist import (_read_tables, _read_unit, _unit_record, _write_tables, load_model, model_from_record,
+                              save_model)
 from probboost.ptree import (
     CompositeNode,
     TreeModel,
@@ -32,8 +33,6 @@ from probboost.weak_learner import (
     ConstantEdgeClassifier,
     ProbClassifier,
     TrainingSet,
-    _read_tables,
-    _write_tables,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
 )
@@ -146,10 +145,10 @@ class TestCompositeNode:
             config=TrainConfig(exact_q=True),
         )
         composite = collect_leaves(inner)
-        record, plain = composite.to_record(), {}
-        composite._plain_records({"classifier": record}, plain)
+        plain = []
+        record = _unit_record(TreeNode(composite, None, 1.0, 1.0, 0.5, 0.5), plain)
         tables = _read_tables(_write_tables({}, plain))
-        clone = CompositeNode.from_record(record, tables)
+        clone = _read_unit(TreeNode, record, tables).classifier
         assert isinstance(clone, CompositeNode)
         x = small_dataset.features[0]
         assert clone.q_plus(x) == composite.q_plus(x)
@@ -209,9 +208,6 @@ class TestCompositeNode:
             def sample_batch(self, X, u):
                 return np.where(u < 0.9, 1.0, -1.0)
 
-            def to_record(self):
-                return {"kind": "sample-only"}
-
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1])
         inner = TreeModel(trajectory=[1.0])
         attach_node(inner, "", SampleOnly(), np.array([0.9, 0.2]), ds.weights.copy(), ds.labels, 1.0)
@@ -234,7 +230,7 @@ class TestCompositeNode:
         reach, scores, classes = tree.nodes[""].classifier.leaf_table
         for node in record["nodes"].values():
             node["q_plus"] = reach[classes][:, scores >= 0.0].sum(axis=1).tolist()
-        old = TreeModel.from_record(record)
+        old = model_from_record(record)
         assert all(node.q_plus is None for node in old.nodes.values())
         assert old.to_record() == tree.to_record()
         assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
@@ -279,7 +275,7 @@ class TestCompositeNode:
         for composite in _composite_records(record):
             composite["inner"].update(kind="ptree", metadata={"seed": 5, "max_nodes": 2},
                                       trajectory=[1.0, 0.9, 0.8])
-        old = TreeModel.from_record(record)
+        old = model_from_record(record)
         assert old.to_record() == tree.to_record()
         assert exact_tree_bound(old, small_dataset) == exact_tree_bound(tree, small_dataset)
 

@@ -19,7 +19,7 @@ from probboost.adaboost import AdaboostModel, StageRecord, TrainConfig, train_ad
 from probboost.cli import main
 from probboost.core import load_csv, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
-from probboost.persist import load_model, save_model
+from probboost.persist import _plain_record, _unit_record, load_model, save_model
 from probboost.ptree import CompositeNode, TreeModel, TreeNode, grow_tree
 from probboost.weak_learner import (ConstantEdgeClassifier, StumpClassifier, TrainingSet,
                                     builtin_constant_edge_oracle, builtin_noisy_stump)
@@ -246,7 +246,7 @@ class TestConstantEdgeQ:
             model = self._train(kind, make_synthetic_dataset(n, seed=1), builtin_constant_edge_oracle(0.3),
                                 TrainConfig(seed=1, exact_q=True))
             for _, node in _plain_nodes(model):
-                record = node.to_record()
+                record = _unit_record(node, [])
                 assert record["q_plus"] is None
                 shapes.add(len(json.dumps(_numbers_zeroed(record), sort_keys=True, separators=(",", ": "))))
         assert len(shapes) == 1
@@ -366,13 +366,13 @@ def test_shared_classifiers_round_trip(model):
     def text(classifier_record):  # as the file writes it
         return json.dumps(classifier_record, sort_keys=True, separators=(",", ": "))
 
-    saved = {path: text(node.classifier.to_record()) for path, node in _plain_nodes(model)}
-    assert {path: text(node.classifier.to_record()) for path, node in _plain_nodes(loaded)} == saved
+    saved = {path: text(_plain_record(node.classifier)) for path, node in _plain_nodes(model)}
+    assert {path: text(_plain_record(node.classifier)) for path, node in _plain_nodes(loaded)} == saved
     saved = list(saved.values())
     repeated = sorted({entry for entry in saved if saved.count(entry) > 1})
     for entry in repeated:  # decoded once, and shared by the nodes that name it
         assert len({id(node.classifier) for _, node in _plain_nodes(loaded)
-                    if text(node.classifier.to_record()) == entry}) == 1
+                    if text(_plain_record(node.classifier)) == entry}) == 1
     table = record.get("classifiers")
     assert ("classifiers" in record) == bool(repeated)
     if table is not None:

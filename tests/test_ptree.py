@@ -15,7 +15,7 @@ from probboost.adaboost import TrainConfig
 from probboost.bounds import bound_F
 from probboost.core import MAX_BLOCK_DRAWS, Dataset, RandomStream, make_synthetic_dataset
 from probboost.matryoshka import build_fixed_2_matryoshka, build_greedy_matryoshka
-from probboost.persist import load_model, save_model
+from probboost.persist import load_model, model_from_record, save_model
 from probboost.ptree import (
     DEAD_BRANCH_THRESHOLD,
     CompositeNode,
@@ -1153,7 +1153,7 @@ class TestPredictTree:
         else:
             tree = build_fixed_2_matryoshka(small_dataset, builtin_noisy_stump(0.1), 3, config)
             if model == "reloaded":
-                tree = TreeModel.from_record(tree.to_record())
+                tree = model_from_record(tree.to_record())
         composite = next((node.classifier for node in tree.nodes.values()
                           if isinstance(node.classifier, CompositeNode)), None)
         assert (composite is None) == (model == "plain")
@@ -1280,7 +1280,7 @@ class TestTreeSerialization:
             config=TrainConfig(seed=2),
         )
         record = tree.to_record()
-        clone = TreeModel.from_record(record)
+        clone = model_from_record(record)
         assert clone.to_record() == record
         assert list(clone.leaf_products()) == list(tree.leaf_products())
         assert clone.recorded_bound() == tree.recorded_bound()
@@ -1296,7 +1296,7 @@ class TestTreeSerialization:
         for node in old["nodes"].values():
             for key in ("weights", "weights_plus", "weights_minus"):
                 node[key] = [1.0 / n] * n
-        old_clone = TreeModel.from_record(old)
+        old_clone = model_from_record(old)
         assert old_clone.recorded_bound() == clone.recorded_bound()
         assert exact_tree_bound(old_clone, small_dataset) == exact_tree_bound(clone, small_dataset)
 
@@ -1310,7 +1310,7 @@ class TestTreeSerialization:
         record = tree.to_record()
         record["nodes"] = {"++": next(iter(record["nodes"].values()))}
         with pytest.raises(ValueError, match="parent"):
-            TreeModel.from_record(record)
+            model_from_record(record)
 
 
 def _composites_by_depth(tree, depth=0):

@@ -13,6 +13,7 @@ from probboost.adaboost import TrainConfig, _log_rate, train_adaboost
 from probboost.core import Dataset, RandomStream, _mc_summary, make_synthetic_dataset
 from probboost._zstats import optimal_alphas, w_statistics, z_value
 from probboost.matryoshka import build_fixed_2_matryoshka
+from probboost.persist import _plain_record, _read_plain, _read_tables, _write_tables, save_model
 from probboost.ptree import CompositeNode, TreeModel, TreeNode, grow_tree, predict_tree, walk_table
 from probboost.weak_learner import (
     ConstantEdgeClassifier,
@@ -22,11 +23,8 @@ from probboost.weak_learner import (
     WeakLearner,
     _draw_plus,
     _q_estimate,
-    _read_training_sets,
-    _write_tables,
     builtin_constant_edge_oracle,
     builtin_noisy_stump,
-    classifier_from_record,
     estimate_q_strategy_A,
     map_z_estimate,
 )
@@ -46,9 +44,6 @@ class _SignedDraws(ProbClassifier):
     def sample_batch(self, X, u):
         return np.where(u < np.where(X[:, 0] >= 0.0, self.p_pos, self.p_neg), self.score, -self.score)
 
-    def to_record(self):
-        return {"kind": "signed-draws"}
-
 
 class _FixedScores(ProbClassifier):
     """Draws the given rows of scores, one row per round, whatever u."""
@@ -58,9 +53,6 @@ class _FixedScores(ProbClassifier):
 
     def sample_batch(self, X, u):
         return self.rows[: len(u)]
-
-    def to_record(self):
-        return {}
 
 
 class _Returns(WeakLearner):
@@ -270,9 +262,6 @@ class _RowsSeen(ProbClassifier):
         self.rows.append(len(X))
         return self.inner.sample_batch(X, u)
 
-    def to_record(self):
-        return self.inner.to_record()
-
 
 def _weighted_dataset(n):
     ds = Dataset.from_arrays([[0.5, -1.0]], [1]) if n == 1 else make_synthetic_dataset(n, seed=n)
@@ -467,9 +456,6 @@ class _ThreeOutcomes(ProbClassifier):
     def outcomes(self, X):
         return np.tile([0.25, 0.5, 0.25], (len(X), 1)), np.array([2.0, -1.0, 0.0])
 
-    def to_record(self):
-        return {}
-
 
 _BUILTIN_PLAIN = {
     "stump": _CLASSIFIERS["stump"],
@@ -531,9 +517,6 @@ class _TableOutcomes(ProbClassifier):
     def outcomes(self, X):
         return self.reach[np.asarray(X, dtype=float)[:, 0].astype(int)], self.scores
 
-    def to_record(self):
-        return {"kind": "table-outcomes"}
-
 
 @st.composite
 def _user_outcomes(draw):
@@ -556,9 +539,6 @@ class _Flipped(ProbClassifier):
     def outcomes(self, X):
         q = np.where(X[:, 0] >= 0.0, 0.9, 0.1)
         return np.column_stack([1.0 - q, q]), np.array([-1.0, 1.0])
-
-    def to_record(self):
-        return {"kind": "flipped"}
 
 
 class TestOneQRule:
@@ -623,6 +603,19 @@ class TestUserLearner:
         tree = build_fixed_2_matryoshka(small_dataset, learner, 2, TrainConfig(seed=1))
         assert tree.n_nodes == 2 and learner.calls == 4
 
+    @pytest.mark.parametrize("train", [
+        lambda data, learner: train_adaboost(data, learner, 2, TrainConfig(exact_q=True)),
+        lambda data, learner: grow_tree(data, learner, max_nodes=2, config=TrainConfig(exact_q=True)),
+        lambda data, learner: build_fixed_2_matryoshka(data, learner, 2, TrainConfig(exact_q=True)),
+    ], ids=["adaboost", "ptree", "fixed2"])
+    def test_unknown_classifier_refused_at_save(self, small_dataset, tmp_path, train):
+        # a model file holds only the classifiers it can load: no file is written
+        model = train(small_dataset, _Returns(_Flipped()))
+        path = tmp_path / "m.json"
+        with pytest.raises(TypeError, match="cannot hold a _Flipped classifier"):
+            save_model(model, path)
+        assert not path.exists()
+
 
 class TestConstantEdgeOracle:
     def test_exact_q(self, tiny_dataset):
@@ -667,10 +660,9 @@ class TestConstantEdgeOracle:
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_constant_edge_oracle(0.2).train(tiny_dataset, tiny_dataset.weights)
-        record, plain = clf.to_record(), {}
-        clf._plain_records({"classifier": record}, plain)
-        training_sets = _read_training_sets(_write_tables({}, plain))
-        clone = classifier_from_record(record, training_sets)
+        record = _plain_record(clf)
+        tables = _read_tables(_write_tables({}, [(clf, {"classifier": record})]))
+        clone = _read_plain(record, tables.training_sets)
         assert isinstance(clone, ConstantEdgeClassifier)
         assert clone.q_plus(tiny_dataset.features[0]) == clf.q_plus(tiny_dataset.features[0])
 
@@ -764,9 +756,9 @@ def _reference_stump_scan(dataset, weights, p_flip):
 
 
 def _assert_scan_matches_reference(dataset, weights):
-    record = builtin_noisy_stump(0.1).train(dataset, weights).to_record()
+    record = _plain_record(builtin_noisy_stump(0.1).train(dataset, weights))
     # json text tells apart -0.0 and 0.0, and refuses numpy integers
-    assert json.dumps(record) == json.dumps(_reference_stump_scan(dataset, weights, 0.1).to_record())
+    assert json.dumps(record) == json.dumps(_plain_record(_reference_stump_scan(dataset, weights, 0.1)))
     return record
 
 
@@ -871,7 +863,7 @@ class TestNoisyStump:
 
     def test_record_round_trip(self, tiny_dataset):
         clf = builtin_noisy_stump(0.2).train(tiny_dataset, tiny_dataset.weights)
-        clone = classifier_from_record(clf.to_record(), {})
+        clone = _read_plain(_plain_record(clf), {})
         assert isinstance(clone, StumpClassifier)
         assert (clone.feature, clone.threshold, clone.polarity, clone.p_flip) == (
             clf.feature, clf.threshold, clf.polarity, clf.p_flip,
